@@ -11,16 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import SynthConfig, synth_generate, write_dataset, with_split, normalize_bands
+from .checkpoint import save_checkpoint
+from .data import SynthConfig, synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError
-from .experiments import (EXPERIMENT_IDS, _kwargs, dataset_from_config,
-                          run_experiment, schedule_from_config, _network_kwargs)
-from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
-                      build_cross_domain, transfer_shared)
-from .trainer import evaluate, train_cross_domain, train_single, two_step_train
+from .experiments import (EXPERIMENT_IDS, _Harness, _kwargs, _require, load_network,
+                          run_experiment, schedule_from_config)
+from .trainer import evaluate
 from .verify import oracle_suite
 
 
@@ -67,11 +63,14 @@ def _build_parser():
 
 def _load_config(path):
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file '{path}' does not exist") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file '{path}' is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file '{path}' must hold a JSON object")
+    return cfg
 
 
 def _seed(args, cfg, default=0):
@@ -102,104 +101,42 @@ def _write_train_outputs(out, metrics_list, names):
 def cmd_pretrain(args):
     cfg = _load_config(args.config)
     out = _outdir(args)
-    seed = _seed(args, cfg)
-    sources = [dataset_from_config(c, cfg.get("normalize", True))
-               for c in cfg.get("sources") or _missing("sources")]
-    net_kwargs = _network_kwargs(cfg)
-    specs = CrossDomainSpec([
-        NetworkSpec(bands=ds.cube.bands, classes=ds.classes, **net_kwargs)
-        for ds in sources
-    ])
-    rng = np.random.default_rng(seed)
-    cdn = build_cross_domain(specs, rng)
-    eval_every = int(cfg.get("eval_every", 100))
-    augment = bool(cfg.get("augment", True))
-    if "two_step" in cfg:
-        s1 = schedule_from_config(cfg["two_step"]["step1"])
-        s2 = schedule_from_config(cfg["two_step"]["step2"])
-        cdn, m1, m2 = two_step_train(cdn, sources, s1, s2, rng,
-                                     eval_every=eval_every, augment=augment,
-                                     progress=True)
-        iteration = s2.max_iter
-        _write_train_outputs(out, [m1, m2], ["metrics_step1", "metrics_step2"])
-    else:
-        schedule = schedule_from_config(cfg.get("schedule") or _missing("schedule"))
-        cdn, metrics = train_cross_domain(cdn, sources, schedule, rng,
-                                          eval_every=eval_every, augment=augment,
-                                          progress=True)
-        iteration = schedule.max_iter
-        _write_train_outputs(out, [metrics], ["metrics"])
+    h = _Harness(cfg, progress=True)
+    run = h.pretrain(h.sources, _seed(args, cfg), schedule_key="schedule")
+    names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
+    _write_train_outputs(out, run.metrics, names)
     ckpt = out / "pretrained.ckpt"
-    save_checkpoint(cdn, ckpt, rng=rng, iteration=iteration)
+    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=run.iteration)
     print(json.dumps({"checkpoint": str(ckpt)}))
     return 0
 
 
-def _missing(key):
-    raise ConfigError(f"config needs '{key}'")
-
-
-def _target_from_config(cfg):
-    ds = dataset_from_config(cfg.get("target") or _missing("target"), normalize=False)
-    n = cfg.get("train_per_class") or _missing("train_per_class")
-    split_rng = np.random.default_rng(int(cfg.get("split_seed", 1234)))
-    ds = with_split(ds, int(n), split_rng)
-    if cfg.get("normalize", True):
-        ds = normalize_bands(ds)
-    return ds
-
-
-def _run_target(args, cfg, pretrained):
+def _run_target(args, pretrained):
+    cfg = _load_config(args.config)
     out = _outdir(args)
-    seed = _seed(args, cfg)
-    target = _target_from_config(cfg)
-    net_kwargs = _network_kwargs(cfg)
-    spec = NetworkSpec(bands=target.cube.bands, classes=target.classes, **net_kwargs)
-    rng = np.random.default_rng(seed)
-    if pretrained is None:
-        net = build_backbone(spec, rng)
-    else:
-        net = transfer_shared(pretrained, spec, rng)
-    schedule = schedule_from_config(cfg.get("schedule") or _missing("schedule"))
-    net, metrics = train_single(net, target, schedule, rng,
-                                eval_every=int(cfg.get("eval_every", 100)),
-                                augment=bool(cfg.get("augment", True)),
-                                progress=True)
-    _write_train_outputs(out, [metrics], ["metrics"])
+    h = _Harness(cfg, progress=True)
+    schedule = schedule_from_config(_require(cfg, "schedule"))
+    run = h.target_run(schedule, _seed(args, cfg), pretrained)
+    _write_train_outputs(out, run.metrics, ["metrics"])
     ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
-    save_checkpoint(net, ckpt, rng=rng, iteration=schedule.max_iter)
-    acc = evaluate(net, target, "test")
-    print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": acc}))
+    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=run.iteration)
+    print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": run.accuracy}))
     return 0
 
 
-def _load_ckpt(path):
-    if not Path(path).exists():
-        raise ConfigError(f"checkpoint '{path}' does not exist")
-    return load_checkpoint(path)
-
-
 def cmd_finetune(args):
-    cfg = _load_config(args.config)
-    ckpt = _load_ckpt(args.checkpoint)
-    if ckpt.kind != "cross":
-        raise ConfigError(f"'{args.checkpoint}' is not a cross-domain checkpoint")
-    return _run_target(args, cfg, ckpt.network)
+    return _run_target(args, load_network(args.checkpoint, "cross"))
 
 
 def cmd_train_scratch(args):
-    cfg = _load_config(args.config)
-    return _run_target(args, cfg, None)
+    return _run_target(args, None)
 
 
 def cmd_eval(args):
     cfg = _load_config(args.config)
-    ckpt = _load_ckpt(args.checkpoint)
-    if ckpt.kind != "single":
-        raise ConfigError("eval needs a single-network checkpoint")
-    target = _target_from_config(cfg)
+    network = load_network(args.checkpoint, "single")
     split = cfg.get("split", "test")
-    acc = evaluate(ckpt.network, target, split)
+    acc = evaluate(network, _Harness(cfg).target, split)
     print(json.dumps({"split": split, "accuracy": acc}))
     return 0
 

@@ -108,8 +108,8 @@ def _require(header, key):
     return header[key]
 
 
-def _int_key(header, key):
-    raw = _require(header, key)
+def _int_key(header, key, default=None):
+    raw = _require(header, key) if default is None else header.get(key, default)
     try:
         return int(raw)
     except ValueError:
@@ -125,7 +125,7 @@ def load_envi(header_path, data_path=None):
     code = _int_key(header, "data type")
     byte_order = _int_key(header, "byte order")
     interleave = _require(header, "interleave").lower()
-    offset = int(header.get("header offset", 0))
+    offset = _int_key(header, "header offset", default=0)
 
     if interleave not in INTERLEAVES:
         raise DataError(f"unsupported interleave '{interleave}' (need bsq, bil, or bip)")
@@ -212,7 +212,10 @@ def load_label_raster(path, data_path=None):
     whitespace-separated text grid (.txt)."""
     path = Path(path)
     if path.suffix.lower() == ".txt":
-        grid = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        try:
+            grid = np.loadtxt(path, dtype=np.int64, ndmin=2)
+        except ValueError as e:
+            raise DataError(f"label grid '{path}' is malformed: {e}") from None
         return LabelRaster.from_array(grid)
     if path.suffix.lower() == ".hdr":
         cube = load_envi(path, data_path)

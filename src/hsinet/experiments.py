@@ -1,6 +1,7 @@
-"""Runnable ablation harness: schedule sweep, depth sweep, source-size sweep,
-sensor ablation, and single-vs-multi source comparison, on synthetic domains
-or user-supplied rasters.
+"""The config -> dataset -> network pipeline (`_Harness`) behind the CLI
+commands, and the ablation runners built on it: schedule sweep, depth sweep,
+source combinations (source size, sensor ablation, single vs multi source),
+pre-training and fine-tuning, on synthetic domains or user-supplied rasters.
 
 Every runner emits ReportRows (experiment, seed, condition, iteration, metric,
 value) and can write them as report.csv plus an aggregated summary.json.
@@ -47,6 +48,25 @@ class ReportRow:
 
 # --- config parsing -------------------------------------------------------
 
+# every top-level key a command or runner reads; one target config serves
+# finetune, train-scratch and eval alike
+CONFIG_KEYS = frozenset({
+    "experiment", "seed", "seeds", "pretrain_seed", "split_seed", "eval_every",
+    "augment", "normalize", "network", "sources", "target", "train_per_class",
+    "split", "schedule", "pretrain_schedule", "two_step", "checkpoint",
+    "schedules", "depths", "combinations", "pairs", "conditions", "include_scratch",
+})
+
+_NETWORK_KEYS = ("patch", "filters", "residual_modules", "dropout_rate")
+
+
+def _require(d, key, where="config"):
+    """d[key], or a ConfigError naming the key when it is absent or empty."""
+    if not d.get(key):
+        raise ConfigError(f"{where} needs '{key}'")
+    return d[key]
+
+
 def _kwargs(d, cls, what):
     allowed = {f.name for f in fields(cls)}
     bad = set(d) - allowed
@@ -75,104 +95,117 @@ def dataset_from_config(d, normalize=True):
     return normalize_bands(ds) if normalize else ds
 
 
-_NETWORK_KEYS = ("patch", "filters", "residual_modules", "dropout_rate")
+def load_network(path, kind):
+    """The network of an existing checkpoint of `kind` ("cross" or "single")."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"checkpoint '{path}' does not exist")
+    ckpt = load_checkpoint(path)
+    if ckpt.kind != kind:
+        what = "cross-domain" if kind == "cross" else "single-network"
+        raise ConfigError(f"checkpoint '{path}' is not a {what} checkpoint")
+    return ckpt.network
 
 
-def _network_kwargs(cfg):
-    net = cfg.get("network", {})
-    bad = set(net) - set(_NETWORK_KEYS)
-    if bad:
-        raise ConfigError(f"unknown network keys: {sorted(bad)} (allowed: {_NETWORK_KEYS})")
-    return dict(net)
+@dataclass
+class _Run:
+    """A trained network with what a resumable checkpoint of it needs."""
 
-
-def _spec_for(ds, net_kwargs):
-    return NetworkSpec(bands=ds.cube.bands, classes=ds.classes, **net_kwargs)
+    network: object
+    metrics: list          # one TrainMetrics per training phase
+    rng: np.random.Generator
+    iteration: int
+    accuracy: float | None = None   # target runs: final test-split accuracy
 
 
 class _Harness:
-    """Shared plumbing for one experiment config."""
+    """The config -> dataset -> network pipeline shared by the CLI commands and
+    every experiment runner."""
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, progress=False):
+        unknown = sorted(set(cfg) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown} (known: {sorted(CONFIG_KEYS)})")
+        bad = set(cfg.get("network", {})) - set(_NETWORK_KEYS)
+        if bad:
+            raise ConfigError(f"unknown network keys: {sorted(bad)} (allowed: {_NETWORK_KEYS})")
         self.cfg = cfg
         self.experiment = cfg.get("experiment")
         self.seeds = list(cfg.get("seeds", []))
-        if not self.seeds:
-            raise ConfigError("config needs a non-empty 'seeds' list")
         self.split_seed = int(cfg.get("split_seed", 1234))
-        self.eval_every = int(cfg.get("eval_every", 100))
-        self.augment = bool(cfg.get("augment", True))
+        self.train_kwargs = dict(eval_every=int(cfg.get("eval_every", 100)),
+                                 augment=bool(cfg.get("augment", True)), progress=progress)
         self.normalize = bool(cfg.get("normalize", True))
-        self.net_kwargs = _network_kwargs(cfg)
         self._sources = None
         self._target = None
 
     @property
     def sources(self):
         if self._sources is None:
-            cfgs = self.cfg.get("sources")
-            if not cfgs:
-                raise ConfigError("config needs a 'sources' list")
-            self._sources = [dataset_from_config(c, self.normalize) for c in cfgs]
+            self._sources = [dataset_from_config(c, self.normalize)
+                             for c in _require(self.cfg, "sources")]
         return self._sources
 
     @property
     def target(self):
         if self._target is None:
-            if "target" not in self.cfg:
-                raise ConfigError("config needs a 'target' dataset")
-            ds = dataset_from_config(self.cfg["target"], normalize=False)
-            n = self.cfg.get("train_per_class")
-            if n is None:
-                raise ConfigError("config needs 'train_per_class' for the target split")
+            ds = dataset_from_config(_require(self.cfg, "target"), normalize=False)
+            n = _require(self.cfg, "train_per_class")
             ds = with_split(ds, int(n), np.random.default_rng(self.split_seed))
             self._target = normalize_bands(ds) if self.normalize else ds
         return self._target
 
-    def pretrain(self, sources, schedule_cfg=None, seed=None, depth=None):
-        """Cross-domain pre-training over the given source datasets."""
-        seed = self.cfg.get("pretrain_seed", self.seeds[0]) if seed is None else seed
-        net_kwargs = dict(self.net_kwargs)
+    @property
+    def pretrain_seed(self):
+        return self.cfg.get("pretrain_seed", self.seeds[0])
+
+    def _spec(self, ds, depth):
+        net_kwargs = dict(self.cfg.get("network", {}))
         if depth is not None:
             net_kwargs["residual_modules"] = depth
-        specs = CrossDomainSpec([_spec_for(ds, net_kwargs) for ds in sources])
+        return NetworkSpec(bands=ds.cube.bands, classes=ds.classes, **net_kwargs)
+
+    def pretrain(self, sources, seed, schedule_key="pretrain_schedule", depth=None):
+        """Cross-domain pre-training over the given source datasets, on the
+        schedule under `schedule_key` or the config's `two_step` pair."""
         rng = np.random.default_rng(seed)
-        cdn = build_cross_domain(specs, rng)
+        cdn = build_cross_domain(CrossDomainSpec([self._spec(ds, depth) for ds in sources]),
+                                 rng)
         if "two_step" in self.cfg:
-            ts = self.cfg["two_step"]
-            s1 = schedule_from_config(ts["step1"])
-            s2 = schedule_from_config(ts["step2"])
-            cdn, m1, m2 = two_step_train(cdn, sources, s1, s2, rng,
-                                         eval_every=self.eval_every, augment=self.augment)
-            return cdn, [m1, m2]
-        sched_cfg = schedule_cfg if schedule_cfg is not None else self.cfg.get("pretrain_schedule")
-        if sched_cfg is None:
-            raise ConfigError("config needs 'pretrain_schedule' (or 'two_step')")
-        schedule = schedule_from_config(sched_cfg)
-        cdn, metrics = train_cross_domain(cdn, sources, schedule, rng,
-                                          eval_every=self.eval_every, augment=self.augment)
-        return cdn, [metrics]
+            steps = [schedule_from_config(_require(self.cfg["two_step"], key, "'two_step'"))
+                     for key in ("step1", "step2")]
+            cdn, *metrics = two_step_train(cdn, sources, *steps, rng, **self.train_kwargs)
+            return _Run(cdn, metrics, rng, steps[1].max_iter)
+        schedule = schedule_from_config(_require(self.cfg, schedule_key))
+        cdn, metrics = train_cross_domain(cdn, sources, schedule, rng, **self.train_kwargs)
+        return _Run(cdn, [metrics], rng, schedule.max_iter)
 
     def target_run(self, schedule, seed, pretrained=None, depth=None):
-        """Train on the target from scratch or from a pre-trained shared store;
-        returns (metrics, final_accuracy)."""
-        net_kwargs = dict(self.net_kwargs)
-        if depth is not None:
-            net_kwargs["residual_modules"] = depth
-        spec = _spec_for(self.target, net_kwargs)
+        """Train on the target from scratch or from a pre-trained shared store."""
+        spec = self._spec(self.target, depth)
         rng = np.random.default_rng(seed)
         if pretrained is None:
             net = build_backbone(spec, rng)
         else:
             net = transfer_shared(pretrained, spec, rng)
-        net, metrics = train_single(net, self.target, schedule, rng,
-                                    eval_every=self.eval_every, augment=self.augment)
-        return metrics, evaluate(net, self.target, "test")
+        net, metrics = train_single(net, self.target, schedule, rng, **self.train_kwargs)
+        return _Run(net, [metrics], rng, schedule.max_iter,
+                    evaluate(net, self.target, "test"))
 
-    def curve_rows(self, seed, condition, metrics, final_acc, extra=None):
+    def compare(self, conditions, schedule, depth=None):
+        """Report rows of one target run per seed for each (condition,
+        pre-trained store or None for scratch, extra final metrics)."""
+        rows = []
+        for seed in self.seeds:
+            for condition, pretrained, extra in conditions:
+                run = self.target_run(schedule, seed, pretrained, depth)
+                rows += self.curve_rows(seed, condition, run, extra)
+        return rows
+
+    def curve_rows(self, seed, condition, run, extra=None):
         rows = []
         final_iter = 0
-        for r in metrics.rows:
+        for r in run.metrics[0].rows:
             final_iter = max(final_iter, r.iteration)
             rows.append(ReportRow(self.experiment, seed, condition, r.iteration,
                                   "train_loss", float(r.loss)))
@@ -180,21 +213,15 @@ class _Harness:
                 rows.append(ReportRow(self.experiment, seed, condition, r.iteration,
                                       "test_accuracy", float(r.accuracy)))
         rows.append(ReportRow(self.experiment, seed, condition, final_iter,
-                              "final_accuracy", float(final_acc)))
+                              "final_accuracy", float(run.accuracy)))
         for metric, value in (extra or {}).items():
             rows.append(ReportRow(self.experiment, seed, condition, final_iter,
                                   metric, float(value)))
         return rows
 
 
-def _load_pretrained(cfg_path):
-    path = Path(cfg_path)
-    if not path.exists():
-        raise ConfigError(f"pre-trained checkpoint '{path}' does not exist")
-    ckpt = load_checkpoint(path)
-    if ckpt.kind != "cross":
-        raise ConfigError(f"checkpoint '{path}' is not a cross-domain checkpoint")
-    return ckpt.network
+def _with_scratch(label, pretrained):
+    return [(f"{label}/pretrain", pretrained, None), (f"{label}/scratch", None, None)]
 
 
 # --- experiment runners ---------------------------------------------------
@@ -202,24 +229,18 @@ def _load_pretrained(cfg_path):
 def run_schedule_sweep(cfg, out_dir=None):
     """Scratch vs fine-tuned target training across step-size/iteration pairs."""
     h = _Harness(cfg)
-    schedules = cfg.get("schedules")
-    if not schedules:
-        raise ConfigError("schedule_sweep needs a 'schedules' list")
+    schedules = _require(cfg, "schedules")
     base = dict(cfg.get("schedule", {}))
     if "checkpoint" in cfg:
-        pretrained = _load_pretrained(cfg["checkpoint"])
+        pretrained = load_network(cfg["checkpoint"], "cross")
     else:
-        pretrained, _ = h.pretrain(h.sources)
+        pretrained = h.pretrain(h.sources, h.pretrain_seed).network
     rows = []
     for sched_cfg in schedules:
-        label = sched_cfg.get("label") or f"{sched_cfg['step_size']}/{sched_cfg['max_iter']}"
         merged = {**base, **{k: v for k, v in sched_cfg.items() if k != "label"}}
         schedule = schedule_from_config(merged)
-        for seed in h.seeds:
-            for condition, pre in ((f"{label}/pretrain", pretrained),
-                                   (f"{label}/scratch", None)):
-                metrics, acc = h.target_run(schedule, seed, pretrained=pre)
-                rows += h.curve_rows(seed, condition, metrics, acc)
+        label = sched_cfg.get("label") or f"{merged['step_size']}/{merged['max_iter']}"
+        rows += h.compare(_with_scratch(label, pretrained), schedule)
     return _finish(rows, cfg, out_dir)
 
 
@@ -227,97 +248,54 @@ def run_depth_sweep(cfg, out_dir=None):
     """Scratch vs fine-tuned accuracy as residual modules are added; each
     depth pre-trains its own cross-domain network."""
     h = _Harness(cfg)
-    depths = cfg.get("depths", [2, 3, 4, 5])
-    schedule = schedule_from_config(cfg["schedule"])
+    schedule = schedule_from_config(_require(cfg, "schedule"))
     rows = []
-    for depth in depths:
-        label = f"{5 + 2 * depth}-layer"
-        pretrained, _ = h.pretrain(h.sources, depth=depth)
-        for seed in h.seeds:
-            for condition, pre in ((f"{label}/pretrain", pretrained),
-                                   (f"{label}/scratch", None)):
-                metrics, acc = h.target_run(schedule, seed, pretrained=pre, depth=depth)
-                rows += h.curve_rows(seed, condition, metrics, acc)
+    for depth in cfg.get("depths", [2, 3, 4, 5]):
+        pretrained = h.pretrain(h.sources, h.pretrain_seed, depth=depth).network
+        rows += h.compare(_with_scratch(f"{5 + 2 * depth}-layer", pretrained),
+                          schedule, depth)
     return _finish(rows, cfg, out_dir)
 
 
-def _combo_sources(h, combo):
-    try:
-        return [h.sources[i] for i in combo["sources"]]
-    except IndexError:
-        raise ConfigError(
-            f"condition '{combo.get('label')}' references a source index outside "
-            f"the {len(h.sources)}-entry 'sources' list"
-        ) from None
+# experiment -> (config key of its conditions, check on their source-index
+# lists, what the check requires)
+_COMBINATIONS = {
+    "source_size": ("combinations", lambda subsets: len(subsets) >= 2,
+                    ">= 2 'combinations'"),
+    "sensor_ablation": ("pairs", lambda subsets: len(subsets) == 2, "exactly 2 'pairs'"),
+    "single_vs_multi": ("conditions",
+                        lambda subsets: {len(s) == 1 for s in subsets} == {True, False},
+                        "at least one single-source and one multi-source condition"),
+}
 
 
-def run_source_size(cfg, out_dir=None):
-    """Fine-tuned accuracy against total source pixel count across source
-    combinations; optional scratch baseline."""
+def run_combinations(cfg, out_dir=None):
+    """Fine-tuned target accuracy per source combination, with its labeled
+    pixel count: source_size (plus a scratch baseline unless
+    `include_scratch` is false), sensor_ablation and single_vs_multi."""
     h = _Harness(cfg)
-    combos = cfg.get("combinations")
-    if not combos or len(combos) < 2:
-        raise ConfigError("source_size needs >= 2 'combinations'")
-    schedule = schedule_from_config(cfg["schedule"])
-    rows = []
+    key, check, needs = _COMBINATIONS[h.experiment]
+    combos = _require(cfg, key)
+    for i, combo in enumerate(combos):
+        for name in ("label", "sources"):
+            _require(combo, name, f"'{key}' entry {i}")
+    if not check([combo["sources"] for combo in combos]):
+        raise ConfigError(f"{h.experiment} needs {needs}")
+    schedule = schedule_from_config(_require(cfg, "schedule"))
+    conditions = []
     for combo in combos:
-        subset = _combo_sources(h, combo)
-        pixels = sum(ds.labeled_count for ds in subset)
-        pretrained, _ = h.pretrain(subset)
-        for seed in h.seeds:
-            metrics, acc = h.target_run(schedule, seed, pretrained=pretrained)
-            rows += h.curve_rows(seed, combo["label"], metrics, acc,
-                                 extra={"source_pixels": pixels})
-    if cfg.get("include_scratch", True):
-        for seed in h.seeds:
-            metrics, acc = h.target_run(schedule, seed)
-            rows += h.curve_rows(seed, "scratch", metrics, acc,
-                                 extra={"source_pixels": 0})
-    return _finish(rows, cfg, out_dir)
-
-
-def run_sensor_ablation(cfg, out_dir=None):
-    """Same-sensor vs cross-sensor source pair comparison (two conditions)."""
-    h = _Harness(cfg)
-    pairs = cfg.get("pairs")
-    if not pairs or len(pairs) != 2:
-        raise ConfigError("sensor_ablation needs exactly 2 'pairs'")
-    schedule = schedule_from_config(cfg["schedule"])
-    rows = []
-    for pair in pairs:
-        subset = _combo_sources(h, pair)
-        pixels = sum(ds.labeled_count for ds in subset)
-        pretrained, _ = h.pretrain(subset)
-        for seed in h.seeds:
-            metrics, acc = h.target_run(schedule, seed, pretrained=pretrained)
-            rows += h.curve_rows(seed, pair["label"], metrics, acc,
-                                 extra={"source_pixels": pixels})
-    return _finish(rows, cfg, out_dir)
-
-
-def run_single_vs_multi(cfg, out_dir=None):
-    """Single-source (N=1) vs multi-source pre-training comparison."""
-    h = _Harness(cfg)
-    conditions = cfg.get("conditions")
-    if not conditions:
-        raise ConfigError("single_vs_multi needs a 'conditions' list")
-    lens = [len(c["sources"]) for c in conditions]
-    if not any(n == 1 for n in lens) or not any(n > 1 for n in lens):
-        raise ConfigError(
-            "single_vs_multi needs at least one single-source and one "
-            "multi-source condition"
-        )
-    schedule = schedule_from_config(cfg["schedule"])
-    rows = []
-    for cond in conditions:
-        subset = _combo_sources(h, cond)
-        pixels = sum(ds.labeled_count for ds in subset)
-        pretrained, _ = h.pretrain(subset)
-        for seed in h.seeds:
-            metrics, acc = h.target_run(schedule, seed, pretrained=pretrained)
-            rows += h.curve_rows(seed, cond["label"], metrics, acc,
-                                 extra={"source_pixels": pixels})
-    return _finish(rows, cfg, out_dir)
+        try:
+            subset = [h.sources[i] for i in combo["sources"]]
+        except IndexError:
+            raise ConfigError(
+                f"condition '{combo['label']}' references a source index outside "
+                f"the {len(h.sources)}-entry 'sources' list"
+            ) from None
+        conditions.append((combo["label"], h.pretrain(subset, h.pretrain_seed).network,
+                           {"source_pixels": sum(ds.labeled_count for ds in subset)}))
+    if h.experiment == "source_size" and cfg.get("include_scratch", True):
+        conditions.append(("scratch", None, {"source_pixels": 0}))
+    return _finish(h.compare(conditions, schedule), cfg, out_dir)
 
 
 def run_pretrain(cfg, out_dir=None):
@@ -326,37 +304,28 @@ def run_pretrain(cfg, out_dir=None):
     h = _Harness(cfg)
     rows = []
     for seed in h.seeds:
-        cdn, metrics_list = h.pretrain(h.sources, seed=seed)
-        for phase, metrics in enumerate(metrics_list, start=1):
-            condition = "pretrain" if len(metrics_list) == 1 else f"pretrain/step{phase}"
-            for r in metrics.rows:
-                rows.append(ReportRow("pretrain", seed, condition, r.iteration,
-                                      f"loss[{r.domain}]", float(r.loss)))
+        run = h.pretrain(h.sources, seed)
+        for phase, metrics in enumerate(run.metrics, start=1):
+            condition = "pretrain" if len(run.metrics) == 1 else f"pretrain/step{phase}"
+            rows += [ReportRow("pretrain", seed, condition, r.iteration,
+                               f"loss[{r.domain}]", float(r.loss)) for r in metrics.rows]
         if out_dir is not None:
-            save_checkpoint(cdn, Path(out_dir) / f"pretrained_seed{seed}.ckpt")
+            save_checkpoint(run.network, Path(out_dir) / f"pretrained_seed{seed}.ckpt")
     return _finish(rows, cfg, out_dir)
 
 
 def run_finetune(cfg, out_dir=None):
     """Fine-tune from a required checkpoint as an experiment."""
     h = _Harness(cfg)
-    if "checkpoint" not in cfg:
-        raise ConfigError("finetune needs a 'checkpoint'")
-    pretrained = _load_pretrained(cfg["checkpoint"])
-    schedule = schedule_from_config(cfg["schedule"])
-    rows = []
-    for seed in h.seeds:
-        metrics, acc = h.target_run(schedule, seed, pretrained=pretrained)
-        rows += h.curve_rows(seed, "finetune", metrics, acc)
-    return _finish(rows, cfg, out_dir)
+    pretrained = load_network(_require(cfg, "checkpoint"), "cross")
+    schedule = schedule_from_config(_require(cfg, "schedule"))
+    return _finish(h.compare([("finetune", pretrained, None)], schedule), cfg, out_dir)
 
 
 _RUNNERS = {
     "schedule_sweep": run_schedule_sweep,
     "depth_sweep": run_depth_sweep,
-    "source_size": run_source_size,
-    "sensor_ablation": run_sensor_ablation,
-    "single_vs_multi": run_single_vs_multi,
+    **dict.fromkeys(_COMBINATIONS, run_combinations),
     "pretrain": run_pretrain,
     "finetune": run_finetune,
 }
@@ -366,6 +335,9 @@ def run_experiment(cfg, out_dir=None):
     exp = cfg.get("experiment")
     if exp not in _RUNNERS:
         raise ConfigError(f"unknown experiment '{exp}' (known: {sorted(_RUNNERS)})")
+    _require(cfg, "seeds")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     return _RUNNERS[exp](cfg, out_dir)
 
 

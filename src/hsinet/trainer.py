@@ -1,6 +1,6 @@
-"""Training loops: single-domain (scratch or fine-tune), N-domain cross-domain
-pre-training with the 1/N shared learning-rate rule, the two-step schedule for
-imbalanced sources, and evaluation.
+"""Training: one SGD loop serves single-domain training (scratch or fine-tune)
+and N-domain cross-domain pre-training with the 1/N shared learning-rate rule;
+plus the two-step schedule for imbalanced sources, and evaluation.
 
 Gradients are applied per domain in a fixed order within each iteration; the
 shared store therefore receives N updates per iteration, each at lr/N.
@@ -135,6 +135,63 @@ def evaluate(network, dataset, split, batch_size=512):
     return correct / idx.size
 
 
+def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
+           progress, metrics, eval_test):
+    """The SGD loop behind train_single and train_cross_domain.
+
+    `entries` holds one (network, dataset, groups) per domain in update order;
+    `groups` lists (params, lr scale) pairs. Per iteration and per entry:
+    sample a batch, run forward/backward, then step each group at lr x scale.
+    The shared lr logged in lr_history is lr x the smallest scale. At each eval
+    point every entry gets a MetricRow, with test accuracy if `eval_test`.
+    """
+    for network, dataset, _ in entries:
+        if network.spec.bands != dataset.cube.bands:
+            raise ShapeError(
+                f"network expects {network.spec.bands} bands but dataset "
+                f"'{dataset.name}' has {dataset.cube.bands}"
+            )
+        if dataset.train_idx.size == 0:
+            raise DataError(f"dataset '{dataset.name}' has an empty train split")
+    batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset, _ in entries]
+    shared_scale = min(scale for _, _, groups in entries for _, scale in groups)
+    metrics = metrics if metrics is not None else TrainMetrics()
+    losses = [None] * len(entries)
+    mark = time.perf_counter()
+    for it in range(start_iteration, schedule.max_iter):
+        lr = lr_at(schedule, it)
+        for i, (network, dataset, groups) in enumerate(entries):
+            x, y = _draw_batch(dataset, batchers[i], schedule.batch, rng, augment)
+            logits = network.forward(x, training=True, rng=rng)
+            loss, grad = ops.softmax_cross_entropy(logits, y)
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss for domain '{dataset.name}' at iteration {it}"
+                )
+            network.backward(grad)
+            for params, scale in groups:
+                ops.sgd_step(params, lr * scale, schedule.momentum, schedule.weight_decay,
+                             iteration=it)
+            losses[i] = loss
+        metrics.lr_history.append((it, lr, lr * shared_scale))
+        done = it + 1
+        if done % 100 == 0:
+            now = time.perf_counter()
+            metrics.wall_clock.append((done, now - mark))
+            mark = now
+        if done % eval_every == 0 or done == schedule.max_iter:
+            shown = []
+            for (network, dataset, _), loss in zip(entries, losses):
+                acc = None
+                if eval_test and dataset.test_idx.size:
+                    acc = evaluate(network, dataset, "test")
+                metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
+                shown.append(f"{dataset.name} loss {loss:.4f} acc "
+                             + ("n/a" if acc is None else f"{acc:.4f}"))
+            _progress(progress, f"iter {done} " + "; ".join(shown))
+    return metrics
+
+
 def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=True,
                  start_iteration=0, progress=False, metrics=None):
     """SGD on one domain; returns (network, TrainMetrics).
@@ -144,38 +201,10 @@ def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=Tru
     and takes one momentum-SGD step at the scheduled learning rate. The test
     split is evaluated every `eval_every` iterations.
     """
-    if dataset.train_idx.size == 0:
-        raise DataError(f"dataset '{dataset.name}' has an empty train split")
-    if network.spec.bands != dataset.cube.bands:
-        raise ShapeError(
-            f"network expects {network.spec.bands} bands but dataset "
-            f"'{dataset.name}' has {dataset.cube.bands}"
-        )
-    batcher = PatchBatcher(dataset, network.spec.patch)
-    metrics = metrics if metrics is not None else TrainMetrics()
-    params = network.params()
-    mark = time.perf_counter()
-    for it in range(start_iteration, schedule.max_iter):
-        lr = lr_at(schedule, it)
-        x, y = _draw_batch(dataset, batcher, schedule.batch, rng, augment)
-        logits = network.forward(x, training=True, rng=rng)
-        loss, grad = ops.softmax_cross_entropy(logits, y)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite loss at iteration {it}")
-        network.backward(grad)
-        ops.sgd_step(params, lr, schedule.momentum, schedule.weight_decay, iteration=it)
-        metrics.lr_history.append((it, lr, lr))
-        done = it + 1
-        if done % 100 == 0:
-            now = time.perf_counter()
-            metrics.wall_clock.append((done, now - mark))
-            mark = now
-        if done % eval_every == 0 or done == schedule.max_iter:
-            acc = evaluate(network, dataset, "test") if dataset.test_idx.size else None
-            metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
-            shown = "n/a" if acc is None else f"{acc:.4f}"
-            _progress(progress, f"iter {done} domain {dataset.name} "
-                                f"loss {loss:.4f} acc {shown}")
+    metrics = _train([(network, dataset, [(network.params(), 1.0)])], schedule, rng,
+                     eval_every=eval_every, augment=augment,
+                     start_iteration=start_iteration, progress=progress,
+                     metrics=metrics, eval_test=True)
     return network, metrics
 
 
@@ -197,53 +226,13 @@ def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=
     active = list(range(n_branches)) if active is None else list(active)
     if not active:
         raise ConfigError("no active branches")
-    for d in active:
-        if cdn.branches[d].spec.bands != datasets[d].cube.bands:
-            raise ShapeError(
-                f"branch {d} expects {cdn.branches[d].spec.bands} bands but dataset "
-                f"'{datasets[d].name}' has {datasets[d].cube.bands}"
-            )
-        if datasets[d].train_idx.size == 0:
-            raise DataError(f"dataset '{datasets[d].name}' has an empty train split")
-    multiplier = 1.0 / len(active)
-    batchers = {d: PatchBatcher(datasets[d], cdn.branches[d].spec.patch) for d in active}
     shared = cdn.shared_params()
-    private = {d: cdn.branches[d].private_params() for d in active}
-    metrics = metrics if metrics is not None else TrainMetrics()
-    last_loss = {}
-    mark = time.perf_counter()
-    for it in range(start_iteration, schedule.max_iter):
-        lr = lr_at(schedule, it)
-        for d in active:
-            branch = cdn.branches[d]
-            x, y = _draw_batch(datasets[d], batchers[d], schedule.batch, rng, augment)
-            logits = branch.forward(x, training=True, rng=rng)
-            loss, grad = ops.softmax_cross_entropy(logits, y)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss for domain '{datasets[d].name}' at iteration {it}"
-                )
-            branch.backward(grad)
-            ops.sgd_step(private[d], lr, schedule.momentum, schedule.weight_decay,
-                         iteration=it)
-            ops.sgd_step(shared, lr * multiplier, schedule.momentum,
-                         schedule.weight_decay, iteration=it)
-            last_loss[d] = loss
-        metrics.lr_history.append((it, lr, lr * multiplier))
-        done = it + 1
-        if done % 100 == 0:
-            now = time.perf_counter()
-            metrics.wall_clock.append((done, now - mark))
-            mark = now
-        if done % eval_every == 0 or done == schedule.max_iter:
-            for d in active:
-                ds = datasets[d]
-                acc = None
-                if eval_sources and ds.test_idx.size:
-                    acc = evaluate(cdn.branches[d], ds, "test")
-                metrics.rows.append(MetricRow(done, ds.name, last_loss[d], acc))
-            losses = " ".join(f"{datasets[d].name}={last_loss[d]:.4f}" for d in active)
-            _progress(progress, f"iter {done} losses {losses}")
+    entries = [(cdn.branches[d], datasets[d],
+                [(cdn.branches[d].private_params(), 1.0), (shared, 1.0 / len(active))])
+               for d in active]
+    metrics = _train(entries, schedule, rng, eval_every=eval_every, augment=augment,
+                     start_iteration=start_iteration, progress=progress,
+                     metrics=metrics, eval_test=eval_sources)
     return cdn, metrics
 
 

@@ -81,6 +81,13 @@ class TestEnviRoundTrip:
         with pytest.raises(DataError, match="data type 3"):
             load_envi(tmp_path / "h.hdr", tmp_path / "h.img")
 
+    def test_non_integer_header_offset(self, tmp_path):
+        write_envi(cube_123(), tmp_path / "h.hdr", tmp_path / "h.img")
+        hdr = tmp_path / "h.hdr"
+        hdr.write_text(hdr.read_text().replace("header offset = 0", "header offset = abc"))
+        with pytest.raises(DataError, match="'header offset'.*'abc'"):
+            load_envi(hdr, tmp_path / "h.img")
+
     def test_multiline_brace_values(self, tmp_path):
         (tmp_path / "h.hdr").write_text(
             "ENVI\nsamples = 1\nlines = 1\nbands = 2\n"
@@ -100,6 +107,13 @@ class TestEnviRoundTrip:
         labels2 = load_label_raster(tmp_path / "l.hdr")
         np.testing.assert_array_equal(labels2.labels, grid)
 
+
+    @pytest.mark.parametrize("text", ["0 1\n2 x\n", "0 1\n2\n"],
+                             ids=["non_integer_cell", "ragged_rows"])
+    def test_malformed_label_grid_names_the_file(self, tmp_path, text):
+        (tmp_path / "bad.txt").write_text(text)
+        with pytest.raises(DataError, match="bad.txt"):
+            load_label_raster(tmp_path / "bad.txt")
 
 def ip_like_dataset():
     """8504 labeled pixels in 8 equal classes on a 93x92 raster (rest unlabeled)."""

@@ -5,8 +5,7 @@ import pytest
 
 from hsinet.errors import ConfigError
 from hsinet.experiments import (run_depth_sweep, run_experiment, run_schedule_sweep,
-                                run_sensor_ablation, run_single_vs_multi,
-                                run_source_size, summarize, write_report)
+                                summarize, write_report)
 
 
 def synth(seed, name, bands=4, classes=3, side=12):
@@ -91,7 +90,7 @@ class TestSourceSize:
             combinations=[{"label": "P2", "sources": [0, 1]},
                           {"label": "P1", "sources": [0]}],
         )
-        rows = run_source_size(cfg)
+        rows = run_experiment(cfg)
         per = {r.condition: r.value for r in rows if r.metric == "source_pixels"}
         assert per["P2"] == 12 * 12 * 2
         assert per["P1"] == 12 * 12
@@ -102,7 +101,7 @@ class TestSourceSize:
         cfg = base_config(experiment="source_size",
                           combinations=[{"label": "P1", "sources": [0]}])
         with pytest.raises(ConfigError):
-            run_source_size(cfg)
+            run_experiment(cfg)
 
 
 class TestSensorAblation:
@@ -114,7 +113,7 @@ class TestSensorAblation:
             pairs=[{"label": "same_sensor", "sources": [0, 1]},
                    {"label": "cross_sensor", "sources": [2, 3]}],
         )
-        rows = run_sensor_ablation(cfg)
+        rows = run_experiment(cfg)
         assert len(finals(rows)) == 2 * 2  # 2 conditions x 2 seeds
         assert {r.condition for r in rows} == {"same_sensor", "cross_sensor"}
 
@@ -122,7 +121,7 @@ class TestSensorAblation:
         cfg = base_config(experiment="sensor_ablation",
                           pairs=[{"label": "only", "sources": [0, 1]}])
         with pytest.raises(ConfigError):
-            run_sensor_ablation(cfg)
+            run_experiment(cfg)
 
 
 class TestSingleVsMulti:
@@ -134,7 +133,7 @@ class TestSingleVsMulti:
             conditions=[{"label": "P3", "sources": [0, 1, 2]},
                         {"label": "solo", "sources": [1]}],
         )
-        rows = run_single_vs_multi(cfg)
+        rows = run_experiment(cfg)
         per = {r.condition: r.value for r in rows if r.metric == "source_pixels"}
         assert per["P3"] == 3 * 144 and per["solo"] == 144
         assert len(finals(rows)) == 2
@@ -144,7 +143,15 @@ class TestSingleVsMulti:
                           conditions=[{"label": "a", "sources": [0]},
                                       {"label": "b", "sources": [1]}])
         with pytest.raises(ConfigError):
-            run_single_vs_multi(cfg)
+            run_experiment(cfg)
+
+
+class TestPretrain:
+    def test_writes_checkpoints_into_a_fresh_directory(self, tmp_path):
+        out = tmp_path / "new"
+        run_experiment(base_config(experiment="pretrain", seeds=[0]), out)
+        assert (out / "pretrained_seed0.ckpt").exists()
+        assert (out / "report.csv").exists()
 
 
 class TestReports:
