@@ -9,6 +9,7 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -56,6 +57,22 @@ def _restore_rng(state):
     return rng
 
 
+def write_atomic(path, data):
+    """Write `data` (bytes-like) to `path` through a temp file in the same
+    directory and os.replace it over the target, so a failure midway leaves
+    the previous file whole and no temp file behind. No fsync: this guards
+    against a failed or interrupted write, not against power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass
 class Checkpoint:
     """A loaded checkpoint: the rebuilt network plus resume context."""
@@ -100,12 +117,13 @@ def save_checkpoint(network, path, rng=None, iteration=0):
             _pack_tensor(buf, name, arr)
     else:
         raise CheckpointError(f"cannot checkpoint object of type {type(network).__name__}")
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
+    write_atomic(path, buf)
 
 
 def _parse_records(data):
     """Yield (name, dtype_str, shape, raw) until the CRC trailer."""
+    view = memoryview(data)  # record payloads are views, not copies
     off = len(MAGIC) + 4
     end = len(data) - 4
     while off < end:
@@ -131,7 +149,7 @@ def _parse_records(data):
             raise CheckpointError(
                 f"truncated record '{name}' at offset {start}: needs {nbytes} data bytes"
             )
-        yield name, dtype_str, shape, data[off:off + nbytes]
+        yield name, dtype_str, shape, view[off:off + nbytes]
         off += nbytes
 
 
@@ -146,7 +164,7 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != crc_stored:
+    if zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF != crc_stored:
         raise CheckpointError("CRC mismatch: checkpoint is corrupt or truncated")
 
     records = {}
@@ -155,7 +173,7 @@ def load_checkpoint(path):
         if name == _META_NAME:
             if dtype_str != _JSON_DTYPE:
                 raise CheckpointError("metadata record has wrong dtype tag")
-            meta = json.loads(raw.decode("utf-8"))
+            meta = json.loads(bytes(raw).decode("utf-8"))
         else:
             arr = np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape)
             records[name] = arr

@@ -10,13 +10,14 @@ Identical config + seeds reproduce byte-identical CSV output.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .data import SynthConfig, load_manifest, normalize_bands, synth_generate, with_split
 from .errors import ConfigError
 from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
@@ -60,11 +61,27 @@ CONFIG_KEYS = frozenset({
 _NETWORK_KEYS = ("patch", "filters", "residual_modules", "dropout_rate")
 
 
+# the JSON container each required key holds, where it holds one
+_CONTAINERS = {
+    **dict.fromkeys(("sources", "seeds", "schedules", "combinations", "pairs",
+                     "conditions"), list),
+    **dict.fromkeys(("target", "step1", "step2", "schedule", "pretrain_schedule"), dict),
+}
+
+
 def _require(d, key, where="config"):
-    """d[key], or a ConfigError naming the key when it is absent or empty."""
-    if not d.get(key):
+    """d[key], or a ConfigError naming the key when it is absent, empty or not
+    the JSON list or object it should be (or `d` is not an object)."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    value = d.get(key)
+    if not value:
         raise ConfigError(f"{where} needs '{key}'")
-    return d[key]
+    kind = _CONTAINERS.get(key)
+    if kind is not None and not isinstance(value, kind):
+        what = "list" if kind is list else "object"
+        raise ConfigError(f"{where} '{key}' must be a JSON {what}, got {type(value).__name__}")
+    return value
 
 
 def _kwargs(d, cls, what):
@@ -276,21 +293,21 @@ def run_combinations(cfg, out_dir=None):
     h = _Harness(cfg)
     key, check, needs = _COMBINATIONS[h.experiment]
     combos = _require(cfg, key)
+    n_sources = len(_require(cfg, "sources"))
     for i, combo in enumerate(combos):
         for name in ("label", "sources"):
             _require(combo, name, f"'{key}' entry {i}")
+        if not all(isinstance(s, int) and 0 <= s < n_sources for s in combo["sources"]):
+            raise ConfigError(
+                f"condition '{combo['label']}' references a source index outside "
+                f"the {n_sources}-entry 'sources' list"
+            )
     if not check([combo["sources"] for combo in combos]):
         raise ConfigError(f"{h.experiment} needs {needs}")
     schedule = schedule_from_config(_require(cfg, "schedule"))
     conditions = []
     for combo in combos:
-        try:
-            subset = [h.sources[i] for i in combo["sources"]]
-        except IndexError:
-            raise ConfigError(
-                f"condition '{combo['label']}' references a source index outside "
-                f"the {len(h.sources)}-entry 'sources' list"
-            ) from None
+        subset = [h.sources[i] for i in combo["sources"]]
         conditions.append((combo["label"], h.pretrain(subset, h.pretrain_seed).network,
                            {"source_pixels": sum(ds.labeled_count for ds in subset)}))
     if h.experiment == "source_size" and cfg.get("include_scratch", True):
@@ -351,23 +368,25 @@ def _finish(rows, cfg, out_dir):
 
 
 def write_report(rows, cfg, out_dir):
+    """report.csv, summary.json and config.json, each written atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.experiment, r.seed, r.condition, r.iteration,
-                             r.metric, repr(float(r.value))])
-    summary = summarize(rows, cfg)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    # config echo: curve rows stay whole series; schedule step boundaries and
-    # every other run parameter live here as metadata
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    csv_text = io.StringIO()
+    writer = csv.writer(csv_text, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([r.experiment, r.seed, r.condition, r.iteration,
+                         r.metric, repr(float(r.value))])
+    for name, text in (("report.csv", csv_text.getvalue()),
+                       ("summary.json", _json_text(summarize(rows, cfg))),
+                       # config echo: curve rows stay whole series; schedule step
+                       # boundaries and every other run parameter live here
+                       ("config.json", _json_text(cfg))):
+        write_atomic(out_dir / name, text.encode())
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def summarize(rows, cfg=None):

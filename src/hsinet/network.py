@@ -4,7 +4,8 @@ The backbone is fully convolutional: a multi-scale bank of 1x1/3x3/5x5
 convolutions over the input patch, a 1x1 reduction (c2), a chain of residual
 modules (two 1x1 convolutions each, additive skip), two dropout-guarded 1x1
 layers (c7, c8) and a 1x1 classifier head (c9). Batch norm + ReLU follow
-every convolution except c9. Per-pixel logits are read at the patch center.
+every convolution except c9. Per-pixel logits are read at the patch center;
+an eval forward computes that pixel alone.
 """
 from __future__ import annotations
 
@@ -102,8 +103,9 @@ class ConvBlock:
         self._pre_relu = None
 
     def forward(self, x, training):
+        """Training computes every pixel; eval only the center (n, out_c, 1, 1)."""
         self._x = x
-        y = ops.conv2d_forward(x, self.conv)
+        y = ops.conv2d_forward(x, self.conv) if training else ops.conv2d_center(x, self.conv)
         if self.with_bn:
             self._conv_out = y
             y = ops.batchnorm_forward(y, self.bn, training)
@@ -262,7 +264,13 @@ class Network:
     # --- execution ------------------------------------------------------
 
     def forward(self, x, training=False, rng=None):
-        """Run the graph; returns center-pixel logits shaped (n, classes)."""
+        """Run the graph; returns center-pixel logits shaped (n, classes).
+
+        Eval computes the patch center alone. After the bank every layer is
+        1x1, and eval batch norm uses running statistics, so each works per
+        pixel and the center logit depends only on the bank's center output.
+        Training computes all p x p pixels, which backward needs.
+        """
         ops._check_4d(x, "network input")
         if x.shape[1] != self.spec.bands:
             raise ShapeError(
@@ -279,14 +287,15 @@ class Network:
         t = self.drop7.forward(self.c7.forward(t, training), training, rng)
         t = self.drop8.forward(self.c8.forward(t, training), training, rng)
         z = self.c9.forward(t, training)
-        self._z_shape = z.shape
-        c = p // 2
+        # the caches of an eval forward hold center pixels only: no backward
+        self._z_shape = z.shape if training else None
+        c = p // 2 if training else 0
         return np.ascontiguousarray(z[:, :, c, c])
 
     def backward(self, grad_logits):
         """Backprop from center-pixel logits; returns the input gradient."""
         if self._z_shape is None:
-            raise ConfigError("backward called before forward")
+            raise ConfigError("backward called before a training-mode forward")
         c = self.spec.patch // 2
         gz = np.zeros(self._z_shape, dtype=grad_logits.dtype)
         gz[:, :, c, c] = grad_logits

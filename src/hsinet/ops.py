@@ -117,6 +117,35 @@ def conv2d_forward(x, p):
     return out.astype(np.result_type(x.dtype, w.dtype), copy=False)
 
 
+def conv2d_center(x, p):
+    """Center pixel of conv2d_forward on an odd square input, shaped (n, out_c, 1, 1).
+
+    The center reads the k x k window around it. Where the input side is
+    smaller than k, the taps outside it fall on the zero padding, so input
+    and kernel are both cropped to r = min(k, side) about their centers and
+    the output is one GEMM over the (channel, r, r) window.
+    """
+    _check_4d(x, "conv input")
+    w = p.w.data
+    out_c, in_c, k, _ = w.shape
+    n, c, h, wd = x.shape
+    if c != in_c:
+        raise ShapeError(
+            f"conv '{p.w.name}': input shape {x.shape} does not match weight shape {w.shape}"
+        )
+    if h != wd or h % 2 == 0:
+        raise ShapeError(
+            f"conv '{p.w.name}': center output needs an odd square input, got shape {x.shape}"
+        )
+    r = min(k, h)
+    xo, ko = (h - r) // 2, (k - r) // 2
+    x64 = _f64(x[:, :, xo:xo + r, xo:xo + r]).reshape(n, c * r * r)
+    w64 = _f64(w[:, :, ko:ko + r, ko:ko + r]).reshape(out_c, c * r * r)
+    out = x64 @ w64.T
+    out += _f64(p.b.data)[None, :]
+    return out.reshape(n, out_c, 1, 1).astype(np.result_type(x.dtype, w.dtype), copy=False)
+
+
 def conv2d_backward(x, p, grad_out):
     """Gradients of conv2d_forward; returns (grad_input, grad_w, grad_b)."""
     _check_4d(x, "conv input")

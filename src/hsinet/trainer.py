@@ -117,7 +117,9 @@ def _draw_batch(dataset, batcher, batch_size, rng, augment):
 
 def evaluate(network, dataset, split, batch_size=512):
     """Overall accuracy of eval-mode argmax predictions on a split (no
-    augmentation, batch-norm running statistics)."""
+    augmentation, batch-norm running statistics). The eval forward computes
+    each patch's center pixel only, which is all the label reads; see
+    Network.forward for why that equals the full-patch result."""
     if split == "train":
         idx = dataset.train_idx
     elif split == "test":

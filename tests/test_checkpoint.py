@@ -121,3 +121,16 @@ class TestResume:
 
         for (name, a), (_, b) in zip(net_a.state(), ckpt.network.state()):
             assert a.tobytes() == b.tobytes(), f"state diverged at {name}"
+
+
+class TestAtomicWrite:
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, fill_disk):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(small_net(0), path)
+        before = path.read_bytes()
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(small_net(1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+        load_checkpoint(path)

@@ -70,6 +70,22 @@ class TestConfigErrors:
         assert self.experiment(tmp_path, exp, **cfg) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg,key", [
+        ({"two_step": [SCHEDULE, SCHEDULE]}, "'two_step' must be a JSON object, got list"),
+        ({"sources": 5}, "'sources' must be a JSON list, got int"),
+    ])
+    def test_wrong_container_type_exits_1_naming_it(self, tmp_path, capsys, cfg, key):
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [synth(51, "a")], "network": {"filters": 4},
+            "schedule": self.SCHEDULE, **cfg})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_combination_entry_must_be_an_object(self, tmp_path, capsys):
+        assert self.experiment(tmp_path, "source_size", schedule=self.SCHEDULE,
+                               combinations=[[0], [1]]) == 1
+        assert "'combinations' entry 0 must be a JSON object" in capsys.readouterr().err
+
     def test_unknown_top_level_key_exits_1_naming_it(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {
             "sources": [synth(51, "a")], "network": {"filters": 4},

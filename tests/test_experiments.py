@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hsinet.errors import ConfigError
-from hsinet.experiments import (run_depth_sweep, run_experiment, run_schedule_sweep,
-                                summarize, write_report)
+from hsinet.experiments import (ReportRow, run_depth_sweep, run_experiment,
+                                run_schedule_sweep, summarize, write_report)
 
 
 def synth(seed, name, bands=4, classes=3, side=12):
@@ -123,6 +123,15 @@ class TestSensorAblation:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_rejects_source_index_outside_the_list(self, index):
+        cfg = base_config(experiment="sensor_ablation",
+                          pairs=[{"label": "a", "sources": [0]},
+                                 {"label": "b", "sources": [index]}])
+        with pytest.raises(ConfigError, match="'b' references a source index outside "
+                                              "the 2-entry 'sources' list"):
+            run_experiment(cfg)
+
 
 class TestSingleVsMulti:
     def test_values_and_validation(self):
@@ -204,3 +213,14 @@ class TestReports:
         write_report(rows, cfg, tmp_path)
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert summarize(rows, cfg) == on_disk
+
+    def test_failed_write_keeps_the_previous_report(self, tmp_path, fill_disk):
+        cfg = {"experiment": "finetune", "seeds": [0]}
+        rows = [ReportRow("finetune", 0, "finetune", 20, "final_accuracy", 0.5)]
+        write_report(rows, cfg, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["config.json", "report.csv", "summary.json"]
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            write_report(rows * 2, {**cfg, "seeds": [0, 1]}, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

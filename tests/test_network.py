@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hsinet import ops
 from hsinet.errors import ConfigError, ShapeError
 from hsinet.network import (CrossDomainSpec, Network, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
@@ -133,6 +134,56 @@ class TestForward:
     def test_full_gradient_check_single_seed(self):
         report = check_backbone(0)
         assert report.passed, report.failures
+
+    def test_backward_after_eval_forward_rejected(self):
+        spec = NetworkSpec(bands=4, classes=3, filters=4)
+        net = build_backbone(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
+        grad = np.ones((2, 3), dtype=np.float32)
+        net.forward(x, training=False)
+        with pytest.raises(ConfigError, match="training-mode forward"):
+            net.backward(grad)
+        # an eval forward also retires the caches of an earlier training one
+        net.forward(x, training=True, rng=np.random.default_rng(2))
+        net.forward(x, training=False)
+        with pytest.raises(ConfigError, match="training-mode forward"):
+            net.backward(grad)
+
+
+def full_patch_logits(net, x):
+    """Eval logits computed over all p x p pixels of every layer, then read at
+    the center: the reference for the center-only eval forward."""
+    def block(blk, t):
+        t = ops.conv2d_forward(t, blk.conv)
+        if blk.with_bn:
+            t = ops.batchnorm_forward(t, blk.bn, training=False)
+        return ops.relu(t) if blk.with_relu else t
+
+    t = block(net.c2, np.concatenate([block(b, x) for b in net.bank], axis=1))
+    for m in net.modules:
+        t = ops.relu(t + block(m.conv2, block(m.conv1, t)))
+    z = block(net.c9, block(net.c8, block(net.c7, t)))
+    c = net.spec.patch // 2
+    return z[:, :, c, c]
+
+
+@pytest.mark.parametrize("patch", [1, 3, 5, 7])
+def test_center_only_eval_matches_full_patch_reference(patch):
+    rng = np.random.default_rng(patch)
+    spec = NetworkSpec(bands=6, classes=5, patch=patch, filters=8, residual_modules=3)
+    net = build_backbone(spec, rng)
+    for blk in net.blocks():
+        blk.conv.w.data[...] = rng.normal(0, 0.3, blk.conv.w.data.shape)
+    for _ in range(3):  # move the running statistics away from 0/1
+        net.forward(rng.normal(0.5, 2.0, (16, 6, patch, patch)).astype(np.float32),
+                    training=True, rng=rng)
+    assert np.abs(net.c2.bn.running_mean).max() > 1e-3
+    x = rng.normal(0.5, 2.0, (64, 6, patch, patch)).astype(np.float32)
+    logits = net.forward(x, training=False)
+    ref = full_patch_logits(net, x)
+    assert logits.shape == ref.shape == (64, 5)
+    assert np.abs(logits.astype(np.float64) - ref).max() <= 1e-5
+    np.testing.assert_array_equal(np.argmax(logits, axis=1), np.argmax(ref, axis=1))
 
 
 def _copy_block(dst, src):

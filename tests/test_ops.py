@@ -77,6 +77,39 @@ class TestConvForward:
             ops.make_conv_params("c", 1, 1, 7)
 
 
+class TestConvCenter:
+    """conv2d_center against the full same-padded output's center pixel."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("side", [1, 3, 5, 7])
+    def test_equals_center_of_full_conv(self, k, side):
+        rng = np.random.default_rng(k * 10 + side)
+        p = make_conv(4, 3, k, rng)
+        x = rng.normal(0, 1, (5, 4, side, side))
+        c = side // 2
+        center = ops.conv2d_center(x, p)
+        assert center.shape == (5, 3, 1, 1)
+        np.testing.assert_allclose(center[:, :, 0, 0], ops.conv2d_forward(x, p)[:, :, c, c],
+                                   rtol=1e-12)
+        p32 = make_conv(4, 3, k)
+        p32.w.data = p.w.data.astype(np.float32)
+        p32.b.data = p.b.data.astype(np.float32)
+        x32 = x.astype(np.float32)
+        center32 = ops.conv2d_center(x32, p32)
+        assert center32.dtype == np.float32
+        np.testing.assert_array_max_ulp(center32[:, :, 0, 0],
+                                        ops.conv2d_forward(x32, p32)[:, :, c, c], maxulp=1)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 4, 4), (1, 2, 3, 5), (1, 2, 5, 3)])
+    def test_even_or_non_square_input_rejected(self, shape):
+        with pytest.raises(ShapeError, match="odd square"):
+            ops.conv2d_center(np.zeros(shape), make_conv(2, 1, 3))
+
+    def test_channel_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(1, 4, 3, 3\).*\(2, 3, 1, 1\)"):
+            ops.conv2d_center(np.zeros((1, 4, 3, 3)), make_conv(3, 2, 1))
+
+
 class TestConvBackward:
     def test_scalar_chain_rule(self):
         p = make_conv(1, 1, 1)
