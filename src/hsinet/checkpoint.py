@@ -84,39 +84,21 @@ class Checkpoint:
 
 
 def save_checkpoint(network, path, rng=None, iteration=0):
-    """Serialize a Network or CrossDomainNetwork (shared store written once)."""
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
+    """Serialize a Network or CrossDomainNetwork: the metadata record, then one
+    record per (name, array) of network.state()."""
     if isinstance(network, CrossDomainNetwork):
-        meta = {
-            "kind": "cross",
-            "branches": [b.spec.to_dict() for b in network.branches],
-            "dtype": np.dtype(network.branches[0].dtype).newbyteorder("<").str,
-            "iteration": iteration,
-            "rng": _rng_state(rng),
-        }
-        _pack_record(buf, _META_NAME, _JSON_DTYPE, (),
-                     json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
-        for name, arr in network.branches[0].shared_state():
-            _pack_tensor(buf, f"shared.{name}", arr)
-        for i, branch in enumerate(network.branches):
-            for name, arr in branch.private_state():
-                _pack_tensor(buf, f"branch{i}.{name}", arr)
+        meta = {"kind": "cross", **network.spec.to_dict()}
     elif isinstance(network, Network):
-        meta = {
-            "kind": "single",
-            "spec": network.spec.to_dict(),
-            "dtype": np.dtype(network.dtype).newbyteorder("<").str,
-            "iteration": iteration,
-            "rng": _rng_state(rng),
-        }
-        _pack_record(buf, _META_NAME, _JSON_DTYPE, (),
-                     json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
-        for name, arr in network.state():
-            _pack_tensor(buf, name, arr)
+        meta = {"kind": "single", "spec": network.spec.to_dict()}
     else:
         raise CheckpointError(f"cannot checkpoint object of type {type(network).__name__}")
+    meta.update(dtype=np.dtype(network.dtype).newbyteorder("<").str, iteration=iteration,
+                rng=_rng_state(rng))
+    buf = bytearray(MAGIC + struct.pack("<I", VERSION))
+    _pack_record(buf, _META_NAME, _JSON_DTYPE, (),
+                 json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    for name, arr in network.state():
+        _pack_tensor(buf, name, arr)
     buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     write_atomic(path, buf)
 
@@ -180,40 +162,27 @@ def load_checkpoint(path):
     if meta is None:
         raise CheckpointError("checkpoint has no metadata record")
 
+    kind = meta.get("kind")
     dtype = np.dtype(meta["dtype"])
-    if meta["kind"] == "single":
-        net = Network(NetworkSpec.from_dict(meta["spec"]), dtype=dtype)
-        _fill(net.state(), records, prefix="")
-        network = net
-    elif meta["kind"] == "cross":
-        spec = CrossDomainSpec.from_dict({"branches": meta["branches"]})
-        first = Network(spec.branches[0], dtype=dtype)
-        branches = [first]
-        for sp in spec.branches[1:]:
-            branches.append(Network(sp, dtype=dtype, shared_modules=first.modules))
-        _fill(first.shared_state(), records, prefix="shared.")
-        for i, branch in enumerate(branches):
-            _fill(branch.private_state(), records, prefix=f"branch{i}.")
-        network = CrossDomainNetwork(spec, branches)
+    if kind == "single":
+        network = Network(NetworkSpec.from_dict(meta["spec"]), dtype=dtype)
+    elif kind == "cross":
+        network = CrossDomainNetwork(CrossDomainSpec.from_dict(meta), dtype)
     else:
-        raise CheckpointError(f"unknown checkpoint kind '{meta['kind']}'")
+        raise CheckpointError(f"unknown checkpoint kind '{kind}'")
+    for name, arr in network.state():
+        if name not in records:
+            raise CheckpointError(f"checkpoint missing tensor '{name}'")
+        src = records[name]
+        if src.shape != arr.shape:
+            raise CheckpointError(
+                f"tensor '{name}' has shape {src.shape}, expected {arr.shape}"
+            )
+        arr[...] = src.astype(arr.dtype, copy=False)
 
     return Checkpoint(
         network=network,
         rng=_restore_rng(meta.get("rng")),
         iteration=int(meta["iteration"]),
-        kind=meta["kind"],
+        kind=kind,
     )
-
-
-def _fill(state, records, prefix):
-    for name, arr in state:
-        key = prefix + name
-        if key not in records:
-            raise CheckpointError(f"checkpoint missing tensor '{key}'")
-        src = records[key]
-        if tuple(src.shape) != tuple(arr.shape):
-            raise CheckpointError(
-                f"tensor '{key}' has shape {tuple(src.shape)}, expected {tuple(arr.shape)}"
-            )
-        arr[...] = src.astype(arr.dtype, copy=False)

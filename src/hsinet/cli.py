@@ -11,11 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_atomic
 from .data import SynthConfig, synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError
-from .experiments import (EXPERIMENT_IDS, _Harness, _kwargs, _require, load_network,
-                          run_experiment, schedule_from_config)
+from .experiments import (EXPERIMENT_IDS, _Harness, _json_text, _kwargs, _require,
+                          load_network, run_experiment, schedule_from_config)
 from .trainer import evaluate
 from .verify import oracle_suite
 
@@ -76,7 +76,7 @@ def _load_config(path):
 def _seed(args, cfg, default=0):
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", default))
+    return cfg.get("seed", default)
 
 
 def _outdir(args):
@@ -93,9 +93,7 @@ def _check_threads(args):
 def _write_train_outputs(out, metrics_list, names):
     for metrics, name in zip(metrics_list, names):
         metrics.write_csv(out / f"{name}.csv")
-        with open(out / f"{name}_summary.json", "w") as fh:
-            json.dump(metrics.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(out / f"{name}_summary.json", _json_text(metrics.summary()).encode())
 
 
 def cmd_pretrain(args):

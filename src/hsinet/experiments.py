@@ -61,30 +61,54 @@ CONFIG_KEYS = frozenset({
 _NETWORK_KEYS = ("patch", "filters", "residual_modules", "dropout_rate")
 
 
-# the JSON container each required key holds, where it holds one
-_CONTAINERS = {
-    **dict.fromkeys(("sources", "seeds", "schedules", "combinations", "pairs",
+# the JSON type of each config key that has one
+_TYPES = {
+    **dict.fromkeys(("sources", "seeds", "depths", "schedules", "combinations", "pairs",
                      "conditions"), list),
-    **dict.fromkeys(("target", "step1", "step2", "schedule", "pretrain_schedule"), dict),
+    **dict.fromkeys(("network", "target", "two_step", "step1", "step2", "schedule",
+                     "pretrain_schedule"), dict),
+    **dict.fromkeys(("seed", "pretrain_seed", "split_seed", "eval_every",
+                     "train_per_class"), int),
+    **dict.fromkeys(("augment", "normalize", "include_scratch"), bool),
 }
+# the JSON types that a dataclass field annotation accepts
+_FIELD_TYPES = {"int": int, "float": (float, int), "str": str, "int | None": (int, type(None))}
+_JSON_NAMES = {list: "list", dict: "object", int: "integer", float: "number", bool: "boolean",
+               str: "string"}
+
+
+def _expect(value, kind, where):
+    """`value`, or a ConfigError naming `where` when it is not of the JSON type
+    `kind` (a type or a tuple of them; true/false count only as booleans)."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        raise ConfigError(
+            f"{where} must be a JSON {_JSON_NAMES[kinds[0]]}, got {type(value).__name__}"
+        )
+    return value
 
 
 def _require(d, key, where="config"):
     """d[key], or a ConfigError naming the key when it is absent, empty or not
-    the JSON list or object it should be (or `d` is not an object)."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    of its JSON type (or `d` is not an object)."""
+    _expect(d, dict, where)
     value = d.get(key)
     if not value:
         raise ConfigError(f"{where} needs '{key}'")
-    kind = _CONTAINERS.get(key)
-    if kind is not None and not isinstance(value, kind):
-        what = "list" if kind is list else "object"
-        raise ConfigError(f"{where} '{key}' must be a JSON {what}, got {type(value).__name__}")
+    if key in _TYPES:
+        _expect(value, _TYPES[key], f"{where} '{key}'")
     return value
 
 
+def _check_types(d, cls, what):
+    """Each key of `d` holds the JSON type of the `cls` field it names."""
+    types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+    for key, value in d.items():
+        _expect(value, types[key], f"{what} '{key}'")
+
+
 def _kwargs(d, cls, what):
+    _expect(d, dict, what)
     allowed = {f.name for f in fields(cls)}
     bad = set(d) - allowed
     if bad:
@@ -94,6 +118,7 @@ def _kwargs(d, cls, what):
     missing = required - set(d)
     if missing:
         raise ConfigError(f"missing {what} keys: {sorted(missing)}")
+    _check_types(d, cls, what)
     return dict(d)
 
 
@@ -106,7 +131,7 @@ def dataset_from_config(d, normalize=True):
     if "synth" in d:
         ds = synth_generate(SynthConfig(**_kwargs(d["synth"], SynthConfig, "synth")))
     elif "manifest" in d:
-        ds = load_manifest(d["manifest"])
+        ds = load_manifest(_expect(d["manifest"], str, "'manifest'"))
     else:
         raise ConfigError("dataset config needs a 'synth' or 'manifest' key")
     return normalize_bands(ds) if normalize else ds
@@ -143,16 +168,25 @@ class _Harness:
         unknown = sorted(set(cfg) - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown} (known: {sorted(CONFIG_KEYS)})")
-        bad = set(cfg.get("network", {})) - set(_NETWORK_KEYS)
+        for key, kind in _TYPES.items():
+            if key in cfg:
+                _expect(cfg[key], kind, f"config '{key}'")
+        for key, kind in (("sources", dict), ("schedules", dict), ("seeds", int),
+                          ("depths", int)):
+            for i, value in enumerate(cfg.get(key, [])):
+                _expect(value, kind, f"'{key}' entry {i}")
+        network = cfg.get("network", {})
+        bad = set(network) - set(_NETWORK_KEYS)
         if bad:
             raise ConfigError(f"unknown network keys: {sorted(bad)} (allowed: {_NETWORK_KEYS})")
+        _check_types(network, NetworkSpec, "network")
         self.cfg = cfg
         self.experiment = cfg.get("experiment")
         self.seeds = list(cfg.get("seeds", []))
-        self.split_seed = int(cfg.get("split_seed", 1234))
-        self.train_kwargs = dict(eval_every=int(cfg.get("eval_every", 100)),
-                                 augment=bool(cfg.get("augment", True)), progress=progress)
-        self.normalize = bool(cfg.get("normalize", True))
+        self.split_seed = cfg.get("split_seed", 1234)
+        self.train_kwargs = dict(eval_every=cfg.get("eval_every", 100),
+                                 augment=cfg.get("augment", True), progress=progress)
+        self.normalize = cfg.get("normalize", True)
         self._sources = None
         self._target = None
 
@@ -168,7 +202,7 @@ class _Harness:
         if self._target is None:
             ds = dataset_from_config(_require(self.cfg, "target"), normalize=False)
             n = _require(self.cfg, "train_per_class")
-            ds = with_split(ds, int(n), np.random.default_rng(self.split_seed))
+            ds = with_split(ds, n, np.random.default_rng(self.split_seed))
             self._target = normalize_bands(ds) if self.normalize else ds
         return self._target
 

@@ -196,24 +196,9 @@ class Network:
         ]
         self.c2 = ConvBlock("c2", 3 * f, f, 1, dtype)
         if shared_modules is None:
-            self.modules = [
-                ResidualModule(k, f, dtype) for k in range(1, spec.residual_modules + 1)
-            ]
-            self.owns_modules = True
-        else:
-            if len(shared_modules) != spec.residual_modules:
-                raise ConfigError(
-                    f"shared module count {len(shared_modules)} != "
-                    f"spec.residual_modules {spec.residual_modules}"
-                )
-            for m in shared_modules:
-                if m.conv1.conv.w.data.shape[0] != f:
-                    raise ConfigError(
-                        f"shared module '{m.name}' has {m.conv1.conv.w.data.shape[0]} "
-                        f"filters, spec wants {f}"
-                    )
-            self.modules = list(shared_modules)
-            self.owns_modules = False
+            shared_modules = [ResidualModule(k, f, dtype)
+                              for k in range(1, spec.residual_modules + 1)]
+        self.modules = list(shared_modules)
         self.c7 = ConvBlock("c7", f, f, 1, dtype)
         self.c8 = ConvBlock("c8", f, f, 1, dtype)
         self.drop7 = Dropout(spec.dropout_rate)
@@ -341,11 +326,15 @@ def build_backbone(spec, rng, dtype=np.float32):
 
 
 class CrossDomainNetwork:
-    """N backbone branches aliasing one physical store of residual modules."""
+    """N backbone branches that all hold branch 0's residual modules, one
+    physical store. Construction draws no random numbers."""
 
-    def __init__(self, spec, branches):
+    def __init__(self, spec, dtype):
         self.spec = spec
-        self.branches = branches
+        self.dtype = dtype
+        first = Network(spec.branches[0], dtype)
+        self.branches = [first] + [Network(sp, dtype, shared_modules=first.modules)
+                                   for sp in spec.branches[1:]]
 
     @property
     def modules(self):
@@ -353,9 +342,6 @@ class CrossDomainNetwork:
 
     def shared_params(self):
         return self.branches[0].shared_params()
-
-    def private_params(self, branch):
-        return self.branches[branch].private_params()
 
     def parameter_count(self):
         """Physical parameter count: shared store once + per-branch private."""
@@ -369,18 +355,24 @@ class CrossDomainNetwork:
         """Raw bytes of the shared store as read through one branch."""
         return b"".join(arr.tobytes() for _, arr in self.branches[branch].shared_state())
 
+    def state(self):
+        """Checkpoint records in file order: the shared store once as
+        `shared.<name>`, then each branch's private tensors as `branch<i>.<name>`."""
+        out = [(f"shared.{name}", arr) for name, arr in self.branches[0].shared_state()]
+        for i, branch in enumerate(self.branches):
+            out += [(f"branch{i}.{name}", arr) for name, arr in branch.private_state()]
+        return out
+
 
 def build_cross_domain(spec, rng, dtype=np.float32):
-    """Build N branches; residual modules of branch 0 are aliased by all others."""
+    """Build N branches sharing one residual-module store; initialize branch 0
+    whole (the store included), then each other branch's private layers."""
     if not isinstance(spec, CrossDomainSpec):
         spec = CrossDomainSpec(branches=list(spec))
-    first = build_backbone(spec.branches[0], rng, dtype)
-    branches = [first]
-    for sp in spec.branches[1:]:
-        net = Network(sp, dtype=dtype, shared_modules=first.modules)
-        init_weights(net, rng, only_private=True)
-        branches.append(net)
-    return CrossDomainNetwork(spec, branches)
+    cdn = CrossDomainNetwork(spec, dtype)
+    for i, branch in enumerate(cdn.branches):
+        init_weights(branch, rng, only_private=i > 0)
+    return cdn
 
 
 def transfer_shared(pretrained, target_spec, rng, dtype=np.float32):
@@ -399,13 +391,10 @@ def transfer_shared(pretrained, target_spec, rng, dtype=np.float32):
             f"target spec wants {target_spec.filters}"
         )
     target = build_backbone(target_spec, rng, dtype)
-    for src, dst in zip(src_modules, target.modules):
-        for sblk, dblk in zip(src.blocks(), dst.blocks()):
-            dblk.conv.w.data[...] = sblk.conv.w.data.astype(dtype)
-            dblk.conv.b.data[...] = sblk.conv.b.data.astype(dtype)
-            dblk.bn.scale.data[...] = sblk.bn.scale.data.astype(dtype)
-            dblk.bn.shift.data[...] = sblk.bn.shift.data.astype(dtype)
-            # running stats stay at the fresh 0/1 init; momentum buffers stay 0
+    # weights, biases and batch-norm affine terms; running stats stay at the
+    # fresh 0/1 init and momentum buffers at 0
+    for src, dst in zip(pretrained.shared_params(), target.shared_params()):
+        dst.data[...] = src.data.astype(dtype)
     return target
 
 

@@ -303,21 +303,13 @@ def dropout_backward(grad_out, mask, rate):
 def softmax_cross_entropy(logits, labels):
     """Mean negative log-softmax at the label index; returns (loss, grad_logits).
 
-    Accepts logits shaped (n, classes) or (n, classes, 1, 1); the gradient is
-    (softmax - onehot) / n, returned in the input shape. Max-subtraction keeps
-    the exponentials stable.
+    Logits are shaped (n, classes); the gradient is (softmax - onehot) / n, in
+    the same shape. Max-subtraction keeps the exponentials stable.
     """
-    orig_shape = logits.shape
-    if logits.ndim == 4:
-        if logits.shape[2] != 1 or logits.shape[3] != 1:
-            raise ShapeError(f"logits must be (n, classes, 1, 1) or (n, classes), got {orig_shape}")
-        flat = logits.reshape(orig_shape[0], orig_shape[1])
-    elif logits.ndim == 2:
-        flat = logits
-    else:
-        raise ShapeError(f"logits must be (n, classes, 1, 1) or (n, classes), got {orig_shape}")
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be (n, classes), got {logits.shape}")
 
-    n, n_classes = flat.shape
+    n, n_classes = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch size {n}")
@@ -326,7 +318,7 @@ def softmax_cross_entropy(logits, labels):
         i = int(np.flatnonzero(bad)[0])
         raise DataError(f"label {int(labels[i])} at index {i} out of range [0, {n_classes})")
 
-    z = _f64(flat)
+    z = _f64(logits)
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.arange(n)
@@ -334,7 +326,7 @@ def softmax_cross_entropy(logits, labels):
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
     grad /= n
-    return float(loss), grad.astype(flat.dtype, copy=False).reshape(orig_shape)
+    return float(loss), grad.astype(logits.dtype, copy=False)
 
 
 def sgd_step(params, lr, momentum, weight_decay, iteration=None):

@@ -15,8 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
+from .checkpoint import write_atomic
 from .data import PatchBatcher, augment_d4
 from .errors import ConfigError, DataError, NumericError, ShapeError
+
+EVAL_BATCH = 512   # patches per eval forward
 
 
 @dataclass
@@ -70,11 +73,12 @@ class TrainMetrics:
     wall_clock: list = field(default_factory=list)   # (iterations_done, secs per last 100)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("iteration,domain,loss,accuracy\n")
-            for r in self.rows:
-                acc = "" if r.accuracy is None else repr(float(r.accuracy))
-                fh.write(f"{r.iteration},{r.domain},{repr(float(r.loss))},{acc}\n")
+        """Write the eval-point rows as CSV, atomically."""
+        lines = ["iteration,domain,loss,accuracy\n"]
+        for r in self.rows:
+            acc = "" if r.accuracy is None else repr(float(r.accuracy))
+            lines.append(f"{r.iteration},{r.domain},{repr(float(r.loss))},{acc}\n")
+        write_atomic(path, "".join(lines).encode())
 
     def final_row(self, domain=None):
         for r in reversed(self.rows):
@@ -115,7 +119,7 @@ def _draw_batch(dataset, batcher, batch_size, rng, augment):
     return x, y
 
 
-def evaluate(network, dataset, split, batch_size=512):
+def evaluate(network, dataset, split):
     """Overall accuracy of eval-mode argmax predictions on a split (no
     augmentation, batch-norm running statistics). The eval forward computes
     each patch's center pixel only, which is all the label reads; see
@@ -130,8 +134,8 @@ def evaluate(network, dataset, split, batch_size=512):
         raise DataError(f"{split} split of '{dataset.name}' is empty")
     batcher = PatchBatcher(dataset, network.spec.patch)
     correct = 0
-    for start in range(0, idx.size, batch_size):
-        x, y = batcher.batch(idx[start:start + batch_size])
+    for start in range(0, idx.size, EVAL_BATCH):
+        x, y = batcher.batch(idx[start:start + EVAL_BATCH])
         logits = network.forward(x, training=False)
         correct += int((np.argmax(logits, axis=1) == y).sum())
     return correct / idx.size
@@ -147,6 +151,8 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
     The shared lr logged in lr_history is lr x the smallest scale. At each eval
     point every entry gets a MetricRow, with test accuracy if `eval_test`.
     """
+    if eval_every < 1:
+        raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
     for network, dataset, _ in entries:
         if network.spec.bands != dataset.cube.bands:
             raise ShapeError(
@@ -211,14 +217,14 @@ def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=Tru
 
 
 def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=True,
-                       active=None, start_iteration=0, progress=False, metrics=None,
-                       eval_sources=False):
+                       active=None, start_iteration=0, progress=False, metrics=None):
     """Joint SGD over N branches; returns (cdn, TrainMetrics).
 
     Per iteration and per active domain (fixed order): sample a batch, run
     that branch forward/backward, then update immediately. Branch-private
     parameters step at the scheduled lr; the shared store steps at lr/N where
-    N is the number of active domains.
+    N is the number of active domains. Eval points record losses only: the
+    sources are not scored on their test splits.
     """
     n_branches = len(cdn.branches)
     if len(datasets) != n_branches:
@@ -234,7 +240,7 @@ def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=
                for d in active]
     metrics = _train(entries, schedule, rng, eval_every=eval_every, augment=augment,
                      start_iteration=start_iteration, progress=progress,
-                     metrics=metrics, eval_test=eval_sources)
+                     metrics=metrics, eval_test=False)
     return cdn, metrics
 
 

@@ -20,7 +20,7 @@ def _sq_loss(out):
     return float((np.asarray(out, dtype=np.float64) ** 2).sum() / 2.0)
 
 
-def check_conv(k, seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
+def check_conv(k, seed):
     rng = np.random.default_rng(seed)
     p = ops.make_conv_params(f"conv{k}x{k}", 3, 2, k, dtype=np.float64)
     p.w.data[...] = rng.normal(0, 0.5, p.w.data.shape)
@@ -35,14 +35,14 @@ def check_conv(k, seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
     return ops.grad_check(
         f,
         {"input": x, "w": p.w.data, "b": p.b.data},
-        rel_tol=rel_tol,
-        abs_floor=abs_floor,
+        rel_tol=REL_TOL,
+        abs_floor=ABS_FLOOR,
         step=STEP,
         loss_fn=lambda: _sq_loss(ops.conv2d_forward(x, p)),
     )
 
 
-def check_batchnorm(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
+def check_batchnorm(seed):
     rng = np.random.default_rng(seed)
     p = ops.make_batchnorm_params("bn", 2, dtype=np.float64)
     p.scale.data[...] = rng.uniform(0.5, 1.5, 2)
@@ -64,14 +64,14 @@ def check_batchnorm(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
     return ops.grad_check(
         f,
         {"input": x, "scale": p.scale.data, "shift": p.shift.data},
-        rel_tol=rel_tol,
-        abs_floor=abs_floor,
+        rel_tol=REL_TOL,
+        abs_floor=ABS_FLOOR,
         step=STEP,
         loss_fn=loss_only,
     )
 
 
-def check_relu(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
+def check_relu(seed):
     rng = np.random.default_rng(seed)
     # keep values away from the kink so central differences are clean
     u = rng.uniform(-1, 1, (2, 3, 4, 4))
@@ -82,12 +82,12 @@ def check_relu(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
         return _sq_loss(out), {"input": ops.relu_backward(x, out)}
 
     return ops.grad_check(
-        f, {"input": x}, rel_tol=rel_tol, abs_floor=abs_floor, step=STEP,
+        f, {"input": x}, rel_tol=REL_TOL, abs_floor=ABS_FLOOR, step=STEP,
         loss_fn=lambda: _sq_loss(ops.relu(x)),
     )
 
 
-def check_dropout(seed, rate=0.5, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
+def check_dropout(seed, rate=0.5):
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, (2, 3, 4, 4))
     _, mask = ops.dropout(x, rate, training=True, rng=np.random.default_rng(seed + 1))
@@ -98,14 +98,14 @@ def check_dropout(seed, rate=0.5, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
         return _sq_loss(out), {"input": ops.dropout_backward(out, mask, rate)}
 
     return ops.grad_check(
-        f, {"input": x}, rel_tol=rel_tol, abs_floor=abs_floor, step=STEP,
+        f, {"input": x}, rel_tol=REL_TOL, abs_floor=ABS_FLOOR, step=STEP,
         loss_fn=lambda: _sq_loss((x * mask) * scale),
     )
 
 
-def check_softmax_ce(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
+def check_softmax_ce(seed, rel_tol=REL_TOL):
     rng = np.random.default_rng(seed)
-    logits = rng.normal(0, 1, (8, 5, 1, 1))
+    logits = rng.normal(0, 1, (8, 5))
     labels = rng.integers(0, 5, 8)
 
     def f():
@@ -113,7 +113,7 @@ def check_softmax_ce(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
         return loss, {"logits": grad}
 
     return ops.grad_check(
-        f, {"logits": logits}, rel_tol=rel_tol, abs_floor=abs_floor, step=STEP,
+        f, {"logits": logits}, rel_tol=rel_tol, abs_floor=ABS_FLOOR, step=STEP,
         loss_fn=lambda: ops.softmax_cross_entropy(logits, labels)[0],
     )
 
@@ -152,7 +152,7 @@ def _kink_margin(net, x, seed):
     return margin
 
 
-def check_backbone(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
+def check_backbone(seed):
     rng = np.random.default_rng(seed)
     spec = NetworkSpec(bands=3, classes=3, patch=5, filters=4, residual_modules=2)
     net = build_backbone(spec, rng, dtype=np.float64)
@@ -166,22 +166,20 @@ def check_backbone(seed, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
             best_x, best_margin = x, margin
         if margin > 0.05:
             break
-    return check_network_gradients(net, best_x, labels, rel_tol=rel_tol,
-                                   abs_floor=abs_floor, step=STEP, rng_seed=seed)
+    return check_network_gradients(net, best_x, labels, rel_tol=REL_TOL,
+                                   abs_floor=ABS_FLOOR, step=STEP, rng_seed=seed)
 
 
-def oracle_suite(seeds, include_backbone=True, rel_tol=REL_TOL, abs_floor=ABS_FLOOR):
-    """Run all layer oracles (and optionally the 9-layer backbone) across
-    seeds; yields (check_name, seed, GradCheckReport)."""
+def oracle_suite(seeds):
+    """Run all layer oracles and the 9-layer backbone across seeds; returns
+    (check_name, seed, GradCheckReport) triples."""
     results = []
     for seed in seeds:
         for k in (1, 3, 5):
-            results.append((f"conv{k}x{k}", seed, check_conv(k, seed, rel_tol, abs_floor)))
-        results.append(("batchnorm", seed, check_batchnorm(seed, rel_tol, abs_floor)))
-        results.append(("relu", seed, check_relu(seed, rel_tol, abs_floor)))
-        results.append(("dropout", seed, check_dropout(seed, rel_tol=rel_tol,
-                                                       abs_floor=abs_floor)))
-        results.append(("softmax_ce", seed, check_softmax_ce(seed, rel_tol, abs_floor)))
-        if include_backbone:
-            results.append(("backbone", seed, check_backbone(seed, rel_tol, abs_floor)))
+            results.append((f"conv{k}x{k}", seed, check_conv(k, seed)))
+        results.append(("batchnorm", seed, check_batchnorm(seed)))
+        results.append(("relu", seed, check_relu(seed)))
+        results.append(("dropout", seed, check_dropout(seed)))
+        results.append(("softmax_ce", seed, check_softmax_ce(seed)))
+        results.append(("backbone", seed, check_backbone(seed)))
     return results

@@ -1,9 +1,14 @@
+import hashlib
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from hsinet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from hsinet.checkpoint import (MAGIC, VERSION, _pack_record, _parse_records, load_checkpoint,
+                               save_checkpoint)
+from hsinet.cli import main
 from hsinet.data import SynthConfig, normalize_bands, synth_generate, with_split
 from hsinet.errors import CheckpointError
 from hsinet.network import CrossDomainSpec, NetworkSpec, build_backbone, build_cross_domain
@@ -89,7 +94,6 @@ class TestCorruption:
         data = bytearray((tmp_path / "a.ckpt").read_bytes())
         data[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 9)
         # refresh the CRC so only the version is wrong
-        import zlib
         data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])) & 0xFFFFFFFF)
         (tmp_path / "v.ckpt").write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version 9"):
@@ -134,3 +138,108 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
         load_checkpoint(path)
+
+
+def _records(path):
+    """(name, dtype, shape, raw bytes) of every record of a checkpoint file."""
+    return [(name, dt, shape, bytes(raw))
+            for name, dt, shape, raw in _parse_records(path.read_bytes())]
+
+
+def _repack(path, records):
+    """Write records as a checkpoint with a valid CRC."""
+    buf = bytearray(MAGIC + struct.pack("<I", VERSION))
+    for record in records:
+        _pack_record(buf, *record)
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
+    path.write_bytes(bytes(buf))
+    return path
+
+
+def _drop(name):
+    return lambda records: [r for r in records if r[0] != name]
+
+
+def _flatten(name):
+    return lambda records: [(n, dt, (int(np.prod(shape)),) if n == name else shape, raw)
+                            for n, dt, shape, raw in records]
+
+
+def _kind(kind):
+    def edit(records):
+        (_, dt, shape, raw), *rest = records
+        meta = {**json.loads(raw), "kind": kind}
+        return [("__meta__", dt, shape, json.dumps(meta).encode()), *rest]
+    return edit
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("net,edit,message", [
+        (small_cdn, _drop("branch1.c9.b"), "checkpoint missing tensor 'branch1.c9.b'"),
+        (small_cdn, _drop("shared.res2.conv2.bn.running_var"),
+         "checkpoint missing tensor 'shared.res2.conv2.bn.running_var'"),
+        (small_net, _drop("c5x5.w.vel"), "checkpoint missing tensor 'c5x5.w.vel'"),
+        (small_cdn, _flatten("shared.res1.conv1.w"),
+         "tensor 'shared.res1.conv1.w' has shape (16,), expected (4, 4, 1, 1)"),
+        (small_cdn, _kind("triple"), "unknown checkpoint kind 'triple'"),
+        (small_net, _drop("__meta__"), "checkpoint has no metadata record"),
+    ], ids=["missing_branch", "missing_shared", "missing_single", "wrong_shape",
+            "unknown_kind", "no_meta"])
+    def test_rejected_naming_the_record_and_eval_exits_2(self, tmp_path, capsys, net, edit,
+                                                         message):
+        save_checkpoint(net(), tmp_path / "ok.ckpt")
+        path = _repack(tmp_path / "bad.ckpt", edit(_records(tmp_path / "ok.ckpt")))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert message in str(exc.value)
+        (tmp_path / "c.json").write_text("{}")
+        assert main(["eval", "--config", str(tmp_path / "c.json"),
+                     "--checkpoint", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unedited_records_repack_to_the_same_bytes(self, tmp_path):
+        save_checkpoint(small_cdn(), tmp_path / "ok.ckpt")
+        path = _repack(tmp_path / "same.ckpt", _records(tmp_path / "ok.ckpt"))
+        assert path.read_bytes() == (tmp_path / "ok.ckpt").read_bytes()
+
+    def test_saving_a_non_network_is_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot checkpoint object of type dict"):
+            save_checkpoint({"c9.w": np.zeros(3)}, tmp_path / "x.ckpt")
+        assert not (tmp_path / "x.ckpt").exists()
+
+
+def _arange_filled(network, branches):
+    """Overwrite every tensor with arange values, so the bytes depend on
+    neither the RNG nor the BLAS build."""
+    k = 0
+    for branch in branches:
+        for _, arr in branch.state():
+            arr[...] = np.arange(arr.size).reshape(arr.shape) * 0.25 - k
+            k += 1
+    return network
+
+
+class TestFormat:
+    """The checkpoint bytes of two fixed networks; a change to the record
+    names, their order, the metadata or the packing changes these digests."""
+
+    def test_single_network_bytes(self, tmp_path):
+        spec = NetworkSpec(bands=2, classes=2, patch=1, filters=2, residual_modules=2)
+        net = build_backbone(spec, np.random.default_rng(0), dtype=np.float64)
+        _arange_filled(net, [net])
+        save_checkpoint(net, tmp_path / "a.ckpt", rng=np.random.default_rng(3), iteration=7)
+        assert hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest() == SINGLE_SHA256
+
+    def test_cross_network_bytes(self, tmp_path):
+        spec = CrossDomainSpec([
+            NetworkSpec(bands=2, classes=2, patch=3, filters=2, residual_modules=2),
+            NetworkSpec(bands=3, classes=3, patch=3, filters=2, residual_modules=2),
+        ])
+        cdn = build_cross_domain(spec, np.random.default_rng(0))
+        _arange_filled(cdn, cdn.branches)
+        save_checkpoint(cdn, tmp_path / "c.ckpt", rng=np.random.default_rng(4), iteration=11)
+        assert hashlib.sha256((tmp_path / "c.ckpt").read_bytes()).hexdigest() == CROSS_SHA256
+
+
+SINGLE_SHA256 = "ba32b94a2aae4e08fa5b6cdb54235c56c8a1258c0af8901d38712307b93f28c6"
+CROSS_SHA256 = "171816b88a73a3b55146e6e2eaca3fd11a329bc4263dfbd09611f49b2a2d36b8"

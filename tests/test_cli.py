@@ -4,7 +4,8 @@ import json
 import pytest
 
 from hsinet.checkpoint import load_checkpoint
-from hsinet.cli import main
+from hsinet.cli import _write_train_outputs, main
+from hsinet.trainer import MetricRow, TrainMetrics
 
 
 def write_json(path, obj):
@@ -81,6 +82,25 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("pretrain", {"sources": [5]}, "'sources' entry 0 must be a JSON object, got int"),
+        ("pretrain", {"network": 5}, "'network' must be a JSON object, got int"),
+        ("train-scratch", {"train_per_class": [2]},
+         "'train_per_class' must be a JSON integer, got list"),
+        ("pretrain", {"eval_every": "x"}, "'eval_every' must be a JSON integer, got str"),
+        ("pretrain", {"schedule": {**SCHEDULE, "step_size": "2"}},
+         "schedule 'step_size' must be a JSON integer, got str"),
+        ("pretrain", {"sources": [{"synth": {**synth(51, "a")["synth"], "bands": "4"}}]},
+         "synth 'bands' must be a JSON integer, got str"),
+        ("train-scratch", {"eval_every": 0}, "eval_every must be >= 1, got 0"),
+    ])
+    def test_wrong_value_type_exits_1_naming_it(self, tmp_path, capsys, command, cfg, message):
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [synth(51, "a")], "target": synth(50, "target", bands=5),
+            "train_per_class": 4, "network": {"filters": 4}, "schedule": self.SCHEDULE, **cfg})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_combination_entry_must_be_an_object(self, tmp_path, capsys):
         assert self.experiment(tmp_path, "source_size", schedule=self.SCHEDULE,
                                combinations=[[0], [1]]) == 1
@@ -98,6 +118,20 @@ class TestConfigErrors:
         assert self.experiment(tmp_path, "finetune", schedule=self.SCHEDULE,
                                checkpont="x.ckpt") == 1
         assert "checkpont" in capsys.readouterr().err
+
+
+class TestAtomicOutputs:
+    def test_failed_write_keeps_the_previous_metrics(self, tmp_path, fill_disk):
+        first = TrainMetrics(rows=[MetricRow(10, "a", 0.5, 0.25)], lr_history=[(9, 0.1, 0.1)])
+        _write_train_outputs(tmp_path, [first], ["metrics"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["metrics.csv", "metrics_summary.json"]
+        fill_disk()
+        second = TrainMetrics(rows=first.rows + [MetricRow(20, "a", 0.4, None)],
+                              lr_history=[(19, 0.1, 0.1)])
+        with pytest.raises(OSError, match="No space left"):
+            _write_train_outputs(tmp_path, [second], ["metrics"])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestGradcheck:

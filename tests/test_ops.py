@@ -271,8 +271,12 @@ class TestDropout:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_ln4(self):
-        loss, _ = ops.softmax_cross_entropy(np.zeros((3, 4, 1, 1)), np.array([0, 1, 3]))
+        loss, _ = ops.softmax_cross_entropy(np.zeros((3, 4)), np.array([0, 1, 3]))
         assert loss == pytest.approx(np.log(4.0), abs=1e-9)
+
+    def test_logits_must_be_2d(self):
+        with pytest.raises(ShapeError, match=r"\(n, classes\), got \(3, 4, 1, 1\)"):
+            ops.softmax_cross_entropy(np.zeros((3, 4, 1, 1)), np.array([0, 1, 3]))
 
     def test_saturated_true_class(self):
         logits = np.zeros((1, 4))

@@ -1,0 +1,120 @@
+"""Golden outputs: run every CLI command on small synthetic data and print
+`sha256  relpath` for each file written and each command's stdout.
+
+    PYTHONPATH=src python3 tools/golden_outputs.py OUT
+
+OUT must not exist yet. The commands run inside OUT with relative paths, so
+the echoed configs and stdout lines do not depend on where OUT is. Every
+schedule stays below 100 iterations, so no wall-clock figure reaches a file.
+Run it against two checkouts (PYTHONPATH pointing at each one's src) and diff
+the listings: outputs that are byte-identical print identical lines.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from hsinet.cli import main
+
+SCHEDULE = {"step_size": 40, "max_iter": 60, "batch": 8}
+NETWORK = {"filters": 4, "dropout_rate": 0.25}
+
+
+def synth(seed, name, bands, classes=3, side=12):
+    return {"synth": {"classes": classes, "bands": bands, "height": side,
+                      "width": side, "noise_std": 0.25, "seed": seed, "name": name}}
+
+
+SOURCES = [{"manifest": "data/s1.json"}, {"manifest": "data/s2.json"},
+           {"manifest": "data/s3.json"}]
+TARGET = {"target": synth(50, "target", bands=5, side=14), "train_per_class": 6,
+          "split_seed": 7, "eval_every": 20, "network": NETWORK, "schedule": SCHEDULE}
+TWO_STEP = {"step1": {"step_size": 20, "max_iter": 30, "batch": 8}, "step2": SCHEDULE}
+
+CONFIGS = {
+    "gen.json": {"domains": [
+        {"classes": 3, "bands": 4, "height": 12, "width": 12, "noise_std": 0.25,
+         "seed": 51, "name": "s1"},
+        {"classes": 4, "bands": 6, "height": 14, "width": 12, "noise_std": 0.25,
+         "seed": 52, "name": "s2", "sensor": "R", "interleave": "bip", "data_type": 2,
+         "byte_order": 1},
+        {"classes": 3, "bands": 8, "height": 12, "width": 14, "noise_std": 0.3,
+         "seed": 53, "name": "s3", "sensor": "R", "interleave": "bil", "data_type": 5},
+    ]},
+    "pretrain.json": {"sources": SOURCES[:2], "network": NETWORK, "schedule": SCHEDULE,
+                      "eval_every": 20},
+    "pretrain_two_step.json": {"sources": SOURCES, "network": NETWORK, "two_step": TWO_STEP,
+                               "eval_every": 20},
+    "target.json": TARGET,
+    "eval_train.json": {**TARGET, "split": "train"},
+}
+
+EXPERIMENT = {**TARGET, "seeds": [0, 1], "sources": SOURCES, "pretrain_schedule": SCHEDULE}
+EXPERIMENTS = {
+    "schedule_sweep": {"schedules": [{"label": "A", "step_size": 20, "max_iter": 30},
+                                     {"step_size": 40, "max_iter": 60}]},
+    "depth_sweep": {"depths": [2, 3]},
+    "source_size": {"combinations": [{"label": "one", "sources": [0]},
+                                     {"label": "all", "sources": [0, 1, 2]}]},
+    "sensor_ablation": {"pairs": [{"label": "same", "sources": [1, 2]},
+                                  {"label": "cross", "sources": [0, 1]}]},
+    "single_vs_multi": {"conditions": [{"label": "single", "sources": [0]},
+                                       {"label": "multi", "sources": [0, 2]}]},
+    "pretrain": {"two_step": TWO_STEP},
+    "finetune": {"checkpoint": "pretrain/pretrained.ckpt"},
+}
+
+COMMANDS = [
+    ("synth-gen", ["synth-gen", "--config", "config/gen.json", "--out", "data"]),
+    ("pretrain", ["pretrain", "--config", "config/pretrain.json", "--seed", "0",
+                  "--out", "pretrain"]),
+    ("pretrain_two_step", ["pretrain", "--config", "config/pretrain_two_step.json",
+                           "--seed", "1", "--out", "pretrain_two_step"]),
+    ("finetune", ["finetune", "--config", "config/target.json", "--checkpoint",
+                  "pretrain/pretrained.ckpt", "--seed", "2", "--out", "finetune"]),
+    ("train-scratch", ["train-scratch", "--config", "config/target.json", "--seed", "2",
+                       "--out", "scratch"]),
+    ("eval_test", ["eval", "--config", "config/target.json", "--checkpoint",
+                   "finetune/finetuned.ckpt"]),
+    ("eval_train", ["eval", "--config", "config/eval_train.json", "--checkpoint",
+                    "scratch/scratch.ckpt"]),
+] + [(f"experiment_{exp}", ["experiment", exp, "--config", f"config/experiment_{exp}.json",
+                            "--out", f"experiment_{exp}"]) for exp in EXPERIMENTS]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(out):
+    out.mkdir(parents=True)
+    os.chdir(out)
+    configs = {**CONFIGS, **{f"experiment_{exp}.json": {**EXPERIMENT, "experiment": exp, **extra}
+                             for exp, extra in EXPERIMENTS.items()}}
+    Path("config").mkdir()
+    for name, cfg in configs.items():
+        Path("config", name).write_text(json.dumps(cfg, indent=2))
+    stdout = {}
+    for step, argv in COMMANDS:
+        captured, progress = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(progress):
+            code = main(argv)
+        if code != 0:
+            sys.exit(f"golden: hsinet {' '.join(argv)} exited {code}:\n{progress.getvalue()}")
+        stdout[step] = captured.getvalue()
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
+    for step, text in stdout.items():
+        for i, line in enumerate(text.splitlines()):
+            print(f"{_sha256(line.encode())}  stdout/{step}/{i}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: golden_outputs.py OUT")
+    run(Path(sys.argv[1]).resolve())
