@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .network import CrossDomainNetwork, CrossDomainSpec, Network, NetworkSpec
 
 MAGIC = b"HSICKPT\x00"
@@ -155,21 +155,15 @@ def load_checkpoint(path):
         if name == _META_NAME:
             if dtype_str != _JSON_DTYPE:
                 raise CheckpointError("metadata record has wrong dtype tag")
-            meta = json.loads(bytes(raw).decode("utf-8"))
+            meta = raw
         else:
-            arr = np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape)
-            records[name] = arr
+            try:
+                records[name] = np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape)
+            except (TypeError, ValueError) as e:
+                raise CheckpointError(f"tensor record '{name}' is malformed: {e}") from None
     if meta is None:
         raise CheckpointError("checkpoint has no metadata record")
-
-    kind = meta.get("kind")
-    dtype = np.dtype(meta["dtype"])
-    if kind == "single":
-        network = Network(NetworkSpec.from_dict(meta["spec"]), dtype=dtype)
-    elif kind == "cross":
-        network = CrossDomainNetwork(CrossDomainSpec.from_dict(meta), dtype)
-    else:
-        raise CheckpointError(f"unknown checkpoint kind '{kind}'")
+    kind, network, iteration, rng = _parse_meta(meta)
     for name, arr in network.state():
         if name not in records:
             raise CheckpointError(f"checkpoint missing tensor '{name}'")
@@ -180,9 +174,47 @@ def load_checkpoint(path):
             )
         arr[...] = src.astype(arr.dtype, copy=False)
 
-    return Checkpoint(
-        network=network,
-        rng=_restore_rng(meta.get("rng")),
-        iteration=int(meta["iteration"]),
-        kind=kind,
-    )
+    return Checkpoint(network=network, rng=rng, iteration=iteration, kind=kind)
+
+
+def _parse_meta(raw):
+    """(kind, the network its tensors fill, iteration, rng) from the metadata
+    record, or a CheckpointError naming the field that is missing or malformed."""
+    try:
+        meta = json.loads(bytes(raw).decode("utf-8"))
+    except ValueError as e:  # also UnicodeDecodeError
+        raise CheckpointError(f"metadata record is not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError("metadata record must hold a JSON object")
+    kind = meta.get("kind")
+    if kind not in ("single", "cross"):
+        raise CheckpointError(f"unknown checkpoint kind '{kind}'")
+
+    def field(name, parse):
+        if name not in meta:
+            raise CheckpointError(f"checkpoint metadata has no '{name}'")
+        try:
+            return parse(meta[name])
+        except (TypeError, ValueError, KeyError, ConfigError) as e:
+            raise CheckpointError(f"checkpoint metadata '{name}' is malformed: {e}") from None
+
+    dtype = field("dtype", _float_dtype)
+    if kind == "single":
+        network = field("spec", lambda d: Network(NetworkSpec.from_dict(d), dtype=dtype))
+    else:
+        network = field("branches", lambda b: CrossDomainNetwork(
+            CrossDomainSpec.from_dict({"branches": b}), dtype))
+    rng = field("rng", _restore_rng) if "rng" in meta else None
+    return kind, network, field("iteration", _non_negative), rng
+
+
+def _float_dtype(name):
+    if not isinstance(name, str) or np.dtype(name).kind != "f":
+        raise TypeError(f"{name!r} is not a floating-point dtype")
+    return np.dtype(name)
+
+
+def _non_negative(value):
+    if type(value) is not int or value < 0:
+        raise TypeError(f"{value!r} is not a non-negative integer")
+    return value

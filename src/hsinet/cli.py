@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import save_checkpoint, write_atomic
-from .data import SynthConfig, synth_generate, write_dataset
+from .data import synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError
-from .experiments import (EXPERIMENT_IDS, _Harness, _json_text, _kwargs, _require,
-                          load_network, run_experiment, schedule_from_config)
+from .experiments import (EXPERIMENT_IDS, _Harness, _json_text, load_network, run_experiment,
+                          synth_domains)
 from .trainer import evaluate
 from .verify import oracle_suite
 
@@ -73,21 +74,18 @@ def _load_config(path):
     return cfg
 
 
-def _seed(args, cfg, default=0):
+def _harness(args):
+    """The checked config of the command, its 'seed' overridden by --seed."""
+    cfg = _load_config(args.config)
     if args.seed is not None:
-        return args.seed
-    return cfg.get("seed", default)
+        cfg["seed"] = args.seed
+    return _Harness(cfg, args.command, progress=True)
 
 
 def _outdir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _check_threads(args):
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
 
 def _write_train_outputs(out, metrics_list, names):
@@ -97,10 +95,9 @@ def _write_train_outputs(out, metrics_list, names):
 
 
 def cmd_pretrain(args):
-    cfg = _load_config(args.config)
+    h = _harness(args)
     out = _outdir(args)
-    h = _Harness(cfg, progress=True)
-    run = h.pretrain(h.sources, _seed(args, cfg), schedule_key="schedule")
+    run = h.pretrain(h.sources, h.built["seed"], schedule_key="schedule")
     names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
     _write_train_outputs(out, run.metrics, names)
     ckpt = out / "pretrained.ckpt"
@@ -109,12 +106,12 @@ def cmd_pretrain(args):
     return 0
 
 
-def _run_target(args, pretrained):
-    cfg = _load_config(args.config)
+def cmd_target(args):
+    """finetune (from --checkpoint) and train-scratch."""
+    h = _harness(args)
+    pretrained = load_network(args.checkpoint, "cross") if args.command == "finetune" else None
     out = _outdir(args)
-    h = _Harness(cfg, progress=True)
-    schedule = schedule_from_config(_require(cfg, "schedule"))
-    run = h.target_run(schedule, _seed(args, cfg), pretrained)
+    run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
     _write_train_outputs(out, run.metrics, ["metrics"])
     ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
     save_checkpoint(run.network, ckpt, rng=run.rng, iteration=run.iteration)
@@ -122,20 +119,12 @@ def _run_target(args, pretrained):
     return 0
 
 
-def cmd_finetune(args):
-    return _run_target(args, load_network(args.checkpoint, "cross"))
-
-
-def cmd_train_scratch(args):
-    return _run_target(args, None)
-
-
 def cmd_eval(args):
     cfg = _load_config(args.config)
     network = load_network(args.checkpoint, "single")
-    split = cfg.get("split", "test")
-    acc = evaluate(network, _Harness(cfg).target, split)
-    print(json.dumps({"split": split, "accuracy": acc}))
+    h = _Harness(cfg, "eval")
+    acc = evaluate(network, h.target, h.built["split"])
+    print(json.dumps({"split": h.built["split"], "accuracy": acc}))
     return 0
 
 
@@ -148,7 +137,7 @@ def cmd_experiment(args):
         )
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    out = _outdir(args)
+    out = Path(args.out)
     run_experiment(cfg, out)
     print(json.dumps({"report": str(out / "report.csv"),
                       "summary": str(out / "summary.json")}))
@@ -156,23 +145,13 @@ def cmd_experiment(args):
 
 
 def cmd_synth_gen(args):
-    cfg = _load_config(args.config)
+    domains = synth_domains(_load_config(args.config))
     out = _outdir(args)
-    domains = cfg.get("domains", [cfg])
     manifests = []
-    for i, d in enumerate(domains):
-        kw = _kwargs({k: v for k, v in d.items()
-                      if k not in ("interleave", "data_type", "byte_order")},
-                     SynthConfig, "synth")
+    for i, (synth, envi) in enumerate(domains):
         if args.seed is not None:
-            kw["seed"] = args.seed + i
-        ds = synth_generate(SynthConfig(**kw))
-        manifests.append(str(write_dataset(
-            ds, out,
-            interleave=d.get("interleave", "bsq"),
-            data_type=int(d.get("data_type", 4)),
-            byte_order=int(d.get("byte_order", 0)),
-        )))
+            synth = replace(synth, seed=args.seed + i)
+        manifests.append(str(write_dataset(synth_generate(synth), out, **envi)))
     print(json.dumps({"manifests": manifests}))
     return 0
 
@@ -194,8 +173,8 @@ def cmd_gradcheck(args):
 
 _COMMANDS = {
     "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "train-scratch": cmd_train_scratch,
+    "finetune": cmd_target,
+    "train-scratch": cmd_target,
     "eval": cmd_eval,
     "experiment": cmd_experiment,
     "synth-gen": cmd_synth_gen,
@@ -210,7 +189,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _check_threads(args)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

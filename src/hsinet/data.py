@@ -85,6 +85,8 @@ class SynthConfig:
             raise ConfigError("noise_std must be >= 0")
         if self.blob_scale < 1:
             raise ConfigError("blob_scale must be >= 1")
+        if min(self.seed, self.signature_seed or 0) < 0:
+            raise ConfigError("synthetic domain seeds must be >= 0")
 
 
 def split_per_class(ds, n_per_class, rng):

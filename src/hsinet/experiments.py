@@ -12,27 +12,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .data import SynthConfig, load_manifest, normalize_bands, synth_generate, with_split
+from .envi import DTYPE_CODES, INTERLEAVES
 from .errors import ConfigError
 from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
                       build_cross_domain, transfer_shared)
 from .trainer import TrainSchedule, evaluate, train_cross_domain, train_single, two_step_train
-
-EXPERIMENT_IDS = (
-    "schedule_sweep",
-    "depth_sweep",
-    "source_size",
-    "sensor_ablation",
-    "single_vs_multi",
-    "pretrain",
-    "finetune",
-)
 
 CSV_HEADER = ("experiment", "seed", "condition", "iteration", "metric", "value")
 
@@ -47,101 +39,157 @@ class ReportRow:
     value: float
 
 
-# --- config parsing -------------------------------------------------------
+# --- config schema --------------------------------------------------------
+# A config is checked in one pass before any dataset is generated or loaded:
+# each key is type-checked and built into what it describes (schedules,
+# network specs, synthetic domains, source-index lists), so a bad entry fails
+# before the runs ahead of it train. Value ranges stay in __post_init__.
 
-# every top-level key a command or runner reads; one target config serves
-# finetune, train-scratch and eval alike
-CONFIG_KEYS = frozenset({
-    "experiment", "seed", "seeds", "pretrain_seed", "split_seed", "eval_every",
-    "augment", "normalize", "network", "sources", "target", "train_per_class",
-    "split", "schedule", "pretrain_schedule", "two_step", "checkpoint",
-    "schedules", "depths", "combinations", "pairs", "conditions", "include_scratch",
-})
-
-_NETWORK_KEYS = ("patch", "filters", "residual_modules", "dropout_rate")
+# the JSON type name and the Python types of each annotation a value can have
+_KINDS = {"int": ("integer", int), "float": ("number", float, int), "str": ("string", str),
+          "bool": ("boolean", bool), "int | None": ("integer", int, type(None)),
+          "list": ("list", list), "object": ("object", dict)}
 
 
-# the JSON type of each config key that has one
-_TYPES = {
-    **dict.fromkeys(("sources", "seeds", "depths", "schedules", "combinations", "pairs",
-                     "conditions"), list),
-    **dict.fromkeys(("network", "target", "two_step", "step1", "step2", "schedule",
-                     "pretrain_schedule"), dict),
-    **dict.fromkeys(("seed", "pretrain_seed", "split_seed", "eval_every",
-                     "train_per_class"), int),
-    **dict.fromkeys(("augment", "normalize", "include_scratch"), bool),
+def _at(where, make, *args, **kwargs):
+    """make(*args, **kwargs), its ConfigError prefixed with the location `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _build(spec, value, where):
+    """`value` checked and built by `spec`: a builder(value, where), or a
+    `_KINDS` name (true/false count only as booleans)."""
+    if callable(spec):
+        return spec(value, where)
+    name, *types = _KINDS[spec]
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, tuple(types)):
+        raise ConfigError(f"{where} must be a JSON {name}, got {type(value).__name__}")
+    return value
+
+
+def _object(schema, required=()):
+    """A JSON object of `schema` keys, each built by its spec, holding every
+    `required` key ("a|b": either one)."""
+    def build(value, where):
+        unknown = sorted(set(_build("object", value, where)) - set(schema))
+        if unknown:
+            raise ConfigError(f"unknown {where} keys: {unknown} (known: {sorted(schema)})")
+        built = {key: _build(schema[key], v, f"{where} '{key}'") for key, v in value.items()}
+        for need in required:
+            keys = need.split("|")
+            if not any(key in value for key in keys):
+                raise ConfigError(f"{where} needs {' or '.join(map(repr, keys))}")
+        return built
+    return build
+
+
+def _record(cls, what, **stub):
+    """cls(**value) for a JSON object of `cls` fields, each of its annotated
+    type; `stub` fills the fields that only data supplies."""
+    schema = {f.name: f.type for f in fields(cls) if f.name not in stub}
+    check = _object(schema, [f.name for f in fields(cls)
+                             if f.name in schema and f.default is MISSING])
+
+    def build(value, where):
+        _build("object", value, where)
+        return _at(where, lambda: cls(**check(value, what), **stub))
+    return build
+
+
+def _valid(kind, ok, must):
+    """A value of JSON type `kind` that passes `ok`; `must` says what it must be."""
+    def build(value, where):
+        if not ok(_build(kind, value, where)):
+            raise ConfigError(f"{where} must be {must}, got {value!r}")
+        return value
+    return build
+
+
+def _list(item):
+    """A non-empty JSON list of `item` entries."""
+    non_empty = _valid("list", len, "a non-empty JSON list")
+    return lambda value, where: [_build(item, v, f"{where} entry {i}")
+                                 for i, v in enumerate(non_empty(value, where))]
+
+
+_SEED = _valid("int", lambda n: n >= 0, ">= 0")
+_SCHEDULE = _record(TrainSchedule, "schedule")
+_SYNTH = _record(SynthConfig, "synth")
+_DATASET = _object({"synth": _SYNTH, "manifest": "str"}, ("synth|manifest",))
+_CONDITIONS = _list(_object({"label": "str", "sources": _list("int")}, ("label", "sources")))
+
+# every key a command or experiment reads; one target config serves finetune,
+# train-scratch and eval alike, and can carry an experiment's keys too
+_SCHEMA = {
+    **dict.fromkeys(("experiment", "checkpoint"), "str"),
+    **dict.fromkeys(("seed", "pretrain_seed", "split_seed"), _SEED), "eval_every": "int",
+    **dict.fromkeys(("augment", "normalize", "include_scratch"), "bool"),
+    "seeds": _list(_SEED), "depths": _list("int"), "schedules": _list("object"),
+    "sources": _list(_DATASET), "target": _DATASET,
+    "train_per_class": _valid("int", lambda n: n >= 1, ">= 1"),
+    "split": _valid("str", ("train", "test").__contains__, "'train' or 'test'"),
+    "network": _record(NetworkSpec, "network", bands=1, classes=2),
+    "schedule": _SCHEDULE, "pretrain_schedule": _SCHEDULE,
+    "two_step": _object({"step1": _SCHEDULE, "step2": _SCHEDULE}, ("step1", "step2")),
+    **dict.fromkeys(("combinations", "pairs", "conditions"), _CONDITIONS),
 }
-# the JSON types that a dataclass field annotation accepts
-_FIELD_TYPES = {"int": int, "float": (float, int), "str": str, "int | None": (int, type(None))}
-_JSON_NAMES = {list: "list", dict: "object", int: "integer", float: "number", bool: "boolean",
-               str: "string"}
+_DEFAULTS = {"seed": 0, "split_seed": 1234, "eval_every": 100, "augment": True,
+             "normalize": True, "include_scratch": True, "split": "test", "network": {},
+             "depths": [2, 3, 4, 5]}
+
+# a combination experiment's conditions key, the check on their source-index
+# lists, and what the check requires
+_COMBINATIONS = {
+    "source_size": ("combinations", lambda subsets: len(subsets) >= 2,
+                    ">= 2 'combinations'"),
+    "sensor_ablation": ("pairs", lambda subsets: len(subsets) == 2, "exactly 2 'pairs'"),
+    "single_vs_multi": ("conditions",
+                        lambda subsets: {len(s) == 1 for s in subsets} == {True, False},
+                        "at least one single-source and one multi-source condition"),
+}
+
+# the keys each command requires ("a|b": either one); _EXPERIMENTS has theirs
+_TARGET = ("target", "train_per_class")
+_PRETRAIN = ("sources", "two_step|pretrain_schedule")
+_NEEDS = {"pretrain": ("sources", "two_step|schedule"), "finetune": ("schedule", *_TARGET),
+          "train-scratch": ("schedule", *_TARGET), "eval": _TARGET}
 
 
-def _expect(value, kind, where):
-    """`value`, or a ConfigError naming `where` when it is not of the JSON type
-    `kind` (a type or a tuple of them; true/false count only as booleans)."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-        raise ConfigError(
-            f"{where} must be a JSON {_JSON_NAMES[kinds[0]]}, got {type(value).__name__}"
-        )
-    return value
+_ENVI = {"interleave": _valid("str", INTERLEAVES.__contains__, f"one of {list(INTERLEAVES)}"),
+         "data_type": _valid("int", DTYPE_CODES.__contains__, f"one of {list(DTYPE_CODES)}"),
+         "byte_order": _valid("int", (0, 1).__contains__, "0 or 1")}
 
 
-def _require(d, key, where="config"):
-    """d[key], or a ConfigError naming the key when it is absent, empty or not
-    of its JSON type (or `d` is not an object)."""
-    _expect(d, dict, where)
-    value = d.get(key)
-    if not value:
-        raise ConfigError(f"{where} needs '{key}'")
-    if key in _TYPES:
-        _expect(value, _TYPES[key], f"{where} '{key}'")
-    return value
+def _domain(value, where):
+    """(SynthConfig, write_dataset keywords) of one synth-gen domain."""
+    envi = {key: _build(spec, value[key], f"{where} '{key}'")
+            for key, spec in _ENVI.items() if key in _build("object", value, where)}
+    return _SYNTH({k: v for k, v in value.items() if k not in _ENVI}, where), envi
 
 
-def _check_types(d, cls, what):
-    """Each key of `d` holds the JSON type of the `cls` field it names."""
-    types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
-    for key, value in d.items():
-        _expect(value, types[key], f"{what} '{key}'")
+def synth_domains(cfg):
+    """The domains of a synth-gen config, {"domains": [domain, ...]} or one
+    domain, each a SynthConfig plus the ENVI `interleave`, `data_type` and
+    `byte_order` its raster is written with."""
+    if "domains" not in cfg:
+        return [_domain(cfg, "config")]
+    return _object({"domains": _list(_domain)})(cfg, "config")["domains"]
 
 
-def _kwargs(d, cls, what):
-    _expect(d, dict, what)
-    allowed = {f.name for f in fields(cls)}
-    bad = set(d) - allowed
-    if bad:
-        raise ConfigError(f"unknown {what} keys: {sorted(bad)} (allowed: {sorted(allowed)})")
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"missing {what} keys: {sorted(missing)}")
-    _check_types(d, cls, what)
-    return dict(d)
-
-
-def schedule_from_config(d):
-    return TrainSchedule(**_kwargs(d, TrainSchedule, "schedule"))
-
-
-def dataset_from_config(d, normalize=True):
-    """Build a DomainDataset from {"synth": {...}} or {"manifest": path}."""
-    if "synth" in d:
-        ds = synth_generate(SynthConfig(**_kwargs(d["synth"], SynthConfig, "synth")))
-    elif "manifest" in d:
-        ds = load_manifest(_expect(d["manifest"], str, "'manifest'"))
-    else:
-        raise ConfigError("dataset config needs a 'synth' or 'manifest' key")
-    return normalize_bands(ds) if normalize else ds
+def _load(dataset):
+    if "synth" in dataset:
+        return synth_generate(dataset["synth"])
+    return load_manifest(dataset["manifest"])
 
 
 def load_network(path, kind):
     """The network of an existing checkpoint of `kind` ("cross" or "single")."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint '{path}' does not exist")
+    if not path.is_file():
+        raise ConfigError(f"checkpoint '{path}' does not exist as a file")
     ckpt = load_checkpoint(path)
     if ckpt.kind != kind:
         what = "cross-domain" if kind == "cross" else "single-network"
@@ -162,78 +210,73 @@ class _Run:
 
 class _Harness:
     """The config -> dataset -> network pipeline shared by the CLI commands and
-    every experiment runner."""
+    every experiment runner. Building one checks the whole config for `command`
+    (None: the experiment it names); runs read only the values in `built`."""
 
-    def __init__(self, cfg, progress=False):
-        unknown = sorted(set(cfg) - CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown} (known: {sorted(CONFIG_KEYS)})")
-        for key, kind in _TYPES.items():
-            if key in cfg:
-                _expect(cfg[key], kind, f"config '{key}'")
-        for key, kind in (("sources", dict), ("schedules", dict), ("seeds", int),
-                          ("depths", int)):
-            for i, value in enumerate(cfg.get(key, [])):
-                _expect(value, kind, f"'{key}' entry {i}")
-        network = cfg.get("network", {})
-        bad = set(network) - set(_NETWORK_KEYS)
-        if bad:
-            raise ConfigError(f"unknown network keys: {sorted(bad)} (allowed: {_NETWORK_KEYS})")
-        _check_types(network, NetworkSpec, "network")
-        self.cfg = cfg
-        self.experiment = cfg.get("experiment")
-        self.seeds = list(cfg.get("seeds", []))
-        self.split_seed = cfg.get("split_seed", 1234)
-        self.train_kwargs = dict(eval_every=cfg.get("eval_every", 100),
-                                 augment=cfg.get("augment", True), progress=progress)
-        self.normalize = cfg.get("normalize", True)
-        self._sources = None
-        self._target = None
+    def __init__(self, cfg, command=None, progress=False):
+        self.cfg, self.experiment = cfg, cfg.get("experiment")
+        needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment)[1])
+        c = self.built = _object(_SCHEMA, needs)({**_DEFAULTS, **cfg}, "config")
+        self.depth_specs = [_at(f"config 'depths' entry {i}", replace, c["network"],
+                                residual_modules=depth) for i, depth in enumerate(c["depths"])]
+        self.sweep = []
+        for i, entry in enumerate(c.get("schedules", [])):
+            where = f"config 'schedules' entry {i}"
+            label = _build("str", entry.get("label", ""), f"{where} 'label'")
+            schedule = _SCHEDULE({**cfg.get("schedule", {}),
+                                  **{k: v for k, v in entry.items() if k != "label"}}, where)
+            self.sweep.append((label or f"{schedule.step_size}/{schedule.max_iter}", schedule))
+        if command is None and self.experiment in _COMBINATIONS:
+            key, check, must = _COMBINATIONS[self.experiment]
+            for combo in c[key]:
+                if not all(0 <= i < len(c["sources"]) for i in combo["sources"]):
+                    raise ConfigError(
+                        f"condition '{combo['label']}' references a source index outside "
+                        f"the {len(c['sources'])}-entry 'sources' list")
+            if not check([combo["sources"] for combo in c[key]]):
+                raise ConfigError(f"{self.experiment} needs {must}")
+        self.seeds = c.get("seeds", [])
+        self.train_kwargs = dict(eval_every=c["eval_every"], augment=c["augment"],
+                                 progress=progress)
 
-    @property
+    @cached_property
     def sources(self):
-        if self._sources is None:
-            self._sources = [dataset_from_config(c, self.normalize)
-                             for c in _require(self.cfg, "sources")]
-        return self._sources
+        return [normalize_bands(ds) if self.built["normalize"] else ds
+                for ds in map(_load, self.built["sources"])]
 
-    @property
+    @cached_property
     def target(self):
-        if self._target is None:
-            ds = dataset_from_config(_require(self.cfg, "target"), normalize=False)
-            n = _require(self.cfg, "train_per_class")
-            ds = with_split(ds, n, np.random.default_rng(self.split_seed))
-            self._target = normalize_bands(ds) if self.normalize else ds
-        return self._target
+        c = self.built
+        ds = with_split(_load(c["target"]), c["train_per_class"],
+                        np.random.default_rng(c["split_seed"]))
+        return normalize_bands(ds) if c["normalize"] else ds
 
     @property
     def pretrain_seed(self):
-        return self.cfg.get("pretrain_seed", self.seeds[0])
+        return self.built.get("pretrain_seed", self.seeds[0])
 
-    def _spec(self, ds, depth):
-        net_kwargs = dict(self.cfg.get("network", {}))
-        if depth is not None:
-            net_kwargs["residual_modules"] = depth
-        return NetworkSpec(bands=ds.cube.bands, classes=ds.classes, **net_kwargs)
+    def _spec(self, ds, network=None):
+        return replace(network or self.built["network"], bands=ds.cube.bands,
+                       classes=ds.classes)
 
-    def pretrain(self, sources, seed, schedule_key="pretrain_schedule", depth=None):
+    def pretrain(self, sources, seed, schedule_key="pretrain_schedule", network=None):
         """Cross-domain pre-training over the given source datasets, on the
         schedule under `schedule_key` or the config's `two_step` pair."""
         rng = np.random.default_rng(seed)
-        cdn = build_cross_domain(CrossDomainSpec([self._spec(ds, depth) for ds in sources]),
+        cdn = build_cross_domain(CrossDomainSpec([self._spec(ds, network) for ds in sources]),
                                  rng)
-        if "two_step" in self.cfg:
-            steps = [schedule_from_config(_require(self.cfg["two_step"], key, "'two_step'"))
-                     for key in ("step1", "step2")]
-            cdn, *metrics = two_step_train(cdn, sources, *steps, rng, **self.train_kwargs)
-            return _Run(cdn, metrics, rng, steps[1].max_iter)
-        schedule = schedule_from_config(_require(self.cfg, schedule_key))
+        if "two_step" in self.built:
+            steps = self.built["two_step"]
+            cdn, *metrics = two_step_train(cdn, sources, steps["step1"], steps["step2"], rng,
+                                           **self.train_kwargs)
+            return _Run(cdn, metrics, rng, steps["step2"].max_iter)
+        schedule = self.built[schedule_key]
         cdn, metrics = train_cross_domain(cdn, sources, schedule, rng, **self.train_kwargs)
         return _Run(cdn, [metrics], rng, schedule.max_iter)
 
-    def target_run(self, schedule, seed, pretrained=None, depth=None):
+    def target_run(self, schedule, seed, pretrained=None, network=None):
         """Train on the target from scratch or from a pre-trained shared store."""
-        spec = self._spec(self.target, depth)
+        spec = self._spec(self.target, network)
         rng = np.random.default_rng(seed)
         if pretrained is None:
             net = build_backbone(spec, rng)
@@ -243,13 +286,13 @@ class _Harness:
         return _Run(net, [metrics], rng, schedule.max_iter,
                     evaluate(net, self.target, "test"))
 
-    def compare(self, conditions, schedule, depth=None):
+    def compare(self, conditions, schedule, network=None):
         """Report rows of one target run per seed for each (condition,
         pre-trained store or None for scratch, extra final metrics)."""
         rows = []
         for seed in self.seeds:
             for condition, pretrained, extra in conditions:
-                run = self.target_run(schedule, seed, pretrained, depth)
+                run = self.target_run(schedule, seed, pretrained, network)
                 rows += self.curve_rows(seed, condition, run, extra)
         return rows
 
@@ -280,17 +323,12 @@ def _with_scratch(label, pretrained):
 def run_schedule_sweep(cfg, out_dir=None):
     """Scratch vs fine-tuned target training across step-size/iteration pairs."""
     h = _Harness(cfg)
-    schedules = _require(cfg, "schedules")
-    base = dict(cfg.get("schedule", {}))
     if "checkpoint" in cfg:
         pretrained = load_network(cfg["checkpoint"], "cross")
     else:
         pretrained = h.pretrain(h.sources, h.pretrain_seed).network
     rows = []
-    for sched_cfg in schedules:
-        merged = {**base, **{k: v for k, v in sched_cfg.items() if k != "label"}}
-        schedule = schedule_from_config(merged)
-        label = sched_cfg.get("label") or f"{merged['step_size']}/{merged['max_iter']}"
+    for label, schedule in h.sweep:
         rows += h.compare(_with_scratch(label, pretrained), schedule)
     return _finish(rows, cfg, out_dir)
 
@@ -299,25 +337,12 @@ def run_depth_sweep(cfg, out_dir=None):
     """Scratch vs fine-tuned accuracy as residual modules are added; each
     depth pre-trains its own cross-domain network."""
     h = _Harness(cfg)
-    schedule = schedule_from_config(_require(cfg, "schedule"))
     rows = []
-    for depth in cfg.get("depths", [2, 3, 4, 5]):
-        pretrained = h.pretrain(h.sources, h.pretrain_seed, depth=depth).network
-        rows += h.compare(_with_scratch(f"{5 + 2 * depth}-layer", pretrained),
-                          schedule, depth)
+    for spec in h.depth_specs:
+        pretrained = h.pretrain(h.sources, h.pretrain_seed, network=spec).network
+        rows += h.compare(_with_scratch(f"{5 + 2 * spec.residual_modules}-layer", pretrained),
+                          h.built["schedule"], spec)
     return _finish(rows, cfg, out_dir)
-
-
-# experiment -> (config key of its conditions, check on their source-index
-# lists, what the check requires)
-_COMBINATIONS = {
-    "source_size": ("combinations", lambda subsets: len(subsets) >= 2,
-                    ">= 2 'combinations'"),
-    "sensor_ablation": ("pairs", lambda subsets: len(subsets) == 2, "exactly 2 'pairs'"),
-    "single_vs_multi": ("conditions",
-                        lambda subsets: {len(s) == 1 for s in subsets} == {True, False},
-                        "at least one single-source and one multi-source condition"),
-}
 
 
 def run_combinations(cfg, out_dir=None):
@@ -325,28 +350,14 @@ def run_combinations(cfg, out_dir=None):
     pixel count: source_size (plus a scratch baseline unless
     `include_scratch` is false), sensor_ablation and single_vs_multi."""
     h = _Harness(cfg)
-    key, check, needs = _COMBINATIONS[h.experiment]
-    combos = _require(cfg, key)
-    n_sources = len(_require(cfg, "sources"))
-    for i, combo in enumerate(combos):
-        for name in ("label", "sources"):
-            _require(combo, name, f"'{key}' entry {i}")
-        if not all(isinstance(s, int) and 0 <= s < n_sources for s in combo["sources"]):
-            raise ConfigError(
-                f"condition '{combo['label']}' references a source index outside "
-                f"the {n_sources}-entry 'sources' list"
-            )
-    if not check([combo["sources"] for combo in combos]):
-        raise ConfigError(f"{h.experiment} needs {needs}")
-    schedule = schedule_from_config(_require(cfg, "schedule"))
     conditions = []
-    for combo in combos:
+    for combo in h.built[_COMBINATIONS[h.experiment][0]]:
         subset = [h.sources[i] for i in combo["sources"]]
         conditions.append((combo["label"], h.pretrain(subset, h.pretrain_seed).network,
                            {"source_pixels": sum(ds.labeled_count for ds in subset)}))
-    if h.experiment == "source_size" and cfg.get("include_scratch", True):
+    if h.experiment == "source_size" and h.built["include_scratch"]:
         conditions.append(("scratch", None, {"source_pixels": 0}))
-    return _finish(h.compare(conditions, schedule), cfg, out_dir)
+    return _finish(h.compare(conditions, h.built["schedule"]), cfg, out_dir)
 
 
 def run_pretrain(cfg, out_dir=None):
@@ -361,6 +372,7 @@ def run_pretrain(cfg, out_dir=None):
             rows += [ReportRow("pretrain", seed, condition, r.iteration,
                                f"loss[{r.domain}]", float(r.loss)) for r in metrics.rows]
         if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
             save_checkpoint(run.network, Path(out_dir) / f"pretrained_seed{seed}.ckpt")
     return _finish(rows, cfg, out_dir)
 
@@ -368,28 +380,33 @@ def run_pretrain(cfg, out_dir=None):
 def run_finetune(cfg, out_dir=None):
     """Fine-tune from a required checkpoint as an experiment."""
     h = _Harness(cfg)
-    pretrained = load_network(_require(cfg, "checkpoint"), "cross")
-    schedule = schedule_from_config(_require(cfg, "schedule"))
-    return _finish(h.compare([("finetune", pretrained, None)], schedule), cfg, out_dir)
+    pretrained = load_network(cfg["checkpoint"], "cross")
+    return _finish(h.compare([("finetune", pretrained, None)], h.built["schedule"]), cfg,
+                   out_dir)
 
 
-_RUNNERS = {
-    "schedule_sweep": run_schedule_sweep,
-    "depth_sweep": run_depth_sweep,
-    **dict.fromkeys(_COMBINATIONS, run_combinations),
-    "pretrain": run_pretrain,
-    "finetune": run_finetune,
+# each experiment's runner and the keys its config requires besides 'seeds'
+_EXPERIMENTS = {
+    "schedule_sweep": (run_schedule_sweep, ("schedules", *_TARGET, "checkpoint|sources",
+                                            "checkpoint|two_step|pretrain_schedule")),
+    "depth_sweep": (run_depth_sweep, ("schedule", *_TARGET, *_PRETRAIN)),
+    **{exp: (run_combinations, (key, "schedule", *_TARGET, *_PRETRAIN))
+       for exp, (key, _, _) in _COMBINATIONS.items()},
+    "pretrain": (run_pretrain, _PRETRAIN),
+    "finetune": (run_finetune, ("checkpoint", "schedule", *_TARGET)),
 }
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
+
+
+def _experiment(exp):
+    if exp not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment '{exp}' (known: {sorted(_EXPERIMENTS)})")
+    return _EXPERIMENTS[exp]
 
 
 def run_experiment(cfg, out_dir=None):
-    exp = cfg.get("experiment")
-    if exp not in _RUNNERS:
-        raise ConfigError(f"unknown experiment '{exp}' (known: {sorted(_RUNNERS)})")
-    _require(cfg, "seeds")
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[exp](cfg, out_dir)
+    runner, _ = _experiment(cfg.get("experiment"))
+    return runner(cfg, out_dir)
 
 
 # --- reports --------------------------------------------------------------

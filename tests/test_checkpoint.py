@@ -165,12 +165,25 @@ def _flatten(name):
                             for n, dt, shape, raw in records]
 
 
-def _kind(kind):
+def _meta(change):
+    """Replace the metadata with change(metadata)."""
     def edit(records):
         (_, dt, shape, raw), *rest = records
-        meta = {**json.loads(raw), "kind": kind}
-        return [("__meta__", dt, shape, json.dumps(meta).encode()), *rest]
+        return [("__meta__", dt, shape, json.dumps(change(json.loads(raw))).encode()), *rest]
     return edit
+
+
+def _set(**fields):
+    return _meta(lambda meta: {**meta, **fields})
+
+
+def _without(name):
+    return _meta(lambda meta: {k: v for k, v in meta.items() if k != name})
+
+
+def _retag(name, dtype):
+    return lambda records: [(n, dtype if n == name else dt, shape, raw)
+                            for n, dt, shape, raw in records]
 
 
 class TestMalformedRecords:
@@ -181,10 +194,30 @@ class TestMalformedRecords:
         (small_net, _drop("c5x5.w.vel"), "checkpoint missing tensor 'c5x5.w.vel'"),
         (small_cdn, _flatten("shared.res1.conv1.w"),
          "tensor 'shared.res1.conv1.w' has shape (16,), expected (4, 4, 1, 1)"),
-        (small_cdn, _kind("triple"), "unknown checkpoint kind 'triple'"),
+        (small_cdn, _set(kind="triple"), "unknown checkpoint kind 'triple'"),
         (small_net, _drop("__meta__"), "checkpoint has no metadata record"),
+        (small_net, _meta(lambda meta: [meta]), "metadata record must hold a JSON object"),
+        (small_net, _without("dtype"), "checkpoint metadata has no 'dtype'"),
+        (small_cdn, _set(dtype=4), "checkpoint metadata 'dtype' is malformed"),
+        (small_net, _set(dtype="<i4"), "checkpoint metadata 'dtype' is malformed"),
+        (small_net, _without("spec"), "checkpoint metadata has no 'spec'"),
+        (small_net, _set(spec=5), "checkpoint metadata 'spec' is malformed"),
+        (small_net, _set(spec={**small_net().spec.to_dict(), "depth": 3}),
+         "checkpoint metadata 'spec' is malformed"),
+        (small_net, _set(spec={**small_net().spec.to_dict(), "patch": 4}),
+         "checkpoint metadata 'spec' is malformed: patch must be odd"),
+        (small_cdn, _without("branches"), "checkpoint metadata has no 'branches'"),
+        (small_cdn, _set(branches={"bands": 4}), "checkpoint metadata 'branches' is malformed"),
+        (small_cdn, _set(branches=[]), "checkpoint metadata 'branches' is malformed"),
+        (small_cdn, _without("iteration"), "checkpoint metadata has no 'iteration'"),
+        (small_net, _set(iteration="7"), "checkpoint metadata 'iteration' is malformed"),
+        (small_net, _set(rng={"state": 1}), "checkpoint metadata 'rng' is malformed"),
+        (small_net, _retag("c9.w", "<zz"), "tensor record 'c9.w' is malformed"),
     ], ids=["missing_branch", "missing_shared", "missing_single", "wrong_shape",
-            "unknown_kind", "no_meta"])
+            "unknown_kind", "no_meta", "meta_not_object", "no_dtype", "dtype_not_string",
+            "dtype_not_float", "no_spec", "spec_not_object", "unknown_spec_key",
+            "spec_out_of_range", "no_branches", "branches_not_list", "no_branch",
+            "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype"])
     def test_rejected_naming_the_record_and_eval_exits_2(self, tmp_path, capsys, net, edit,
                                                          message):
         save_checkpoint(net(), tmp_path / "ok.ckpt")

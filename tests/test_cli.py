@@ -1,10 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from hsinet.checkpoint import load_checkpoint
+import hsinet.experiments
+import hsinet.ops
+from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.cli import _write_train_outputs, main
+from hsinet.network import NetworkSpec, build_backbone
 from hsinet.trainer import MetricRow, TrainMetrics
 
 
@@ -93,6 +97,10 @@ class TestConfigErrors:
         ("pretrain", {"sources": [{"synth": {**synth(51, "a")["synth"], "bands": "4"}}]},
          "synth 'bands' must be a JSON integer, got str"),
         ("train-scratch", {"eval_every": 0}, "eval_every must be >= 1, got 0"),
+        ("train-scratch", {"train_per_class": 0}, "'train_per_class' must be >= 1, got 0"),
+        ("train-scratch", {"split_seed": -1}, "'split_seed' must be >= 0, got -1"),
+        ("pretrain", {"sources": [{"synth": {**synth(51, "a")["synth"], "seed": -2}}]},
+         "synthetic domain seeds must be >= 0"),
     ])
     def test_wrong_value_type_exits_1_naming_it(self, tmp_path, capsys, command, cfg, message):
         cfg = write_json(tmp_path / "c.json", {
@@ -100,6 +108,24 @@ class TestConfigErrors:
             "train_per_class": 4, "network": {"filters": 4}, "schedule": self.SCHEDULE, **cfg})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+
+    DOMAIN = {"classes": 3, "bands": 4, "height": 12, "width": 12, "name": "s1"}
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"domains": [5]}, "'domains' entry 0 must be a JSON object, got int"),
+        ({"domains": [DOMAIN, {**DOMAIN, "data_type": "x"}]},
+         "'domains' entry 1 'data_type' must be a JSON integer, got str"),
+        ({"domains": [{**DOMAIN, "data_type": 3}]},
+         "'domains' entry 0 'data_type' must be one of [2, 4, 5, 12], got 3"),
+        ({"domains": [{**DOMAIN, "interleave": 5}]},
+         "'domains' entry 0 'interleave' must be a JSON string, got int"),
+        ({**DOMAIN, "byte_order": 2}, "'byte_order' must be 0 or 1, got 2"),
+    ])
+    def test_bad_synth_gen_domain_exits_1_naming_it(self, tmp_path, capsys, cfg, message):
+        assert main(["synth-gen", "--config", write_json(tmp_path / "c.json", cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_combination_entry_must_be_an_object(self, tmp_path, capsys):
         assert self.experiment(tmp_path, "source_size", schedule=self.SCHEDULE,
@@ -118,6 +144,68 @@ class TestConfigErrors:
         assert self.experiment(tmp_path, "finetune", schedule=self.SCHEDULE,
                                checkpont="x.ckpt") == 1
         assert "checkpont" in capsys.readouterr().err
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls that train (sgd_step) or build a dataset."""
+    counts = {}
+    for module, name in ((hsinet.ops, "sgd_step"), (hsinet.experiments, "synth_generate"),
+                         (hsinet.experiments, "load_manifest")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestWholeConfigCheckedFirst:
+    """A bad value anywhere in a config exits 1 naming it before any dataset
+    is built or any step trains, even when it sits behind valid runs."""
+
+    SCHEDULE = {"step_size": 4, "max_iter": 4, "batch": 4}
+    BAD = {"step_size": 50, "max_iter": 20}
+
+    @pytest.mark.parametrize("exp,cfg,where", [
+        ("schedule_sweep", {"schedules": [SCHEDULE, BAD]}, "config 'schedules' entry 1: "),
+        ("depth_sweep", {"depths": [2, 1]},
+         "config 'depths' entry 1: residual_modules must be >= 2, got 1"),
+        ("depth_sweep", {"depths": []}, "config 'depths' must be a non-empty JSON list"),
+        ("depth_sweep", {"network": {"filters": 4, "patch": 4}},
+         "config 'network': patch must be odd"),
+        ("single_vs_multi", {"two_step": {"step1": SCHEDULE, "step2": BAD}},
+         "config 'two_step' 'step2': step_size 50 exceeds max_iter 20"),
+        ("source_size", {"sources": [synth(51, "a"), synth(52, "b"),
+                                     {"synth": {**synth(53, "c")["synth"], "classes": 1}}]},
+         "config 'sources' entry 2 'synth': synthetic domain needs >= 2 classes"),
+        ("sensor_ablation", {"train_per_class": 0}, "'train_per_class' must be >= 1, got 0"),
+    ], ids=["sweep_schedule", "depth", "no_depths", "even_patch", "two_step_step2",
+            "last_source", "train_per_class_0"])
+    def test_experiment_exits_1_naming_the_key(self, tmp_path, capsys, calls, exp, cfg, where):
+        cfg = {"experiment": exp, "seeds": [0], "network": {"filters": 4},
+               "sources": [synth(51, "a"), synth(52, "b"), synth(53, "c")],
+               "target": synth(50, "target", bands=5), "train_per_class": 4,
+               "schedule": self.SCHEDULE, "pretrain_schedule": self.SCHEDULE,
+               "depths": [2, 3], "schedules": [self.SCHEDULE],
+               "combinations": [{"label": "one", "sources": [0]},
+                                {"label": "all", "sources": [0, 1, 2]}],
+               "pairs": [{"label": "x", "sources": [0]}, {"label": "y", "sources": [1]}],
+               "conditions": [{"label": "one", "sources": [0]},
+                              {"label": "two", "sources": [0, 1]}], **cfg}
+        assert main(["experiment", exp, "--config", write_json(tmp_path / "c.json", cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert where in capsys.readouterr().err
+        assert calls == {}
+
+    def test_eval_split_exits_1_naming_it(self, tmp_path, capsys, calls):
+        spec = NetworkSpec(bands=5, classes=3, filters=4)
+        save_checkpoint(build_backbone(spec, np.random.default_rng(0)), tmp_path / "n.ckpt")
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "target", bands=5), "train_per_class": 4,
+            "network": {"filters": 4}, "split": "x"})
+        assert main(["eval", "--config", cfg, "--checkpoint", str(tmp_path / "n.ckpt")]) == 1
+        assert "config 'split' must be 'train' or 'test', got 'x'" in capsys.readouterr().err
+        assert calls == {}
 
 
 class TestAtomicOutputs:

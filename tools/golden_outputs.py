@@ -67,6 +67,13 @@ EXPERIMENTS = {
                                        {"label": "multi", "sources": [0, 2]}]},
     "pretrain": {"two_step": TWO_STEP},
     "finetune": {"checkpoint": "pretrain/pretrained.ckpt"},
+    # variants of a run above: "experiment" names the id they run
+    "schedule_sweep_checkpoint": {"experiment": "schedule_sweep",
+                                  "schedules": [{"label": "A", "step_size": 20, "max_iter": 30}],
+                                  "checkpoint": "pretrain/pretrained.ckpt"},
+    "source_size_no_scratch": {"experiment": "source_size", "include_scratch": False,
+                               "combinations": [{"label": "one", "sources": [1]},
+                                                {"label": "two", "sources": [1, 2]}]},
 }
 
 COMMANDS = [
@@ -83,8 +90,16 @@ COMMANDS = [
                    "finetune/finetuned.ckpt"]),
     ("eval_train", ["eval", "--config", "config/eval_train.json", "--checkpoint",
                     "scratch/scratch.ckpt"]),
-] + [(f"experiment_{exp}", ["experiment", exp, "--config", f"config/experiment_{exp}.json",
-                            "--out", f"experiment_{exp}"]) for exp in EXPERIMENTS]
+] + [(f"experiment_{name}", ["experiment", extra.get("experiment", name), "--config",
+                             f"config/experiment_{name}.json", "--out", f"experiment_{name}"])
+      for name, extra in EXPERIMENTS.items()] + [
+    # --seed overrides the config's seeds (experiment) and domain seeds (synth-gen)
+    ("experiment_finetune_seed", ["experiment", "finetune", "--config",
+                                  "config/experiment_finetune.json", "--seed", "5",
+                                  "--out", "experiment_finetune_seed"]),
+    ("synth-gen_seed", ["synth-gen", "--config", "config/gen.json", "--seed", "9",
+                        "--out", "data_seed"]),
+]
 
 
 def _sha256(data):
@@ -94,8 +109,8 @@ def _sha256(data):
 def run(out):
     out.mkdir(parents=True)
     os.chdir(out)
-    configs = {**CONFIGS, **{f"experiment_{exp}.json": {**EXPERIMENT, "experiment": exp, **extra}
-                             for exp, extra in EXPERIMENTS.items()}}
+    configs = {**CONFIGS, **{f"experiment_{name}.json": {**EXPERIMENT, "experiment": name, **extra}
+                             for name, extra in EXPERIMENTS.items()}}
     Path("config").mkdir()
     for name, cfg in configs.items():
         Path("config", name).write_text(json.dumps(cfg, indent=2))
