@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, read_file
 from .network import CrossDomainNetwork, CrossDomainSpec, Network, NetworkSpec
 
 MAGIC = b"HSICKPT\x00"
@@ -137,7 +137,7 @@ def _parse_records(data):
 
 def load_checkpoint(path):
     """Rebuild the network (and RNG/iteration) from a checkpoint file."""
-    data = Path(path).read_bytes()
+    data = read_file(path, "checkpoint", CheckpointError)
     if len(data) < len(MAGIC) + 8:
         raise CheckpointError(f"file too short ({len(data)} bytes) to be a checkpoint")
     if data[:len(MAGIC)] != MAGIC:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checkpoint import save_checkpoint, write_atomic
 from .data import synth_generate, write_dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_file
 from .experiments import (EXPERIMENT_IDS, _Harness, _json_text, load_network, run_experiment,
                           synth_domains)
 from .trainer import evaluate
@@ -64,10 +64,8 @@ def _build_parser():
 
 def _load_config(path):
     try:
-        cfg = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file '{path}' does not exist") from None
-    except json.JSONDecodeError as e:
+        cfg = json.loads(read_file(path, "config file", ConfigError))
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config file '{path}' is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file '{path}' must hold a JSON object")
@@ -157,8 +155,12 @@ def cmd_synth_gen(args):
 
 
 def cmd_gradcheck(args):
-    seeds = range(args.seed or 0, (args.seed or 0) + args.seeds)
-    results = oracle_suite(list(seeds))
+    first = 0 if args.seed is None else args.seed
+    if first < 0:
+        raise ConfigError(f"--seed must be >= 0, got {first}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    results = oracle_suite(list(range(first, first + args.seeds)))
     failed = 0
     for name, seed, report in results:
         status = "PASS" if report.passed else "FAIL"

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .envi import HyperCube, LabelRaster, load_envi, load_label_raster, write_envi
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, read_file
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 
@@ -270,10 +270,8 @@ def load_manifest(path):
     pixels start in the train split."""
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"manifest '{path}' does not exist") from None
-    except json.JSONDecodeError as e:
+        cfg = json.loads(read_file(path, "manifest"))
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise DataError(f"manifest '{path}' is not valid JSON: {e}") from e
     for key in ("name", "sensor", "header", "data", "labels", "classes"):
         if key not in cfg:

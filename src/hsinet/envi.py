@@ -7,12 +7,13 @@ load. Supported on-disk sample types: int16, uint16, float32, float64
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_file
 
 # ENVI data type code -> numpy dtype char (byte order prefixed at use)
 DTYPE_CODES = {2: "i2", 4: "f4", 5: "f8", 12: "u2"}
@@ -76,10 +77,7 @@ def parse_envi_header(path):
     Keys are lower-cased; values are returned as stripped strings (brace
     contents joined for multi-line lists).
     """
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise DataError(f"ENVI header '{path}' does not exist") from None
+    text = read_file(path, "ENVI header").decode(errors="replace")
     header = {}
     lines = iter(text.splitlines())
     for line in lines:
@@ -139,10 +137,7 @@ def load_envi(header_path, data_path=None):
     dtype = np.dtype(("<" if byte_order == 0 else ">") + DTYPE_CODES[code])
     if data_path is None:
         data_path = Path(header_path).with_suffix(".img")
-    try:
-        raw = Path(data_path).read_bytes()
-    except FileNotFoundError:
-        raise DataError(f"ENVI data file '{data_path}' does not exist") from None
+    raw = read_file(data_path, "ENVI data file")
     count = samples * lines * bands
     expected = offset + count * dtype.itemsize
     if len(raw) != expected:
@@ -212,8 +207,9 @@ def load_label_raster(path, data_path=None):
     whitespace-separated text grid (.txt)."""
     path = Path(path)
     if path.suffix.lower() == ".txt":
+        raw = read_file(path, "label grid")
         try:
-            grid = np.loadtxt(path, dtype=np.int64, ndmin=2)
+            grid = np.loadtxt(io.BytesIO(raw), dtype=np.int64, ndmin=2)
         except ValueError as e:
             raise DataError(f"label grid '{path}' is malformed: {e}") from None
         return LabelRaster.from_array(grid)

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one file reader that
+raises them.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and its
 subclasses) -> 2, NumericError -> 3.
 """
+from pathlib import Path
 
 
 class HsinetError(Exception):
@@ -27,3 +29,14 @@ class CheckpointError(DataError):
 
 class NumericError(HsinetError):
     """Non-finite value encountered during training."""
+
+
+def read_file(path, what, error=DataError):
+    """The bytes of the file at `path`. Any OSError (missing file, directory,
+    no permission) becomes `error` naming `what` and the path."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise error(f"{what} '{path}' does not exist") from None
+    except OSError as e:
+        raise error(f"{what} '{path}' cannot be read: {e.strerror or e}") from None

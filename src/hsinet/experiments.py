@@ -163,11 +163,16 @@ _ENVI = {"interleave": _valid("str", INTERLEAVES.__contains__, f"one of {list(IN
          "byte_order": _valid("int", (0, 1).__contains__, "0 or 1")}
 
 
+# a synth-gen domain: the SynthConfig fields (checked by _SYNTH) and the ENVI keys
+_DOMAIN = _object({**{f.name: lambda value, where: value for f in fields(SynthConfig)},
+                   **_ENVI})
+
+
 def _domain(value, where):
     """(SynthConfig, write_dataset keywords) of one synth-gen domain."""
-    envi = {key: _build(spec, value[key], f"{where} '{key}'")
-            for key, spec in _ENVI.items() if key in _build("object", value, where)}
-    return _SYNTH({k: v for k, v in value.items() if k not in _ENVI}, where), envi
+    synth = _DOMAIN(value, where)
+    envi = {key: synth.pop(key) for key in _ENVI if key in synth}
+    return _SYNTH(synth, where), envi
 
 
 def synth_domains(cfg):

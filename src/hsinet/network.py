@@ -396,39 +396,3 @@ def transfer_shared(pretrained, target_spec, rng, dtype=np.float32):
     for src, dst in zip(pretrained.shared_params(), target.shared_params()):
         dst.data[...] = src.data.astype(dtype)
     return target
-
-
-def network_gradients(net, x, labels, rng_seed=0):
-    """Training-mode loss and analytic gradients for every parameter plus the
-    input; dropout masks are frozen by reseeding, so repeated calls are
-    bit-identical (which is what the finite-difference oracle needs)."""
-    rng = np.random.default_rng(rng_seed)
-    logits = net.forward(x, training=True, rng=rng)
-    loss, gl = ops.softmax_cross_entropy(logits, labels)
-    gx = net.backward(gl)
-    grads = {p.name: p.grad for p in net.params()}
-    grads["input"] = gx
-    return loss, grads
-
-
-def network_loss(net, x, labels, rng_seed=0):
-    """Loss-only twin of network_gradients for cheap perturbed evaluations."""
-    rng = np.random.default_rng(rng_seed)
-    logits = net.forward(x, training=True, rng=rng)
-    loss, _ = ops.softmax_cross_entropy(logits, labels)
-    return loss
-
-
-def check_network_gradients(net, x, labels, rel_tol=1e-3, abs_floor=1e-6,
-                            step=1e-3, rng_seed=0):
-    """Finite-difference check of the whole network (params and input)."""
-    tensors = {p.name: p.data for p in net.params()}
-    tensors["input"] = x
-    return ops.grad_check(
-        lambda: network_gradients(net, x, labels, rng_seed),
-        tensors,
-        rel_tol=rel_tol,
-        abs_floor=abs_floor,
-        step=step,
-        loss_fn=lambda: network_loss(net, x, labels, rng_seed),
-    )

@@ -349,67 +349,3 @@ def sgd_step(params, lr, momentum, weight_decay, iteration=None):
         p.vel -= lr * g
         p.data += p.vel
         p.grad = None
-
-
-@dataclass
-class GradCheckReport:
-    """Worst-case finite-difference errors per checked tensor."""
-
-    max_rel: dict
-    max_abs: dict
-    passed: bool
-    failures: list
-
-    def worst_rel(self):
-        return max(self.max_rel.values()) if self.max_rel else 0.0
-
-
-def grad_check(f, tensors, rel_tol=1e-3, abs_floor=1e-6, step=1e-3, loss_fn=None):
-    """Compare analytic gradients against central finite differences.
-
-    `f()` evaluates the fragment and returns (loss, grads) where grads maps
-    each name in `tensors` to the analytic gradient of the loss. `tensors`
-    holds the live arrays (float64 recommended); each element is perturbed
-    in place by +-step and restored. `loss_fn`, when given, is a cheaper
-    loss-only evaluation used for the perturbed points. An element passes if
-    its relative error is within rel_tol or its absolute error is within
-    abs_floor; the report keeps per-tensor maxima.
-    """
-    eval_loss = loss_fn if loss_fn is not None else (lambda: f()[0])
-    _, grads = f()
-    max_rel = {}
-    max_abs = {}
-    failures = []
-    for name, arr in tensors.items():
-        if name not in grads:
-            raise ConfigError(f"grad_check: f() returned no gradient for '{name}'")
-        analytic = np.asarray(grads[name], dtype=np.float64).ravel()
-        if analytic.shape != (arr.size,):
-            raise ShapeError(
-                f"grad_check: gradient shape {grads[name].shape} != tensor shape {arr.shape} "
-                f"for '{name}'"
-            )
-        flat = arr.reshape(-1)
-        worst_rel = 0.0
-        worst_abs = 0.0
-        ok = True
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = eval_loss()
-            flat[i] = orig - step
-            lm = eval_loss()
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            a = analytic[i]
-            abs_err = abs(a - numeric)
-            rel_err = abs_err / max(abs(a), abs(numeric), 1e-12)
-            worst_rel = max(worst_rel, rel_err)
-            worst_abs = max(worst_abs, abs_err)
-            if rel_err > rel_tol and abs_err > abs_floor:
-                ok = False
-        max_rel[name] = worst_rel
-        max_abs[name] = worst_abs
-        if not ok:
-            failures.append(name)
-    return GradCheckReport(max_rel=max_rel, max_abs=max_abs, passed=not failures, failures=failures)

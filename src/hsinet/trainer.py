@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +65,10 @@ class MetricRow:
 
 @dataclass
 class TrainMetrics:
-    """Eval-point records plus per-iteration LR log and coarse wall-clock."""
+    """Eval-point records plus per-iteration LR log."""
 
     rows: list = field(default_factory=list)
     lr_history: list = field(default_factory=list)   # (iteration, lr, shared_lr)
-    wall_clock: list = field(default_factory=list)   # (iterations_done, secs per last 100)
 
     def write_csv(self, path):
         """Write the eval-point rows as CSV, atomically."""
@@ -96,9 +94,6 @@ class TrainMetrics:
         return {
             "iterations": self.lr_history[-1][0] + 1 if self.lr_history else 0,
             "final": final,
-            "seconds_per_100_iterations": [
-                {"iteration": it, "seconds": secs} for it, secs in self.wall_clock
-            ],
         }
 
 
@@ -165,7 +160,6 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
     shared_scale = min(scale for _, _, groups in entries for _, scale in groups)
     metrics = metrics if metrics is not None else TrainMetrics()
     losses = [None] * len(entries)
-    mark = time.perf_counter()
     for it in range(start_iteration, schedule.max_iter):
         lr = lr_at(schedule, it)
         for i, (network, dataset, groups) in enumerate(entries):
@@ -183,10 +177,6 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
             losses[i] = loss
         metrics.lr_history.append((it, lr, lr * shared_scale))
         done = it + 1
-        if done % 100 == 0:
-            now = time.perf_counter()
-            metrics.wall_clock.append((done, now - mark))
-            mark = now
         if done % eval_every == 0 or done == schedule.max_iter:
             shown = []
             for (network, dataset, _), loss in zip(entries, losses):

@@ -2,18 +2,81 @@
 full backbone, runnable from tests and from the `gradcheck` CLI subcommand.
 
 All fixtures are float64; the scalar probe loss for layer checks is
-sum(output^2) / 2, whose gradient at the output is the output itself.
+sum(output^2) / 2, whose gradient at the output is the output itself. Each
+check computes its analytic gradients once and hands `grad_check` a
+loss-only closure for the perturbed evaluations.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .network import NetworkSpec, build_backbone, check_network_gradients
+from .errors import ShapeError
+from .network import NetworkSpec, build_backbone
 
-REL_TOL = 1e-3
-ABS_FLOOR = 1e-6
-STEP = 1e-3
+REL_TOL = 1e-3   # an element passes within this relative error ...
+ABS_FLOOR = 1e-6  # ... or within this absolute error
+STEP = 1e-3      # central-difference half width
+
+
+@dataclass
+class GradCheckReport:
+    """Worst-case finite-difference errors per checked tensor."""
+
+    max_rel: dict
+    max_abs: dict
+    passed: bool
+    failures: list
+
+    def worst_rel(self):
+        return max(self.max_rel.values()) if self.max_rel else 0.0
+
+
+def grad_check(loss, tensors, rel_tol=REL_TOL):
+    """Compare analytic gradients against central finite differences.
+
+    `tensors` maps each name to (live array, analytic gradient of `loss()`
+    with respect to it); each array element is perturbed in place by +-STEP,
+    `loss()` is evaluated at both points, and the element is restored. An
+    element passes if its relative error is within rel_tol or its absolute
+    error is within ABS_FLOOR; the report keeps per-tensor maxima.
+    """
+    max_rel = {}
+    max_abs = {}
+    failures = []
+    for name, (arr, grad) in tensors.items():
+        analytic = np.asarray(grad, dtype=np.float64).ravel()
+        if analytic.shape != (arr.size,):
+            raise ShapeError(
+                f"grad_check: gradient shape {np.shape(grad)} != tensor shape {arr.shape} "
+                f"for '{name}'"
+            )
+        flat = arr.reshape(-1)
+        worst_rel = 0.0
+        worst_abs = 0.0
+        ok = True
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + STEP
+            lp = loss()
+            flat[i] = orig - STEP
+            lm = loss()
+            flat[i] = orig
+            numeric = (lp - lm) / (2.0 * STEP)
+            a = analytic[i]
+            abs_err = abs(a - numeric)
+            rel_err = abs_err / max(abs(a), abs(numeric), 1e-12)
+            worst_rel = max(worst_rel, rel_err)
+            worst_abs = max(worst_abs, abs_err)
+            if rel_err > rel_tol and abs_err > ABS_FLOOR:
+                ok = False
+        max_rel[name] = worst_rel
+        max_abs[name] = worst_abs
+        if not ok:
+            failures.append(name)
+    return GradCheckReport(max_rel=max_rel, max_abs=max_abs, passed=not failures, failures=failures)
 
 
 def _sq_loss(out):
@@ -26,20 +89,9 @@ def check_conv(k, seed):
     p.w.data[...] = rng.normal(0, 0.5, p.w.data.shape)
     p.b.data[...] = rng.normal(0, 0.5, p.b.data.shape)
     x = rng.normal(0, 1, (2, 3, 5, 5))
-
-    def f():
-        out = ops.conv2d_forward(x, p)
-        gx, gw, gb = ops.conv2d_backward(x, p, out)
-        return _sq_loss(out), {"input": gx, "w": gw, "b": gb}
-
-    return ops.grad_check(
-        f,
-        {"input": x, "w": p.w.data, "b": p.b.data},
-        rel_tol=REL_TOL,
-        abs_floor=ABS_FLOOR,
-        step=STEP,
-        loss_fn=lambda: _sq_loss(ops.conv2d_forward(x, p)),
-    )
+    gx, gw, gb = ops.conv2d_backward(x, p, ops.conv2d_forward(x, p))
+    return grad_check(lambda: _sq_loss(ops.conv2d_forward(x, p)),
+                      {"input": (x, gx), "w": (p.w.data, gw), "b": (p.b.data, gb)})
 
 
 def check_batchnorm(seed):
@@ -48,27 +100,17 @@ def check_batchnorm(seed):
     p.scale.data[...] = rng.uniform(0.5, 1.5, 2)
     p.shift.data[...] = rng.normal(0, 0.5, 2)
     x = rng.normal(0, 1, (4, 2, 3, 3))
+    gx, gs, gsh = ops.batchnorm_backward(x, p, ops.batchnorm_forward(x, p, training=True))
 
-    def loss_only():
+    def loss():
         run_m, run_v = p.running_mean.copy(), p.running_var.copy()
         out = ops.batchnorm_forward(x, p, training=True)
         p.running_mean[...] = run_m  # keep side effects out of the probe
         p.running_var[...] = run_v
         return _sq_loss(out)
 
-    def f():
-        out = ops.batchnorm_forward(x, p, training=True)
-        gx, gs, gsh = ops.batchnorm_backward(x, p, out)
-        return _sq_loss(out), {"input": gx, "scale": gs, "shift": gsh}
-
-    return ops.grad_check(
-        f,
-        {"input": x, "scale": p.scale.data, "shift": p.shift.data},
-        rel_tol=REL_TOL,
-        abs_floor=ABS_FLOOR,
-        step=STEP,
-        loss_fn=loss_only,
-    )
+    return grad_check(loss, {"input": (x, gx), "scale": (p.scale.data, gs),
+                             "shift": (p.shift.data, gsh)})
 
 
 def check_relu(seed):
@@ -76,46 +118,27 @@ def check_relu(seed):
     # keep values away from the kink so central differences are clean
     u = rng.uniform(-1, 1, (2, 3, 4, 4))
     x = np.sign(u) * (0.05 + np.abs(u))
-
-    def f():
-        out = ops.relu(x)
-        return _sq_loss(out), {"input": ops.relu_backward(x, out)}
-
-    return ops.grad_check(
-        f, {"input": x}, rel_tol=REL_TOL, abs_floor=ABS_FLOOR, step=STEP,
-        loss_fn=lambda: _sq_loss(ops.relu(x)),
-    )
+    return grad_check(lambda: _sq_loss(ops.relu(x)),
+                      {"input": (x, ops.relu_backward(x, ops.relu(x)))})
 
 
-def check_dropout(seed, rate=0.5):
+def check_dropout(seed):
     rng = np.random.default_rng(seed)
+    rate = 0.5
     x = rng.normal(0, 1, (2, 3, 4, 4))
     _, mask = ops.dropout(x, rate, training=True, rng=np.random.default_rng(seed + 1))
     scale = 1.0 / (1.0 - rate)
-
-    def f():
-        out = (x * mask) * scale
-        return _sq_loss(out), {"input": ops.dropout_backward(out, mask, rate)}
-
-    return ops.grad_check(
-        f, {"input": x}, rel_tol=REL_TOL, abs_floor=ABS_FLOOR, step=STEP,
-        loss_fn=lambda: _sq_loss((x * mask) * scale),
-    )
+    grad = ops.dropout_backward((x * mask) * scale, mask, rate)
+    return grad_check(lambda: _sq_loss((x * mask) * scale), {"input": (x, grad)})
 
 
 def check_softmax_ce(seed, rel_tol=REL_TOL):
     rng = np.random.default_rng(seed)
     logits = rng.normal(0, 1, (8, 5))
     labels = rng.integers(0, 5, 8)
-
-    def f():
-        loss, grad = ops.softmax_cross_entropy(logits, labels)
-        return loss, {"logits": grad}
-
-    return ops.grad_check(
-        f, {"logits": logits}, rel_tol=rel_tol, abs_floor=ABS_FLOOR, step=STEP,
-        loss_fn=lambda: ops.softmax_cross_entropy(logits, labels)[0],
-    )
+    _, grad = ops.softmax_cross_entropy(logits, labels)
+    return grad_check(lambda: ops.softmax_cross_entropy(logits, labels)[0],
+                      {"logits": (logits, grad)}, rel_tol=rel_tol)
 
 
 def _composition_point(net, rng):
@@ -166,8 +189,16 @@ def check_backbone(seed):
             best_x, best_margin = x, margin
         if margin > 0.05:
             break
-    return check_network_gradients(net, best_x, labels, rel_tol=REL_TOL,
-                                   abs_floor=ABS_FLOOR, step=STEP, rng_seed=seed)
+
+    def forward():
+        # a reseeded rng freezes the dropout masks: every call is bit-identical
+        logits = net.forward(best_x, training=True, rng=np.random.default_rng(seed))
+        return ops.softmax_cross_entropy(logits, labels)
+
+    gx = net.backward(forward()[1])
+    tensors = {p.name: (p.data, p.grad) for p in net.params()}
+    tensors["input"] = (best_x, gx)
+    return grad_check(lambda: forward()[0], tensors)
 
 
 def oracle_suite(seeds):

@@ -66,6 +66,12 @@ class TestRoundTrip:
 
 
 class TestCorruption:
+    @pytest.mark.parametrize("name,message", [
+        ("", "cannot be read: Is a directory"), ("gone.ckpt", "does not exist")])
+    def test_unreadable_path_names_it(self, tmp_path, name, message):
+        with pytest.raises(CheckpointError, match=f"checkpoint '{tmp_path / name}' {message}"):
+            load_checkpoint(tmp_path / name)
+
     def test_truncated_file_rejected(self, tmp_path):
         net = small_net()
         save_checkpoint(net, tmp_path / "a.ckpt")

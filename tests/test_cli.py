@@ -120,6 +120,10 @@ class TestConfigErrors:
         ({"domains": [{**DOMAIN, "interleave": 5}]},
          "'domains' entry 0 'interleave' must be a JSON string, got int"),
         ({**DOMAIN, "byte_order": 2}, "'byte_order' must be 0 or 1, got 2"),
+        ({"domains": [{**DOMAIN, "interleav": "bip"}]},
+         "unknown config 'domains' entry 0 keys: ['interleav'] (known: ['bands', 'blob_scale', "
+         "'byte_order', 'classes', 'data_type', 'height', 'interleave', 'name', 'noise_std', "
+         "'seed', 'sensor', 'signature_seed', 'width'])"),
     ])
     def test_bad_synth_gen_domain_exits_1_naming_it(self, tmp_path, capsys, cfg, message):
         assert main(["synth-gen", "--config", write_json(tmp_path / "c.json", cfg),
@@ -228,6 +232,32 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "PASS backbone" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    ])
+    def test_bad_flag_exits_1_naming_it(self, capsys, flags, message):
+        assert main(["gradcheck", *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+
+
+class TestDeterminism:
+    def test_rerun_past_100_iterations_writes_identical_files(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "t", bands=3, classes=2, side=8), "train_per_class": 2,
+            "network": {"filters": 2},
+            "schedule": {"step_size": 100, "max_iter": 120, "batch": 2}, "eval_every": 60})
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["train-scratch", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert sorted(runs[0]) == ["metrics.csv", "metrics_summary.json", "scratch.ckpt"]
+        for name in runs[0]:
+            assert runs[0][name] == runs[1][name], name
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +370,35 @@ class TestPipeline:
             "schedule": {"step_size": 4, "max_iter": 4},
         })
         assert main(["pretrain", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key,value,what,message", [
+        ("manifest", ".", "manifest", "cannot be read: Is a directory"),
+        ("header", ".", "ENVI header", "cannot be read: Is a directory"),
+        ("data", ".", "ENVI data file", "cannot be read: Is a directory"),
+        ("labels", "grid.txt", "label grid", "cannot be read: Is a directory"),
+        ("labels", "missing.txt", "label grid", "does not exist"),
+    ])
+    def test_unreadable_data_path_is_data_error_naming_it(self, workdir, tmp_path, capsys,
+                                                          key, value, what, message):
+        """Each file a manifest leads to, given as a directory, and a missing text grid."""
+        (tmp_path / "grid.txt").mkdir()
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header", "data",
+                                                                           "labels")})
+        path = tmp_path / value
+        if key != "manifest":
+            write_json(tmp_path / "m.json", {**manifest, key: value})
+        cfg = write_json(tmp_path / "c.json", {
+            "target": {"manifest": str(path if key == "manifest" else tmp_path / "m.json")},
+            "train_per_class": 2, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"data error: {what} '{path}' {message}" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        assert main(["train-scratch", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert (f"config error: config file '{tmp_path}' cannot be read: Is a directory"
+                in capsys.readouterr().err)
 
     def test_cli_and_experiment_pretrain_give_the_same_network(self, workdir, capsys):
         pre_cfg = pretrain_config(workdir)

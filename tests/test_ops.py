@@ -3,6 +3,7 @@ import pytest
 
 from hsinet import ops
 from hsinet.errors import ConfigError, DataError, NumericError, ShapeError
+from hsinet.verify import grad_check
 
 
 def conv_reference(x, w, b, pad):
@@ -360,27 +361,28 @@ class TestSgdStep:
 class TestGradCheck:
     def test_quadratic_passes(self):
         x = np.array([1.0, -2.0, 3.0])
-        f = lambda: (float((x ** 2).sum() / 2), {"x": x.copy()})
-        report = ops.grad_check(f, {"x": x})
+        report = grad_check(lambda: float((x ** 2).sum() / 2), {"x": (x, x.copy())})
         assert report.passed
 
     def test_zero_fragment_passes(self):
         x = np.zeros(4)
-        f = lambda: (float((x ** 2).sum() / 2), {"x": x.copy()})
-        report = ops.grad_check(f, {"x": x})
+        report = grad_check(lambda: float((x ** 2).sum() / 2), {"x": (x, x.copy())})
         assert report.passed
         assert report.max_abs["x"] <= 1e-9
 
     def test_wrong_gradient_fails(self):
         x = np.array([1.0, -2.0, 3.0])
-        f = lambda: (float((x ** 2).sum() / 2), {"x": 2.0 * x})
-        report = ops.grad_check(f, {"x": x})
+        report = grad_check(lambda: float((x ** 2).sum() / 2), {"x": (x, 2.0 * x)})
         assert not report.passed
         assert report.failures == ["x"]
 
     def test_tensors_restored_after_check(self):
         x = np.array([1.0, -2.0, 3.0])
         before = x.copy()
-        f = lambda: (float((x ** 2).sum() / 2), {"x": x.copy()})
-        ops.grad_check(f, {"x": x})
+        grad_check(lambda: float((x ** 2).sum() / 2), {"x": (x, x.copy())})
         np.testing.assert_array_equal(x, before)
+
+    def test_gradient_shape_checked(self):
+        x = np.array([1.0, -2.0, 3.0])
+        with pytest.raises(ShapeError, match=r"gradient shape \(2,\) != tensor shape \(3,\) for 'x'"):
+            grad_check(lambda: 0.0, {"x": (x, np.zeros(2))})

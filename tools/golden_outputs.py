@@ -4,10 +4,11 @@
     PYTHONPATH=src python3 tools/golden_outputs.py OUT
 
 OUT must not exist yet. The commands run inside OUT with relative paths, so
-the echoed configs and stdout lines do not depend on where OUT is. Every
-schedule stays below 100 iterations, so no wall-clock figure reaches a file.
-Run it against two checkouts (PYTHONPATH pointing at each one's src) and diff
-the listings: outputs that are byte-identical print identical lines.
+the echoed configs and stdout lines do not depend on where OUT is. The last
+command runs the gradient oracles over two seeds, so their printed errors
+are part of the listing too. Run it against two checkouts (PYTHONPATH
+pointing at each one's src) and diff the listings: outputs that are
+byte-identical print identical lines.
 """
 from __future__ import annotations
 
@@ -99,6 +100,7 @@ COMMANDS = [
                                   "--out", "experiment_finetune_seed"]),
     ("synth-gen_seed", ["synth-gen", "--config", "config/gen.json", "--seed", "9",
                         "--out", "data_seed"]),
+    ("gradcheck", ["gradcheck", "--seeds", "2"]),
 ]
 
 
