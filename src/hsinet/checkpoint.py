@@ -12,7 +12,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +87,9 @@ def save_checkpoint(network, path, rng=None, iteration=0):
     """Serialize a Network or CrossDomainNetwork: the metadata record, then one
     record per (name, array) of network.state()."""
     if isinstance(network, CrossDomainNetwork):
-        meta = {"kind": "cross", **network.spec.to_dict()}
+        meta = {"kind": "cross", **asdict(network.spec)}
     elif isinstance(network, Network):
-        meta = {"kind": "single", "spec": network.spec.to_dict()}
+        meta = {"kind": "single", "spec": asdict(network.spec)}
     else:
         raise CheckpointError(f"cannot checkpoint object of type {type(network).__name__}")
     meta.update(dtype=np.dtype(network.dtype).newbyteorder("<").str, iteration=iteration,
@@ -200,10 +200,10 @@ def _parse_meta(raw):
 
     dtype = field("dtype", _float_dtype)
     if kind == "single":
-        network = field("spec", lambda d: Network(NetworkSpec.from_dict(d), dtype=dtype))
+        network = field("spec", lambda d: Network(NetworkSpec(**d), dtype=dtype))
     else:
         network = field("branches", lambda b: CrossDomainNetwork(
-            CrossDomainSpec.from_dict({"branches": b}), dtype))
+            CrossDomainSpec([NetworkSpec(**d) for d in b]), dtype))
     rng = field("rng", _restore_rng) if "rng" in meta else None
     return kind, network, field("iteration", _non_negative), rng
 

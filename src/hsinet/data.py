@@ -17,6 +17,8 @@ from .envi import HyperCube, LabelRaster, load_envi, load_label_raster, write_en
 from .errors import ConfigError, DataError, ShapeError, read_file
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
+# squared distances synth_generate holds at once (int64, 8 MB)
+_D2_BLOCK = 1 << 20
 
 
 @dataclass
@@ -199,7 +201,6 @@ class PatchBatcher:
 
     def __init__(self, ds, patch):
         _check_patch(patch)
-        self.patch = patch
         self.width = ds.cube.width
         padded = _reflect_pad(ds.cube.data, patch // 2)
         self._windows = sliding_window_view(padded, (patch, patch), axis=(1, 2))
@@ -213,6 +214,25 @@ class PatchBatcher:
         if (labels == 0).any():
             raise DataError("batch contains unlabeled pixels")
         return x, (labels - 1).astype(np.int64)
+
+
+def _nearest_center(cy, cx, h, w):
+    """Per pixel of an h x w raster, the index of the nearest center (cy, cx),
+    the lowest on ties: np.argmin over the centers x h x w squared distances,
+    taken a block of centers at a time so memory stays near _D2_BLOCK."""
+    ys = np.arange(h)[None, :, None]
+    xs = np.arange(w)[None, None, :]
+    step = max(1, _D2_BLOCK // (h * w))
+    best = np.full((h, w), np.iinfo(np.int64).max)
+    nearest = np.zeros((h, w), dtype=np.int64)
+    for start in range(0, cy.size, step):
+        d2 = ((ys - cy[start:start + step, None, None]) ** 2
+              + (xs - cx[start:start + step, None, None]) ** 2)
+        k, d = np.argmin(d2, axis=0), d2.min(axis=0)
+        closer = d < best  # strict: a tie keeps the earlier block's lower index
+        best[closer] = d[closer]
+        nearest[closer] = k[closer] + start
+    return nearest
 
 
 def synth_generate(cfg):
@@ -245,9 +265,7 @@ def synth_generate(cfg):
     if n_centers > cfg.classes:
         cls[cfg.classes:] = rng.integers(0, cfg.classes, n_centers - cfg.classes)
     cy, cx = np.divmod(pos, w)
-    yy, xx = np.mgrid[0:h, 0:w]
-    d2 = (yy[None] - cy[:, None, None]) ** 2 + (xx[None] - cx[:, None, None]) ** 2
-    class_map = cls[np.argmin(d2, axis=0)]
+    class_map = cls[_nearest_center(cy, cx, h, w)]
 
     data = sig[class_map].transpose(2, 0, 1)
     if cfg.noise_std > 0:
@@ -273,16 +291,22 @@ def load_manifest(path):
         cfg = json.loads(read_file(path, "manifest"))
     except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise DataError(f"manifest '{path}' is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise DataError(f"manifest '{path}' must hold a JSON object, got {type(cfg).__name__}")
     for key in ("name", "sensor", "header", "data", "labels", "classes"):
         if key not in cfg:
             raise DataError(f"manifest '{path}' missing key '{key}'")
+        kind, what = (int, "integer") if key == "classes" else (str, "string")
+        if type(cfg[key]) is not kind:  # a JSON true/false is a bool, not an int
+            raise DataError(f"manifest '{path}' key '{key}' must be a JSON {what}, "
+                            f"got {type(cfg[key]).__name__}")
     base = path.parent
     cube = load_envi(base / cfg["header"], base / cfg["data"])
     labels = load_label_raster(base / cfg["labels"])
     ds = DomainDataset(
         cube=cube,
         labels=labels,
-        classes=int(cfg["classes"]),
+        classes=cfg["classes"],
         name=cfg["name"],
         sensor=cfg["sensor"],
     )

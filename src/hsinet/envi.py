@@ -8,6 +8,7 @@ load. Supported on-disk sample types: int16, uint16, float32, float64
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,6 @@ class HyperCube:
     height: int
     width: int
     data: np.ndarray  # (bands, height, width)
-    wavelengths: np.ndarray | None = None
 
     def __post_init__(self):
         if self.data.shape != (self.bands, self.height, self.width):
@@ -39,12 +39,12 @@ class HyperCube:
             )
 
     @classmethod
-    def from_array(cls, data, wavelengths=None):
+    def from_array(cls, data):
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 3:
             raise DataError(f"cube array must be (bands, h, w), got shape {data.shape}")
         b, h, w = data.shape
-        return cls(bands=b, height=h, width=w, data=data, wavelengths=wavelengths)
+        return cls(bands=b, height=h, width=w, data=data)
 
 
 @dataclass
@@ -133,6 +133,10 @@ def load_envi(header_path, data_path=None):
         )
     if byte_order not in (0, 1):
         raise DataError(f"byte order must be 0 (little) or 1 (big), got {byte_order}")
+    if offset < 0:
+        raise DataError(
+            f"ENVI header '{header_path}' key 'header offset' must be >= 0, got {offset}"
+        )
 
     dtype = np.dtype(("<" if byte_order == 0 else ">") + DTYPE_CODES[code])
     if data_path is None:
@@ -153,16 +157,7 @@ def load_envi(header_path, data_path=None):
         cube = flat.reshape(lines, bands, samples).transpose(1, 0, 2)
     else:  # bip
         cube = flat.reshape(lines, samples, bands).transpose(2, 0, 1)
-
-    wavelengths = None
-    if "wavelength" in header:
-        try:
-            wl = np.array([float(v) for v in header["wavelength"].split(",") if v.strip()])
-            if wl.size == bands:
-                wavelengths = wl
-        except ValueError:
-            pass  # malformed wavelength list is metadata only, ignore
-    return HyperCube.from_array(cube, wavelengths=wavelengths)
+    return HyperCube.from_array(cube)
 
 
 def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte_order=0):
@@ -196,25 +191,27 @@ def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte
         f"interleave = {interleave}",
         f"byte order = {byte_order}",
     ]
-    if cube.wavelengths is not None:
-        wl = ", ".join(repr(float(v)) for v in cube.wavelengths)
-        out.append(f"wavelength = {{{wl}}}")
     Path(header_path).write_text("\n".join(out) + "\n")
 
 
-def load_label_raster(path, data_path=None):
+def load_label_raster(path):
     """Read labels from an ENVI single-band integer raster (.hdr) or a
     whitespace-separated text grid (.txt)."""
     path = Path(path)
     if path.suffix.lower() == ".txt":
         raw = read_file(path, "label grid")
         try:
-            grid = np.loadtxt(io.BytesIO(raw), dtype=np.int64, ndmin=2)
+            with warnings.catch_warnings():
+                # numpy warns on a grid with no rows; that case is raised below
+                warnings.simplefilter("ignore", UserWarning)
+                grid = np.loadtxt(io.BytesIO(raw), dtype=np.int64, ndmin=2)
         except ValueError as e:
             raise DataError(f"label grid '{path}' is malformed: {e}") from None
+        if grid.size == 0:
+            raise DataError(f"label grid '{path}' holds no labels")
         return LabelRaster.from_array(grid)
     if path.suffix.lower() == ".hdr":
-        cube = load_envi(path, data_path)
+        cube = load_envi(path)
         if cube.bands != 1:
             raise DataError(f"label raster must have exactly 1 band, got {cube.bands}")
         return LabelRaster.from_array(np.rint(cube.data[0]).astype(np.int32))

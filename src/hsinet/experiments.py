@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .data import SynthConfig, load_manifest, normalize_bands, synth_generate, with_split
 from .envi import DTYPE_CODES, INTERLEAVES
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
                       build_cross_domain, transfer_shared)
 from .trainer import TrainSchedule, evaluate, train_cross_domain, train_single, two_step_train
@@ -185,9 +185,18 @@ def synth_domains(cfg):
 
 
 def _load(dataset):
+    """The dataset of a config entry, rejected if its cube holds NaN or Inf:
+    normalize_bands would spread the value over its band."""
     if "synth" in dataset:
-        return synth_generate(dataset["synth"])
-    return load_manifest(dataset["manifest"])
+        ds = synth_generate(dataset["synth"])
+    else:
+        ds = load_manifest(dataset["manifest"])
+    bad = ~np.isfinite(ds.cube.data)
+    if bad.any():
+        band, y, x = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DataError(f"dataset '{ds.name}' band {band} holds the non-finite value "
+                        f"{ds.cube.data[band, y, x]} at pixel (x={x}, y={y})")
+    return ds
 
 
 def load_network(path, kind):
@@ -219,7 +228,7 @@ class _Harness:
     (None: the experiment it names); runs read only the values in `built`."""
 
     def __init__(self, cfg, command=None, progress=False):
-        self.cfg, self.experiment = cfg, cfg.get("experiment")
+        self.experiment = cfg.get("experiment")
         needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment)[1])
         c = self.built = _object(_SCHEMA, needs)({**_DEFAULTS, **cfg}, "config")
         self.depth_specs = [_at(f"config 'depths' entry {i}", replace, c["network"],

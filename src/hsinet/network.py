@@ -48,20 +48,6 @@ class NetworkSpec:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
-    def to_dict(self):
-        return {
-            "bands": self.bands,
-            "classes": self.classes,
-            "patch": self.patch,
-            "filters": self.filters,
-            "residual_modules": self.residual_modules,
-            "dropout_rate": self.dropout_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class CrossDomainSpec:
@@ -80,13 +66,6 @@ class CrossDomainSpec:
                         f"branch {i} disagrees on {attr}: "
                         f"{getattr(sp, attr)} vs {getattr(first, attr)}"
                     )
-
-    def to_dict(self):
-        return {"branches": [sp.to_dict() for sp in self.branches]}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(branches=[NetworkSpec.from_dict(b) for b in d["branches"]])
 
 
 class ConvBlock:
@@ -299,24 +278,16 @@ class Network:
 
 
 def init_weights(network, rng, only_private=False):
-    """Gaussian init: std 0.01 for bank/c2/c9, 0.005 elsewhere; biases 0;
+    """Draw the convolution weights of a freshly built network: Gaussian, std
+    0.01 for bank/c2/c9 and 0.005 elsewhere, in block order. Construction
+    already holds the rest of the init: biases and momentum buffers 0,
     batch-norm scale 1, shift 0, running mean 0, running var 1."""
     front_head = {"c1x1", "c3x3", "c5x5", "c2", "c9"}
     blocks = network.private_blocks() if only_private else network.blocks()
     for blk in blocks:
         std = INIT_STD_FRONT_HEAD if blk.name in front_head else INIT_STD_MIDDLE
-        w = blk.conv.w
-        w.data[...] = rng.normal(0.0, std, w.data.shape).astype(w.data.dtype)
-        w.vel[...] = 0
-        blk.conv.b.data[...] = 0
-        blk.conv.b.vel[...] = 0
-        if blk.with_bn:
-            blk.bn.scale.data[...] = 1
-            blk.bn.scale.vel[...] = 0
-            blk.bn.shift.data[...] = 0
-            blk.bn.shift.vel[...] = 0
-            blk.bn.running_mean[...] = 0
-            blk.bn.running_var[...] = 1
+        w = blk.conv.w.data
+        w[...] = rng.normal(0.0, std, w.shape).astype(w.dtype)
     return network
 
 
@@ -364,18 +335,18 @@ class CrossDomainNetwork:
         return out
 
 
-def build_cross_domain(spec, rng, dtype=np.float32):
+def build_cross_domain(spec, rng):
     """Build N branches sharing one residual-module store; initialize branch 0
     whole (the store included), then each other branch's private layers."""
     if not isinstance(spec, CrossDomainSpec):
         spec = CrossDomainSpec(branches=list(spec))
-    cdn = CrossDomainNetwork(spec, dtype)
+    cdn = CrossDomainNetwork(spec, np.float32)
     for i, branch in enumerate(cdn.branches):
         init_weights(branch, rng, only_private=i > 0)
     return cdn
 
 
-def transfer_shared(pretrained, target_spec, rng, dtype=np.float32):
+def transfer_shared(pretrained, target_spec, rng):
     """New target network: residual modules copied from the pre-trained shared
     store (batch-norm running stats reset), everything else freshly initialized."""
     src_modules = pretrained.modules
@@ -390,9 +361,9 @@ def transfer_shared(pretrained, target_spec, rng, dtype=np.float32):
             f"filter mismatch: pre-trained shared store has {src_filters}, "
             f"target spec wants {target_spec.filters}"
         )
-    target = build_backbone(target_spec, rng, dtype)
+    target = build_backbone(target_spec, rng)
     # weights, biases and batch-norm affine terms; running stats stay at the
     # fresh 0/1 init and momentum buffers at 0
     for src, dst in zip(pretrained.shared_params(), target.shared_params()):
-        dst.data[...] = src.data.astype(dtype)
+        dst.data[...] = src.data
     return target

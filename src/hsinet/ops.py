@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
 KERNEL_SIZES = (1, 3, 5)
+BN_MOMENTUM = 0.1   # weight of the batch statistics in the running averages
 
 
 def _f64(a):
@@ -62,7 +63,6 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     eps: float = 1e-5
-    momentum: float = 0.1
 
 
 def make_conv_params(name, in_c, out_c, k, dtype=np.float32):
@@ -76,18 +76,15 @@ def make_conv_params(name, in_c, out_c, k, dtype=np.float32):
     return ConvParams(w=w, b=b, pad=(k - 1) // 2)
 
 
-def make_batchnorm_params(name, channels, dtype=np.float32, eps=1e-5, momentum=0.1):
+def make_batchnorm_params(name, channels, dtype=np.float32, eps=1e-5):
     if channels < 1:
         raise ConfigError(f"batchnorm '{name}': channel count must be positive")
-    if not 0.0 < momentum < 1.0:
-        raise ConfigError(f"batchnorm '{name}': momentum must be in (0, 1)")
     return BatchNormParams(
         scale=Param(f"{name}.scale", np.ones(channels, dtype=dtype)),
         shift=Param(f"{name}.shift", np.zeros(channels, dtype=dtype)),
         running_mean=np.zeros(channels, dtype=dtype),
         running_var=np.ones(channels, dtype=dtype),
         eps=eps,
-        momentum=momentum,
     )
 
 
@@ -216,7 +213,7 @@ def batchnorm_forward(x, p, training):
         mean = x64.mean(axis=(0, 2, 3), keepdims=True)
         centered = x64 - mean
         var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        m = p.momentum
+        m = BN_MOMENTUM
         p.running_mean[...] = ((1.0 - m) * _f64(p.running_mean) + m * mean.ravel()).astype(
             p.running_mean.dtype
         )

@@ -78,19 +78,10 @@ class TrainMetrics:
             lines.append(f"{r.iteration},{r.domain},{repr(float(r.loss))},{acc}\n")
         write_atomic(path, "".join(lines).encode())
 
-    def final_row(self, domain=None):
-        for r in reversed(self.rows):
-            if domain is None or r.domain == domain:
-                return r
-        return None
-
     def summary(self):
-        domains = sorted({r.domain for r in self.rows})
-        final = {}
-        for domain in domains:
-            r = self.final_row(domain)
-            final[domain] = {"iteration": r.iteration, "loss": r.loss,
-                             "accuracy": r.accuracy}
+        # a later row overwrites an earlier one: each domain keeps its last eval point
+        final = {r.domain: {"iteration": r.iteration, "loss": r.loss, "accuracy": r.accuracy}
+                 for r in self.rows}
         return {
             "iterations": self.lr_history[-1][0] + 1 if self.lr_history else 0,
             "final": final,
@@ -137,7 +128,7 @@ def evaluate(network, dataset, split):
 
 
 def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
-           progress, metrics, eval_test):
+           progress, eval_test):
     """The SGD loop behind train_single and train_cross_domain.
 
     `entries` holds one (network, dataset, groups) per domain in update order;
@@ -158,7 +149,7 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
             raise DataError(f"dataset '{dataset.name}' has an empty train split")
     batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset, _ in entries]
     shared_scale = min(scale for _, _, groups in entries for _, scale in groups)
-    metrics = metrics if metrics is not None else TrainMetrics()
+    metrics = TrainMetrics()
     losses = [None] * len(entries)
     for it in range(start_iteration, schedule.max_iter):
         lr = lr_at(schedule, it)
@@ -191,7 +182,7 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
 
 
 def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=True,
-                 start_iteration=0, progress=False, metrics=None):
+                 start_iteration=0, progress=False):
     """SGD on one domain; returns (network, TrainMetrics).
 
     Each iteration samples `schedule.batch` patches with replacement from the
@@ -201,13 +192,12 @@ def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=Tru
     """
     metrics = _train([(network, dataset, [(network.params(), 1.0)])], schedule, rng,
                      eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration, progress=progress,
-                     metrics=metrics, eval_test=True)
+                     start_iteration=start_iteration, progress=progress, eval_test=True)
     return network, metrics
 
 
 def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=True,
-                       active=None, start_iteration=0, progress=False, metrics=None):
+                       active=None, start_iteration=0, progress=False):
     """Joint SGD over N branches; returns (cdn, TrainMetrics).
 
     Per iteration and per active domain (fixed order): sample a batch, run
@@ -229,8 +219,7 @@ def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=
                 [(cdn.branches[d].private_params(), 1.0), (shared, 1.0 / len(active))])
                for d in active]
     metrics = _train(entries, schedule, rng, eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration, progress=progress,
-                     metrics=metrics, eval_test=False)
+                     start_iteration=start_iteration, progress=progress, eval_test=False)
     return cdn, metrics
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -208,9 +209,9 @@ class TestMalformedRecords:
         (small_net, _set(dtype="<i4"), "checkpoint metadata 'dtype' is malformed"),
         (small_net, _without("spec"), "checkpoint metadata has no 'spec'"),
         (small_net, _set(spec=5), "checkpoint metadata 'spec' is malformed"),
-        (small_net, _set(spec={**small_net().spec.to_dict(), "depth": 3}),
+        (small_net, _set(spec={**asdict(small_net().spec), "depth": 3}),
          "checkpoint metadata 'spec' is malformed"),
-        (small_net, _set(spec={**small_net().spec.to_dict(), "patch": 4}),
+        (small_net, _set(spec={**asdict(small_net().spec), "patch": 4}),
          "checkpoint metadata 'spec' is malformed: patch must be odd"),
         (small_cdn, _without("branches"), "checkpoint metadata has no 'branches'"),
         (small_cdn, _set(branches={"bands": 4}), "checkpoint metadata 'branches' is malformed"),

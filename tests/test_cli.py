@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +299,14 @@ def target_config(workdir):
     })
 
 
+def _negative_offset(manifest, tmp_path):
+    """The manifest with a header that says offset -4 over a data file 4 bytes short."""
+    header = Path(manifest["header"]).read_text()
+    (tmp_path / "h.hdr").write_text(header.replace("header offset = 0", "header offset = -4"))
+    (tmp_path / "h.img").write_bytes(Path(manifest["data"]).read_bytes()[:-4])
+    return {**manifest, "header": "h.hdr", "data": "h.img"}
+
+
 class TestPipeline:
     def test_synth_gen_wrote_envi_and_manifests(self, workdir):
         for name in ("s1", "s2"):
@@ -394,6 +403,48 @@ class TestPipeline:
             "schedule": {"step_size": 4, "max_iter": 4}})
         assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"data error: {what} '{path}' {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m, tmp: 5, "manifest '{m}' must hold a JSON object, got int"),
+        (lambda m, tmp: {**m, "classes": [3]},
+         "manifest '{m}' key 'classes' must be a JSON integer, got list"),
+        (lambda m, tmp: {**m, "header": 5}, "manifest '{m}' key 'header' must be a JSON string"),
+        (_negative_offset, "ENVI header '{tmp}/h.hdr' key 'header offset' must be >= 0, got -4"),
+    ], ids=["int", "classes_list", "header_int", "negative_offset"])
+    def test_mistyped_manifest_value_is_data_error_naming_it(self, workdir, tmp_path, capsys,
+                                                             edit, message):
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header", "data",
+                                                                           "labels")})
+        path = tmp_path / "m.json"
+        write_json(path, edit(manifest, tmp_path))
+        cfg = write_json(tmp_path / "c.json", {
+            "target": {"manifest": str(path)}, "train_per_class": 2,
+            "network": {"filters": 4}, "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("data error: " + message.format(m=path, tmp=tmp_path)
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,value", [("train-scratch", np.nan),
+                                               ("pretrain", np.inf)])
+    def test_non_finite_cube_value_is_data_error_naming_it(self, workdir, tmp_path, capsys,
+                                                           calls, command, value):
+        """Rejected as the dataset loads, before any step trains."""
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header",
+                                                                           "labels")})
+        cube = np.fromfile(workdir / "data" / "s1.img", dtype="<f4").reshape(4, 12, 12)
+        cube[2, 7, 5] = value  # band 2, y 7, x 5
+        cube.tofile(tmp_path / "s1.img")
+        bad = {"manifest": write_json(tmp_path / "s1.json", manifest)}
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [bad, {"manifest": str(workdir / "data" / "s2.json")}], "target": bad,
+            "train_per_class": 2, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"data error: dataset 's1' band 2 holds the non-finite value {value} at "
+                "pixel (x=5, y=7)") in capsys.readouterr().err
+        assert "sgd_step" not in calls
 
     def test_config_path_that_is_a_directory_exits_1(self, tmp_path, capsys):
         assert main(["train-scratch", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1

@@ -1,9 +1,13 @@
 import json
+import re
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from hsinet import data
 from hsinet.data import (DomainDataset, PatchBatcher, SynthConfig, augment_d4,
                          extract_patch, load_manifest, normalize_bands,
                          split_per_class, synth_generate, with_split, write_dataset)
@@ -88,6 +92,15 @@ class TestEnviRoundTrip:
         with pytest.raises(DataError, match="'header offset'.*'abc'"):
             load_envi(hdr, tmp_path / "h.img")
 
+    def test_negative_header_offset_names_key_and_file(self, tmp_path):
+        write_envi(cube_123(), tmp_path / "h.hdr", tmp_path / "h.img")
+        hdr = tmp_path / "h.hdr"
+        hdr.write_text(hdr.read_text().replace("header offset = 0", "header offset = -4"))
+        img = tmp_path / "h.img"
+        img.write_bytes(img.read_bytes()[:-4])  # the size check alone would pass
+        with pytest.raises(DataError, match="h.hdr' key 'header offset' must be >= 0, got -4"):
+            load_envi(hdr, img)
+
     def test_multiline_brace_values(self, tmp_path):
         (tmp_path / "h.hdr").write_text(
             "ENVI\nsamples = 1\nlines = 1\nbands = 2\n"
@@ -108,12 +121,14 @@ class TestEnviRoundTrip:
         np.testing.assert_array_equal(labels2.labels, grid)
 
 
-    @pytest.mark.parametrize("text", ["0 1\n2 x\n", "0 1\n2\n"],
-                             ids=["non_integer_cell", "ragged_rows"])
+    @pytest.mark.parametrize("text", ["0 1\n2 x\n", "0 1\n2\n", ""],
+                             ids=["non_integer_cell", "ragged_rows", "empty"])
     def test_malformed_label_grid_names_the_file(self, tmp_path, text):
         (tmp_path / "bad.txt").write_text(text)
-        with pytest.raises(DataError, match="bad.txt"):
-            load_label_raster(tmp_path / "bad.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="bad.txt"):
+                load_label_raster(tmp_path / "bad.txt")
 
 def ip_like_dataset():
     """8504 labeled pixels in 8 equal classes on a 93x92 raster (rest unlabeled)."""
@@ -274,6 +289,25 @@ class TestSynthGenerate:
         assert a.cube.data.tobytes() == b.cube.data.tobytes()
         assert a.labels.labels.tobytes() == b.labels.labels.tobytes()
 
+    def test_memory_bounded_at_one_center_per_pixel(self):
+        tracemalloc.start()
+        try:
+            synth_generate(SynthConfig(classes=3, bands=4, height=64, width=64, blob_scale=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_blocked_nearest_center_matches_full_argmin(self):
+        h, w = 54, 54
+        rng = np.random.default_rng(0)
+        cy, cx = np.divmod(rng.choice(h * w, size=h * w // 4, replace=False), w)
+        assert cy.size * h * w > 2 * data._D2_BLOCK  # spans three blocks
+        yy, xx = np.mgrid[0:h, 0:w]
+        d2 = (yy[None] - cy[:, None, None]) ** 2 + (xx[None] - cx[:, None, None]) ** 2
+        np.testing.assert_array_equal(data._nearest_center(cy, cx, h, w),
+                                      np.argmin(d2, axis=0))
+
     def test_band_counts_emulate_sensors(self):
         a = synth_generate(SynthConfig(classes=3, bands=32, height=8, width=8, seed=1))
         b = synth_generate(SynthConfig(classes=3, bands=48, height=8, width=8, seed=1))
@@ -343,3 +377,22 @@ class TestBatcherAndManifest:
         (tmp_path / "m.json").write_text(json.dumps({"name": "x"}))
         with pytest.raises(DataError, match="'sensor'"):
             load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("manifest,message", [
+        (5, "must hold a JSON object, got int"),
+        (None, "must hold a JSON object, got NoneType"),
+        ({"classes": "x"}, "key 'classes' must be a JSON integer, got str"),
+        ({"classes": [3]}, "key 'classes' must be a JSON integer, got list"),
+        ({"classes": True}, "key 'classes' must be a JSON integer, got bool"),
+        ({"header": 5}, "key 'header' must be a JSON string, got int"),
+        ({"name": None}, "key 'name' must be a JSON string, got NoneType"),
+    ], ids=["int", "null", "classes_str", "classes_list", "classes_bool", "header_int",
+            "name_null"])
+    def test_mistyped_manifest_names_the_key_and_file(self, tmp_path, manifest, message):
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=8, width=8, name="d"))
+        path = write_dataset(ds, tmp_path)
+        if isinstance(manifest, dict):
+            manifest = {**json.loads(path.read_text()), **manifest}
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=re.escape(f"manifest '{path}' {message}")):
+            load_manifest(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsinet import ops
+from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.errors import ConfigError, ShapeError
 from hsinet.network import (CrossDomainSpec, Network, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
@@ -36,10 +37,11 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="filters"):
             CrossDomainSpec([a, b])
 
-    def test_spec_round_trips_through_dict(self):
+    def test_spec_round_trips_through_dict(self, tmp_path):
         spec = NetworkSpec(bands=7, classes=4, patch=3, filters=8,
                            residual_modules=3, dropout_rate=0.25)
-        assert NetworkSpec.from_dict(spec.to_dict()) == spec
+        save_checkpoint(Network(spec), tmp_path / "a.ckpt")
+        assert load_checkpoint(tmp_path / "a.ckpt").network.spec == spec
 
 
 class TestBuildBackbone:

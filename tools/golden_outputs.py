@@ -46,6 +46,10 @@ CONFIGS = {
          "byte_order": 1},
         {"classes": 3, "bands": 8, "height": 12, "width": 14, "noise_std": 0.3,
          "seed": 53, "name": "s3", "sensor": "R", "interleave": "bil", "data_type": 5},
+        # one blob center per pixel: synth_generate's nearest-center search spans
+        # several blocks of centers
+        {"classes": 3, "bands": 3, "height": 40, "width": 40, "blob_scale": 1,
+         "noise_std": 0.25, "seed": 54, "name": "s4"},
     ]},
     "pretrain.json": {"sources": SOURCES[:2], "network": NETWORK, "schedule": SCHEDULE,
                       "eval_every": 20},
