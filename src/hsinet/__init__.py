@@ -14,9 +14,9 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .network import (CrossDomainNetwork, CrossDomainSpec, Network, NetworkSpec,
                       build_backbone, build_cross_domain, init_weights, transfer_shared)
 from .ops import (BatchNormParams, ConvParams, Param, batchnorm_backward,
-                  batchnorm_forward, conv2d_backward, conv2d_forward, dropout,
-                  dropout_backward, make_batchnorm_params, make_conv_params, relu,
-                  relu_backward, sgd_step, softmax_cross_entropy)
+                  batchnorm_forward, conv2d_backward, conv2d_forward, conv2d_input_grad,
+                  dropout, dropout_backward, make_batchnorm_params, make_conv_params,
+                  relu, relu_backward, sgd_step, softmax_cross_entropy)
 from .trainer import (MetricRow, TrainMetrics, TrainSchedule, evaluate, lr_at,
                       train_cross_domain, train_single, two_step_train)
 from .experiments import ReportRow, run_experiment, summarize, write_report

@@ -20,6 +20,7 @@ from .errors import DataError, read_file
 DTYPE_CODES = {2: "i2", 4: "f4", 5: "f8", 12: "u2"}
 INTERLEAVES = ("bsq", "bil", "bip")
 REQUIRED_KEYS = ("samples", "lines", "bands", "interleave", "data type", "byte order")
+LABEL_MAX = 2**31 - 1  # labels are stored as int32
 
 
 @dataclass
@@ -62,12 +63,23 @@ class LabelRaster:
             )
 
     @classmethod
-    def from_array(cls, labels):
-        labels = np.ascontiguousarray(labels, dtype=np.int32)
-        if labels.ndim != 2:
-            raise DataError(f"label array must be 2-D, got shape {labels.shape}")
-        if labels.min() < 0:
-            raise DataError("labels must be non-negative (0 = unlabeled)")
+    def from_array(cls, labels, source=None):
+        """Labels from a 2-D array of integers in [0, LABEL_MAX], checked before
+        the int32 cast; `source` names the file in errors."""
+        values = np.asarray(labels)
+        where = "" if source is None else f" in '{source}'"
+        if values.ndim != 2:
+            raise DataError(f"label array{where} must be 2-D, got shape {values.shape}")
+        ok = (values >= 0) & (values <= LABEL_MAX)
+        if values.dtype.kind == "f":
+            ok &= np.floor(values) == values
+        if not ok.all():
+            y, x = np.argwhere(~ok)[0]
+            raise DataError(
+                f"label {values[y, x]}{where} at pixel (x={x}, y={y}) is not an integer "
+                f"in [0, {LABEL_MAX}] (0 = unlabeled)"
+            )
+        labels = np.ascontiguousarray(values, dtype=np.int32)
         return cls(height=labels.shape[0], width=labels.shape[1], labels=labels)
 
 
@@ -209,10 +221,10 @@ def load_label_raster(path):
             raise DataError(f"label grid '{path}' is malformed: {e}") from None
         if grid.size == 0:
             raise DataError(f"label grid '{path}' holds no labels")
-        return LabelRaster.from_array(grid)
+        return LabelRaster.from_array(grid, source=path)
     if path.suffix.lower() == ".hdr":
         cube = load_envi(path)
         if cube.bands != 1:
             raise DataError(f"label raster must have exactly 1 band, got {cube.bands}")
-        return LabelRaster.from_array(np.rint(cube.data[0]).astype(np.int32))
+        return LabelRaster.from_array(np.rint(cube.data[0]), source=path)
     raise DataError(f"cannot infer label format from '{path}' (need .hdr or .txt)")

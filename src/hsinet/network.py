@@ -78,33 +78,35 @@ class ConvBlock:
         self.conv = ops.make_conv_params(name, in_c, out_c, k, dtype)
         self.bn = ops.make_batchnorm_params(f"{name}.bn", out_c, dtype) if with_bn else None
         self._x = None
-        self._conv_out = None
+        self._bn_stats = None
         self._pre_relu = None
 
     def forward(self, x, training):
         """Training computes every pixel; eval only the center (n, out_c, 1, 1)."""
         self._x = x
         y = ops.conv2d_forward(x, self.conv) if training else ops.conv2d_center(x, self.conv)
-        if self.with_bn:
-            self._conv_out = y
-            y = ops.batchnorm_forward(y, self.bn, training)
+        if self.with_bn and training:
+            y, *self._bn_stats = ops.batchnorm_forward(y, self.bn, True, return_stats=True)
+        elif self.with_bn:
+            y = ops.batchnorm_forward(y, self.bn, False)
         if self.with_relu:
             self._pre_relu = y
             y = ops.relu(y)
         return y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
+        """Fill the parameter gradients and release the batch-norm statistics;
+        returns the input gradient, or None without input_grad."""
         g = grad_out
         if self.with_relu:
             g = ops.relu_backward(self._pre_relu, g)
         if self.with_bn:
-            g, g_scale, g_shift = ops.batchnorm_backward(self._conv_out, self.bn, g)
+            (xhat, inv), self._bn_stats = self._bn_stats, None
+            g, g_scale, g_shift = ops.batchnorm_backward(xhat, inv, self.bn, g)
             self.bn.scale.grad = g_scale
             self.bn.shift.grad = g_shift
-        gx, gw, gb = ops.conv2d_backward(self._x, self.conv, g)
-        self.conv.w.grad = gw
-        self.conv.b.grad = gb
-        return gx
+        self.conv.w.grad, self.conv.b.grad = ops.conv2d_backward(self._x, self.conv, g)
+        return ops.conv2d_input_grad(self.conv, g) if input_grad else None
 
     def params(self):
         out = [self.conv.w, self.conv.b]
@@ -256,12 +258,18 @@ class Network:
         c = p // 2 if training else 0
         return np.ascontiguousarray(z[:, :, c, c])
 
-    def backward(self, grad_logits):
-        """Backprop from center-pixel logits; returns the input gradient."""
+    def backward(self, grad_logits, input_grad=False):
+        """Backprop from center-pixel logits, filling every parameter's grad.
+
+        The update reads no gradient of the data, so the bank computes none
+        and this returns None; input_grad (the gradient oracle's) returns it.
+        One training forward serves one backward.
+        """
         if self._z_shape is None:
             raise ConfigError("backward called before a training-mode forward")
         c = self.spec.patch // 2
         gz = np.zeros(self._z_shape, dtype=grad_logits.dtype)
+        self._z_shape = None
         gz[:, :, c, c] = grad_logits
         g = self.c9.backward(gz)
         g = self.c8.backward(self.drop8.backward(g))
@@ -271,10 +279,9 @@ class Network:
         g = self.c2.backward(g)
         f = self.spec.filters
         parts = np.split(g, [f, 2 * f], axis=1)
-        gx = self.bank[0].backward(np.ascontiguousarray(parts[0]))
-        for blk, part in zip(self.bank[1:], parts[1:]):
-            gx = gx + blk.backward(np.ascontiguousarray(part))
-        return gx
+        gxs = [blk.backward(np.ascontiguousarray(part), input_grad)
+               for blk, part in zip(self.bank, parts)]
+        return gxs[0] + gxs[1] + gxs[2] if input_grad else None
 
 
 def init_weights(network, rng, only_private=False):

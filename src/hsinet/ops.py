@@ -144,7 +144,11 @@ def conv2d_center(x, p):
 
 
 def conv2d_backward(x, p, grad_out):
-    """Gradients of conv2d_forward; returns (grad_input, grad_w, grad_b)."""
+    """Parameter gradients of conv2d_forward; returns (grad_w, grad_b).
+
+    The input gradient is conv2d_input_grad, which a layer reading the data
+    itself does not need.
+    """
     _check_4d(x, "conv input")
     _check_4d(grad_out, "conv grad_out")
     w = p.w.data
@@ -160,29 +164,43 @@ def conv2d_backward(x, p, grad_out):
             f"output shape {(n, out_c, h, wd)}"
         )
     x64 = _f64(x)
-    w64 = _f64(w)
     g64 = _f64(grad_out)
     if kh == 1:
         g2 = g64.reshape(n, out_c, h * wd)
         x2 = x64.reshape(n, c, h * wd)
         grad_b = g2.sum(axis=(0, 2))
         grad_w = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        gx = np.matmul(w64[:, :, 0, 0].T[None], g2).reshape(n, c, h, wd)
     else:
         xp = np.pad(x64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
         win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
         grad_b = g64.sum(axis=(0, 2, 3))
         grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, win, optimize=True)
-        # input gradient = same-padded correlation of grad_out with the
-        # spatially flipped, (out,in)-transposed kernel
+    return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
+
+
+def conv2d_input_grad(p, grad_out):
+    """Input gradient of conv2d_forward, in the dtype of grad_out."""
+    _check_4d(grad_out, "conv grad_out")
+    w = p.w.data
+    out_c, in_c, kh, kw = w.shape
+    n, o, h, wd = grad_out.shape
+    if o != out_c:
+        raise ShapeError(
+            f"conv '{p.w.name}': grad_out shape {grad_out.shape} does not match "
+            f"weight shape {w.shape}"
+        )
+    w64 = _f64(w)
+    g64 = _f64(grad_out)
+    if kh == 1:
+        gx = np.matmul(w64[:, :, 0, 0].T[None], g64.reshape(n, out_c, h * wd))
+        gx = gx.reshape(n, in_c, h, wd)
+    else:
+        # same-padded correlation of grad_out with the spatially flipped,
+        # (out,in)-transposed kernel
         gp = np.pad(g64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
         gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
         gx = np.einsum("noyxuv,oiuv->niyx", gwin, w64[:, :, ::-1, ::-1], optimize=True)
-    return (
-        gx.astype(x.dtype, copy=False),
-        grad_w.astype(w.dtype, copy=False),
-        grad_b.astype(p.b.data.dtype, copy=False),
-    )
+    return gx.astype(grad_out.dtype, copy=False)
 
 
 def _bn_check(x, p):
@@ -195,15 +213,20 @@ def _bn_check(x, p):
         )
 
 
-def batchnorm_forward(x, p, training):
+def batchnorm_forward(x, p, training, return_stats=False):
     """Normalize per channel over (n, h, w); train mode updates running stats.
 
     Training uses batch statistics (population variance) and folds them into
     the running estimates by exponential moving average; eval uses the running
-    estimates.
+    estimates. With return_stats (training only) the result is (out, x̂, 1/σ),
+    x̂ and 1/σ in float64, the statistics batchnorm_backward reads.
     """
     _bn_check(x, p)
-    x64 = _f64(x)
+    if return_stats and not training:
+        raise ConfigError(
+            f"batchnorm '{p.scale.name}': statistics are returned in training mode only"
+        )
+    x64 = x.astype(np.float64)  # the one float64 copy; every later pass works in place
     if training:
         if x.shape[0] * x.shape[2] * x.shape[3] == 1:
             raise DataError(
@@ -211,8 +234,9 @@ def batchnorm_forward(x, p, training):
                 "single value (n*h*w == 1) in training mode"
             )
         mean = x64.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x64 - mean
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        x64 -= mean
+        out = np.square(x64)
+        var = out.mean(axis=(0, 2, 3), keepdims=True)
         m = BN_MOMENTUM
         p.running_mean[...] = ((1.0 - m) * _f64(p.running_mean) + m * mean.ravel()).astype(
             p.running_mean.dtype
@@ -221,44 +245,42 @@ def batchnorm_forward(x, p, training):
             p.running_var.dtype
         )
     else:
-        mean = _f64(p.running_mean).reshape(1, -1, 1, 1)
-        centered = x64 - mean
+        x64 -= _f64(p.running_mean).reshape(1, -1, 1, 1)
+        out = x64  # eval keeps no x̂, so the output overwrites it
         var = _f64(p.running_var).reshape(1, -1, 1, 1)
     inv = 1.0 / np.sqrt(var + p.eps)
-    xhat = centered * inv
-    out = xhat * _f64(p.scale.data)[None, :, None, None] + _f64(p.shift.data)[None, :, None, None]
-    return out.astype(np.result_type(x.dtype, p.scale.data.dtype), copy=False)
+    x64 *= inv  # x̂
+    np.multiply(x64, _f64(p.scale.data)[None, :, None, None], out=out)
+    out += _f64(p.shift.data)[None, :, None, None]
+    out = out.astype(np.result_type(x.dtype, p.scale.data.dtype), copy=False)
+    return (out, x64, inv) if return_stats else out
 
 
-def batchnorm_backward(x, p, grad_out):
+def batchnorm_backward(xhat, inv, p, grad_out):
     """Gradient of the training-mode forward; returns (grad_x, grad_scale, grad_shift).
 
-    Batch statistics are recomputed from `x`, so `x` must be the same tensor
-    the forward pass saw.
+    `xhat` and `inv` are the x̂ and 1/σ of the forward pass (return_stats);
+    grad_x is in the dtype of grad_out.
     """
-    _bn_check(x, p)
-    if grad_out.shape != x.shape:
+    _bn_check(xhat, p)
+    if grad_out.shape != xhat.shape:
         raise ShapeError(
             f"batchnorm '{p.scale.name}': grad_out shape {grad_out.shape} does not "
-            f"match input shape {x.shape}"
+            f"match input shape {xhat.shape}"
         )
-    x64 = _f64(x)
     g64 = _f64(grad_out)
-    mean = x64.mean(axis=(0, 2, 3), keepdims=True)
-    centered = x64 - mean
-    var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + p.eps)
-    xhat = centered * inv
-
-    count = x.shape[0] * x.shape[2] * x.shape[3]
+    count = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
     g_sum = g64.sum(axis=(0, 2, 3), keepdims=True)
-    gxhat_sum = (g64 * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    scale = _f64(p.scale.data)[None, :, None, None]
-    gx = scale * inv * (g64 - g_sum / count - xhat * (gxhat_sum / count))
+    t = g64 * xhat
+    gxhat_sum = t.sum(axis=(0, 2, 3), keepdims=True)
+    np.multiply(xhat, gxhat_sum / count, out=t)
+    gx = g64 - g_sum / count
+    gx -= t
+    gx *= _f64(p.scale.data)[None, :, None, None] * inv
     grad_scale = gxhat_sum.reshape(-1)
     grad_shift = g_sum.reshape(-1)
     return (
-        gx.astype(x.dtype, copy=False),
+        gx.astype(grad_out.dtype, copy=False),
         grad_scale.astype(p.scale.data.dtype, copy=False),
         grad_shift.astype(p.shift.data.dtype, copy=False),
     )

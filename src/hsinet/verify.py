@@ -89,7 +89,9 @@ def check_conv(k, seed):
     p.w.data[...] = rng.normal(0, 0.5, p.w.data.shape)
     p.b.data[...] = rng.normal(0, 0.5, p.b.data.shape)
     x = rng.normal(0, 1, (2, 3, 5, 5))
-    gx, gw, gb = ops.conv2d_backward(x, p, ops.conv2d_forward(x, p))
+    g = ops.conv2d_forward(x, p)
+    gw, gb = ops.conv2d_backward(x, p, g)
+    gx = ops.conv2d_input_grad(p, g)
     return grad_check(lambda: _sq_loss(ops.conv2d_forward(x, p)),
                       {"input": (x, gx), "w": (p.w.data, gw), "b": (p.b.data, gb)})
 
@@ -100,7 +102,8 @@ def check_batchnorm(seed):
     p.scale.data[...] = rng.uniform(0.5, 1.5, 2)
     p.shift.data[...] = rng.normal(0, 0.5, 2)
     x = rng.normal(0, 1, (4, 2, 3, 3))
-    gx, gs, gsh = ops.batchnorm_backward(x, p, ops.batchnorm_forward(x, p, training=True))
+    out, xhat, inv = ops.batchnorm_forward(x, p, training=True, return_stats=True)
+    gx, gs, gsh = ops.batchnorm_backward(xhat, inv, p, out)
 
     def loss():
         run_m, run_v = p.running_mean.copy(), p.running_var.copy()
@@ -195,7 +198,7 @@ def check_backbone(seed):
         logits = net.forward(best_x, training=True, rng=np.random.default_rng(seed))
         return ops.softmax_cross_entropy(logits, labels)
 
-    gx = net.backward(forward()[1])
+    gx = net.backward(forward()[1], input_grad=True)
     tensors = {p.name: (p.data, p.grad) for p in net.params()}
     tensors["input"] = (best_x, gx)
     return grad_check(lambda: forward()[0], tensors)

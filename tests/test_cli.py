@@ -9,6 +9,7 @@ import hsinet.experiments
 import hsinet.ops
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.cli import _write_train_outputs, main
+from hsinet.envi import load_label_raster
 from hsinet.network import NetworkSpec, build_backbone
 from hsinet.trainer import MetricRow, TrainMetrics
 
@@ -444,6 +445,23 @@ class TestPipeline:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert (f"data error: dataset 's1' band 2 holds the non-finite value {value} at "
                 "pixel (x=5, y=7)") in capsys.readouterr().err
+        assert "sgd_step" not in calls
+
+    def test_label_past_int32_is_data_error_naming_it(self, workdir, tmp_path, capsys, calls):
+        """2**32 + 1 used to wrap to class 1 in the int32 cast and train."""
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header", "data")})
+        grid = load_label_raster(workdir / "data" / "s1_labels.hdr").labels.astype(np.int64)
+        grid[3, 4] = 2**32 + 1
+        np.savetxt(tmp_path / "l.txt", grid, fmt="%d")
+        cfg = write_json(tmp_path / "c.json", {
+            "target": {"manifest": write_json(tmp_path / "m.json",
+                                              {**manifest, "labels": "l.txt"})},
+            "train_per_class": 2, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"data error: label 4294967297 in '{tmp_path / 'l.txt'}' at pixel (x=4, y=3)"
+                in capsys.readouterr().err)
         assert "sgd_step" not in calls
 
     def test_config_path_that_is_a_directory_exits_1(self, tmp_path, capsys):

@@ -121,14 +121,33 @@ class TestEnviRoundTrip:
         np.testing.assert_array_equal(labels2.labels, grid)
 
 
-    @pytest.mark.parametrize("text", ["0 1\n2 x\n", "0 1\n2\n", ""],
-                             ids=["non_integer_cell", "ragged_rows", "empty"])
+    @pytest.mark.parametrize("text", ["0 1\n2 x\n", "0 1\n2\n", "", "0 1\n2 2147483648\n"],
+                             ids=["non_integer_cell", "ragged_rows", "empty", "past_int32"])
     def test_malformed_label_grid_names_the_file(self, tmp_path, text):
         (tmp_path / "bad.txt").write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="bad.txt"):
                 load_label_raster(tmp_path / "bad.txt")
+
+    @pytest.mark.parametrize("labels,value,at", [
+        ([[4294967297, 0]], "4294967297", "(x=0, y=0)"),
+        ([[1, -1]], "-1", "(x=1, y=0)"),
+        ([[1, 2], [2.5, 1]], "2.5", "(x=0, y=1)"),
+        ([[1, np.nan]], "nan", "(x=1, y=0)"),
+    ], ids=["past_int32", "negative", "fraction", "nan"])
+    def test_label_array_outside_int32_or_not_integral_rejected(self, labels, value, at):
+        """Checked before the int32 cast, which wrapped 2**32 + 1 to class 1."""
+        with pytest.raises(DataError, match=re.escape(f"label {value} at pixel {at} is not "
+                                                      "an integer in [0, 2147483647]")):
+            LabelRaster.from_array(np.array(labels))
+
+    def test_envi_label_past_int32_names_value_and_file(self, tmp_path):
+        cube = HyperCube.from_array(np.array([[[0.0, 1.0], [3e9, 2.0]]], dtype=np.float32))
+        write_envi(cube, tmp_path / "l.hdr", tmp_path / "l.img", data_type=4)
+        with pytest.raises(DataError, match=re.escape(
+                f"label {np.float32(3e9)} in '{tmp_path / 'l.hdr'}' at pixel (x=0, y=1)")):
+            load_label_raster(tmp_path / "l.hdr")
 
 def ip_like_dataset():
     """8504 labeled pixels in 8 equal classes on a 93x92 raster (rest unlabeled)."""

@@ -136,6 +136,24 @@ class TestForward:
     def test_full_gradient_check_single_seed(self):
         report = check_backbone(0)
         assert report.passed, report.failures
+        assert "input" in report.max_rel
+
+    def test_backward_releases_batchnorm_statistics(self):
+        """Training reads no input gradient; the oracle asks for it. Each
+        training forward serves one backward, which frees its statistics."""
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
+        grad = np.ones((2, 3), dtype=np.float32)
+        bn_blocks = [blk for blk in net.blocks() if blk.with_bn]
+        for input_grad in (False, True):
+            net.forward(x, training=True, rng=np.random.default_rng(2))
+            assert all(blk._bn_stats is not None for blk in bn_blocks)
+            gx = net.backward(grad, input_grad=input_grad)
+            assert all(blk._bn_stats is None for blk in bn_blocks)
+            assert (gx is None) if not input_grad else (gx.shape == x.shape)
+        with pytest.raises(ConfigError, match="training-mode forward"):
+            net.backward(grad)
 
     def test_backward_after_eval_forward_rejected(self):
         spec = NetworkSpec(bands=4, classes=3, filters=4)

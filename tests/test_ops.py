@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hsinet import ops
 from hsinet.errors import ConfigError, DataError, NumericError, ShapeError
+from hsinet.network import ConvBlock
 from hsinet.verify import grad_check
 
 
@@ -31,6 +35,90 @@ def make_conv(in_c, out_c, k, rng=None, dtype=np.float64):
         p.w.data[...] = rng.normal(0, 1, p.w.data.shape)
         p.b.data[...] = rng.normal(0, 1, p.b.data.shape)
     return p
+
+
+# Slow references for the training fast paths: the conv backward that returned
+# the input gradient with the parameter gradients, and the batch norm that
+# built fresh float64 temporaries and recomputed its statistics from `x` in
+# backward. The fast paths must match them bit for bit.
+
+def conv2d_backward_reference(x, p, grad_out):
+    """Returns (grad_input, grad_w, grad_b)."""
+    w = p.w.data
+    out_c, in_c, kh, kw = w.shape
+    n, c, h, wd = x.shape
+    x64, w64, g64 = (np.asarray(a, dtype=np.float64) for a in (x, w, grad_out))
+    if kh == 1:
+        g2 = g64.reshape(n, out_c, h * wd)
+        x2 = x64.reshape(n, c, h * wd)
+        grad_b = g2.sum(axis=(0, 2))
+        grad_w = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        gx = np.matmul(w64[:, :, 0, 0].T[None], g2).reshape(n, c, h, wd)
+    else:
+        xp = np.pad(x64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        grad_b = g64.sum(axis=(0, 2, 3))
+        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, win, optimize=True)
+        gp = np.pad(g64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
+        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
+        gx = np.einsum("noyxuv,oiuv->niyx", gwin, w64[:, :, ::-1, ::-1], optimize=True)
+    return gx.astype(x.dtype), grad_w.astype(w.dtype), grad_b.astype(p.b.data.dtype)
+
+
+def batchnorm_forward_reference(x, p, training):
+    x64 = np.asarray(x, dtype=np.float64)
+    if training:
+        mean = x64.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x64 - mean
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        m = ops.BN_MOMENTUM
+        p.running_mean[...] = ((1.0 - m) * p.running_mean.astype(np.float64)
+                               + m * mean.ravel()).astype(p.running_mean.dtype)
+        p.running_var[...] = ((1.0 - m) * p.running_var.astype(np.float64)
+                              + m * var.ravel()).astype(p.running_var.dtype)
+    else:
+        mean = p.running_mean.astype(np.float64).reshape(1, -1, 1, 1)
+        centered = x64 - mean
+        var = p.running_var.astype(np.float64).reshape(1, -1, 1, 1)
+    xhat = centered * (1.0 / np.sqrt(var + p.eps))
+    scale = p.scale.data.astype(np.float64)[None, :, None, None]
+    out = xhat * scale + p.shift.data.astype(np.float64)[None, :, None, None]
+    return out.astype(np.result_type(x.dtype, p.scale.data.dtype))
+
+
+def batchnorm_backward_reference(x, p, grad_out):
+    """Returns (grad_x, grad_scale, grad_shift), statistics recomputed from x."""
+    x64, g64 = np.asarray(x, dtype=np.float64), np.asarray(grad_out, dtype=np.float64)
+    mean = x64.mean(axis=(0, 2, 3), keepdims=True)
+    centered = x64 - mean
+    var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(var + p.eps)
+    xhat = centered * inv
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    g_sum = g64.sum(axis=(0, 2, 3), keepdims=True)
+    gxhat_sum = (g64 * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    scale = p.scale.data.astype(np.float64)[None, :, None, None]
+    gx = scale * inv * (g64 - g_sum / count - xhat * (gxhat_sum / count))
+    return (gx.astype(x.dtype), gxhat_sum.reshape(-1).astype(p.scale.data.dtype),
+            g_sum.reshape(-1).astype(p.shift.data.dtype))
+
+
+def block_reference(blk, x, training, grad_out):
+    """A ConvBlock's output and, in training, (input, w, b, scale, shift)
+    gradients, all through the references."""
+    y = ops.conv2d_forward(x, blk.conv) if training else ops.conv2d_center(x, blk.conv)
+    z = batchnorm_forward_reference(y, blk.bn, training)
+    out = ops.relu(z)
+    if not training:
+        return out, ()
+    g, g_scale, g_shift = batchnorm_backward_reference(y, blk.bn, ops.relu_backward(z, grad_out))
+    gx, gw, gb = conv2d_backward_reference(x, blk.conv, g)
+    return out, (gx, gw, gb, g_scale, g_shift)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 class TestConvForward:
@@ -116,7 +204,9 @@ class TestConvBackward:
         p = make_conv(1, 1, 1)
         p.w.data[...] = 3.0
         x = np.full((1, 1, 1, 1), 2.0)
-        gx, gw, gb = ops.conv2d_backward(x, p, np.ones((1, 1, 1, 1)))
+        g = np.ones((1, 1, 1, 1))
+        gw, gb = ops.conv2d_backward(x, p, g)
+        gx = ops.conv2d_input_grad(p, g)
         assert gw[0, 0, 0, 0] == pytest.approx(2.0)
         assert gb[0] == pytest.approx(1.0)
         assert gx[0, 0, 0, 0] == pytest.approx(3.0)
@@ -125,13 +215,17 @@ class TestConvBackward:
         rng = np.random.default_rng(0)
         p = make_conv(2, 3, 3, rng)
         x = rng.normal(0, 1, (2, 2, 4, 4))
-        gx, gw, gb = ops.conv2d_backward(x, p, np.zeros((2, 3, 4, 4)))
+        g = np.zeros((2, 3, 4, 4))
+        gw, gb = ops.conv2d_backward(x, p, g)
+        gx = ops.conv2d_input_grad(p, g)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_grad_out_shape_checked(self):
         p = make_conv(2, 3, 3)
         with pytest.raises(ShapeError):
             ops.conv2d_backward(np.zeros((2, 2, 4, 4)), p, np.zeros((2, 3, 5, 4)))
+        with pytest.raises(ShapeError, match=r"\(2, 2, 4, 4\)"):
+            ops.conv2d_input_grad(p, np.zeros((2, 2, 4, 4)))
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -208,7 +302,8 @@ class TestBatchNorm:
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
         xhat = (x - mean) / np.sqrt(var + p.eps)
-        _, g_scale, g_shift = ops.batchnorm_backward(x, p, g)
+        _, saved_xhat, inv = ops.batchnorm_forward(x, p, training=True, return_stats=True)
+        _, g_scale, g_shift = ops.batchnorm_backward(saved_xhat, inv, p, g)
         np.testing.assert_allclose(g_shift, g.sum(axis=(0, 2, 3)), atol=1e-10)
         np.testing.assert_allclose(g_scale, (g * xhat).sum(axis=(0, 2, 3)), atol=1e-10)
 
@@ -217,6 +312,70 @@ class TestBatchNorm:
         from hsinet.verify import check_batchnorm
         report = check_batchnorm(seed)
         assert report.passed, report.failures
+
+
+class TestFastPathsMatchReferences:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_split_conv_backward(self, k, dtype):
+        rng = np.random.default_rng(k)
+        p = make_conv(3, 4, k, rng, dtype=dtype)
+        x = rng.normal(0, 1, (2, 3, 5, 5)).astype(dtype)
+        g = rng.normal(0, 1, (2, 4, 5, 5)).astype(dtype)
+        gx, gw, gb = conv2d_backward_reference(x, p, g)
+        assert_same_bits(ops.conv2d_input_grad(p, g), gx)
+        for fast, ref in zip(ops.conv2d_backward(x, p, g), (gw, gb)):
+            assert_same_bits(fast, ref)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_block(self, k, dtype, training):
+        """Forward, running statistics and every gradient of a conv + batch
+        norm + ReLU block, against the same block run on the references."""
+        rng = np.random.default_rng(10 + k)
+        blk = ConvBlock("blk", 3, 4, k, dtype)
+        for prm in blk.params():
+            prm.data[...] = rng.normal(0.5, 1, prm.data.shape)
+        blk.bn.running_mean[...] = rng.normal(0, 1, 4)
+        blk.bn.running_var[...] = rng.uniform(0.5, 2, 4)
+        ref = copy.deepcopy(blk)
+        x = rng.normal(0, 1, (6, 3, 5, 5)).astype(dtype)
+        out = blk.forward(x, training)
+        g = rng.normal(0, 1, out.shape).astype(dtype)
+        ref_out, ref_grads = block_reference(ref, x, training, g)
+        assert_same_bits(out, ref_out)
+        assert_same_bits(blk.bn.running_mean, ref.bn.running_mean)
+        assert_same_bits(blk.bn.running_var, ref.bn.running_var)
+        if training:
+            gx = blk.backward(g)
+            grads = (gx, blk.conv.w.grad, blk.conv.b.grad, blk.bn.scale.grad,
+                     blk.bn.shift.grad)
+            for fast, slow in zip(grads, ref_grads, strict=True):
+                assert_same_bits(fast, slow)
+
+    def test_forward_leaves_a_float64_input_unchanged(self):
+        """Gradient checking hands batch norm float64 arrays, which the
+        in-place passes must not write into."""
+        p = ops.make_batchnorm_params("bn", 2, dtype=np.float64)
+        x = np.random.default_rng(4).normal(3, 2, (4, 2, 3, 3))
+        before = x.copy()
+        for training in (True, False):
+            ops.batchnorm_forward(x, p, training)
+        ops.batchnorm_forward(x, p, True, return_stats=True)
+        assert_same_bits(x, before)
+
+    def test_statistics_only_in_training(self):
+        p = ops.make_batchnorm_params("bn", 1)
+        with pytest.raises(ConfigError, match="training mode only"):
+            ops.batchnorm_forward(np.zeros((2, 1, 1, 1)), p, False, return_stats=True)
+
+    def test_backward_checks_grad_out_shape(self):
+        p = ops.make_batchnorm_params("bn", 1, dtype=np.float64)
+        _, xhat, inv = ops.batchnorm_forward(np.arange(4.0).reshape(4, 1, 1, 1), p, True,
+                                             return_stats=True)
+        with pytest.raises(ShapeError, match="does not match input shape"):
+            ops.batchnorm_backward(xhat, inv, p, np.zeros((2, 1, 1, 1)))
 
 
 class TestRelu:

@@ -25,6 +25,29 @@ def target_domain(seed=1, bands=4, classes=3, side=14, n_per_class=8):
     return normalize_bands(ds)
 
 
+@pytest.fixture
+def input_grad_calls(monkeypatch):
+    """Block name of every ops.conv2d_input_grad call."""
+    calls = []
+    input_grad = ops.conv2d_input_grad
+
+    def counted(p, grad_out):
+        calls.append(p.w.name.rsplit(".", 1)[0])
+        return input_grad(p, grad_out)
+
+    monkeypatch.setattr(ops, "conv2d_input_grad", counted)
+    return calls
+
+
+def assert_bank_computes_no_input_gradient(calls, branches, iterations):
+    """Every conv but the bank, whose input is the data, passes its input gradient down."""
+    bank = {"c1x1", "c3x3", "c5x5"}
+    trunk = {blk.name for net in branches for blk in net.blocks()} - bank
+    assert not bank & set(calls)
+    assert set(calls) == trunk
+    assert len(calls) == iterations * len(branches) * len(trunk)
+
+
 class TestLrAt:
     def test_table2_single_domain_values(self):
         s = TrainSchedule(step_size=4000, max_iter=5000)
@@ -159,6 +182,13 @@ class TestTrainSingle:
         assert metrics.lr_history[0][1] == pytest.approx(0.001)
         assert metrics.lr_history[24][1] == pytest.approx(0.0001)
 
+    def test_bank_computes_no_input_gradient(self, input_grad_calls):
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        train_single(net, target_domain(), TrainSchedule(step_size=3, max_iter=3, batch=4),
+                     np.random.default_rng(1))
+        assert_bank_computes_no_input_gradient(input_grad_calls, [net], 3)
+
     def test_determinism_bit_identical(self):
         ds = target_domain(seed=3, classes=2, side=12, n_per_class=6)
         results = []
@@ -223,6 +253,12 @@ class TestCrossDomain:
             p.grad = g.copy()
             ops.sgd_step([p], lr=0.01 / n, momentum=0.0, weight_decay=0.0)
         assert p.data[0] == pytest.approx(1.0 - 0.01 * 0.4, rel=1e-12)
+
+    def test_bank_computes_no_input_gradient(self, input_grad_calls):
+        cdn, datasets = self._setup(2)
+        train_cross_domain(cdn, datasets, TrainSchedule(step_size=3, max_iter=3, batch=4),
+                           np.random.default_rng(1))
+        assert_bank_computes_no_input_gradient(input_grad_calls, cdn.branches, 3)
 
     def test_dataset_count_must_match_branches(self):
         cdn, datasets = self._setup(2)
