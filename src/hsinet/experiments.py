@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -61,12 +62,15 @@ def _at(where, make, *args, **kwargs):
 
 def _build(spec, value, where):
     """`value` checked and built by `spec`: a builder(value, where), or a
-    `_KINDS` name (true/false count only as booleans)."""
+    `_KINDS` name (true/false count only as booleans, NaN and +-Infinity
+    not as numbers)."""
     if callable(spec):
         return spec(value, where)
     name, *types = _KINDS[spec]
     if isinstance(value, bool) != (bool in types) or not isinstance(value, tuple(types)):
         raise ConfigError(f"{where} must be a JSON {name}, got {type(value).__name__}")
+    if spec == "float" and not abs(value) <= sys.float_info.max:  # NaN compares false
+        raise ConfigError(f"{where} must be a finite number, got {value}")
     return value
 
 

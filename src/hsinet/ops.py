@@ -51,7 +51,6 @@ class ConvParams:
 
     w: Param
     b: Param
-    pad: int
 
 
 @dataclass
@@ -73,7 +72,7 @@ def make_conv_params(name, in_c, out_c, k, dtype=np.float32):
         raise ConfigError(f"conv '{name}': channel counts must be positive")
     w = Param(f"{name}.w", np.zeros((out_c, in_c, k, k), dtype=dtype))
     b = Param(f"{name}.b", np.zeros(out_c, dtype=dtype), decay=False)
-    return ConvParams(w=w, b=b, pad=(k - 1) // 2)
+    return ConvParams(w=w, b=b)
 
 
 def make_batchnorm_params(name, channels, dtype=np.float32, eps=1e-5):
@@ -88,30 +87,42 @@ def make_batchnorm_params(name, channels, dtype=np.float32, eps=1e-5):
     )
 
 
-def conv2d_forward(x, p):
-    """Zero-padded "same" convolution.
-
-    out[n,o,y,x] = b[o] + sum_{i,dy,dx} w[o,i,dy,dx] * in_pad[n,i,y+dy,x+dx]
-    """
-    _check_4d(x, "conv input")
+def _conv_check(p, a, what):
+    """`a` is 4-D and carries the conv's input channels (what="input") or
+    output channels (what="grad_out")."""
     w = p.w.data
-    out_c, in_c, kh, kw = w.shape
-    n, c, h, wd = x.shape
-    if c != in_c:
+    if a.ndim != 4 or a.shape[1] != w.shape[what == "input"]:
         raise ShapeError(
-            f"conv '{p.w.name}': input shape {x.shape} does not match weight shape {w.shape}"
+            f"conv '{p.w.name}': {what} shape {a.shape} does not match weight shape {w.shape}"
         )
-    x64 = _f64(x)
-    w64 = _f64(w)
-    if kh == 1:  # 1x1 kernels are a per-pixel channel mix: one batched matmul
-        out = np.matmul(w64[:, :, 0, 0][None], x64.reshape(n, c, h * wd))
-        out = out.reshape(n, out_c, h, wd)
-    else:
-        xp = np.pad(x64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        out = np.einsum("ncyxuv,ocuv->noyx", win, w64, optimize=True)
+
+
+def _windows(a64, k):
+    """The k x k windows of `a64` zero-padded by (k - 1) // 2, shaped (n, c, h, w, k, k)."""
+    r = (k - 1) // 2
+    return sliding_window_view(np.pad(a64, ((0, 0), (0, 0), (r, r), (r, r))), (k, k),
+                               axis=(2, 3))
+
+
+def _correlate(a64, w64):
+    """Bias-free same-padded correlation in float64:
+
+    out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
+    """
+    n, c, h, wd = a64.shape
+    out_c, _, k, _ = w64.shape
+    if k == 1:  # 1x1 kernels are a per-pixel channel mix: one batched matmul
+        out = np.matmul(w64[:, :, 0, 0][None], a64.reshape(n, c, h * wd))
+        return out.reshape(n, out_c, h, wd)
+    return np.einsum("ncyxuv,ocuv->noyx", _windows(a64, k), w64, optimize=True)
+
+
+def conv2d_forward(x, p):
+    """Zero-padded "same" convolution: the correlation of x with w, plus b."""
+    _conv_check(p, x, "input")
+    out = _correlate(_f64(x), _f64(p.w.data))
     out += _f64(p.b.data)[None, :, None, None]
-    return out.astype(np.result_type(x.dtype, w.dtype), copy=False)
+    return out.astype(np.result_type(x.dtype, p.w.data.dtype), copy=False)
 
 
 def conv2d_center(x, p):
@@ -122,14 +133,10 @@ def conv2d_center(x, p):
     and kernel are both cropped to r = min(k, side) about their centers and
     the output is one GEMM over the (channel, r, r) window.
     """
-    _check_4d(x, "conv input")
+    _conv_check(p, x, "input")
     w = p.w.data
-    out_c, in_c, k, _ = w.shape
+    out_c, _, k, _ = w.shape
     n, c, h, wd = x.shape
-    if c != in_c:
-        raise ShapeError(
-            f"conv '{p.w.name}': input shape {x.shape} does not match weight shape {w.shape}"
-        )
     if h != wd or h % 2 == 0:
         raise ShapeError(
             f"conv '{p.w.name}': center output needs an odd square input, got shape {x.shape}"
@@ -149,15 +156,10 @@ def conv2d_backward(x, p, grad_out):
     The input gradient is conv2d_input_grad, which a layer reading the data
     itself does not need.
     """
-    _check_4d(x, "conv input")
-    _check_4d(grad_out, "conv grad_out")
+    _conv_check(p, x, "input")
     w = p.w.data
-    out_c, in_c, kh, kw = w.shape
+    out_c, _, k, _ = w.shape
     n, c, h, wd = x.shape
-    if c != in_c:
-        raise ShapeError(
-            f"conv '{p.w.name}': input shape {x.shape} does not match weight shape {w.shape}"
-        )
     if grad_out.shape != (n, out_c, h, wd):
         raise ShapeError(
             f"conv '{p.w.name}': grad_out shape {grad_out.shape} does not match "
@@ -165,42 +167,24 @@ def conv2d_backward(x, p, grad_out):
         )
     x64 = _f64(x)
     g64 = _f64(grad_out)
-    if kh == 1:
+    if k == 1:
         g2 = g64.reshape(n, out_c, h * wd)
         x2 = x64.reshape(n, c, h * wd)
         grad_b = g2.sum(axis=(0, 2))
         grad_w = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     else:
-        xp = np.pad(x64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
         grad_b = g64.sum(axis=(0, 2, 3))
-        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, win, optimize=True)
+        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, _windows(x64, k), optimize=True)
     return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
 
 
 def conv2d_input_grad(p, grad_out):
-    """Input gradient of conv2d_forward, in the dtype of grad_out."""
-    _check_4d(grad_out, "conv grad_out")
-    w = p.w.data
-    out_c, in_c, kh, kw = w.shape
-    n, o, h, wd = grad_out.shape
-    if o != out_c:
-        raise ShapeError(
-            f"conv '{p.w.name}': grad_out shape {grad_out.shape} does not match "
-            f"weight shape {w.shape}"
-        )
-    w64 = _f64(w)
-    g64 = _f64(grad_out)
-    if kh == 1:
-        gx = np.matmul(w64[:, :, 0, 0].T[None], g64.reshape(n, out_c, h * wd))
-        gx = gx.reshape(n, in_c, h, wd)
-    else:
-        # same-padded correlation of grad_out with the spatially flipped,
-        # (out,in)-transposed kernel
-        gp = np.pad(g64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        gx = np.einsum("noyxuv,oiuv->niyx", gwin, w64[:, :, ::-1, ::-1], optimize=True)
-    return gx.astype(grad_out.dtype, copy=False)
+    """Input gradient of conv2d_forward, in the dtype of grad_out: the same-padded
+    correlation of grad_out with the (out, in)-transposed, spatially flipped kernel.
+    """
+    _conv_check(p, grad_out, "grad_out")
+    w64 = _f64(p.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return _correlate(_f64(grad_out), w64).astype(grad_out.dtype, copy=False)
 
 
 def _bn_check(x, p):

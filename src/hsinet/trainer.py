@@ -46,6 +46,10 @@ class TrainSchedule:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def lr_at(schedule, iteration):

@@ -111,6 +111,32 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("train-scratch", {"schedule": {**SCHEDULE, "base_lr": float("nan")}},
+         "schedule 'base_lr' must be a finite number, got nan"),
+        ("train-scratch", {"schedule": {**SCHEDULE, "momentum": float("inf")}},
+         "schedule 'momentum' must be a finite number, got inf"),
+        ("pretrain", {"network": {"filters": 4, "dropout_rate": float("-inf")}},
+         "network 'dropout_rate' must be a finite number, got -inf"),
+        ("train-scratch", {"schedule": {**SCHEDULE, "base_lr": 10**400}},
+         "schedule 'base_lr' must be a finite number, got 1000"),
+        ("train-scratch", {"schedule": {**SCHEDULE, "momentum": 1.5}},
+         "config 'schedule': momentum must be in [0, 1), got 1.5"),
+        ("train-scratch", {"schedule": {**SCHEDULE, "momentum": -1.0}},
+         "config 'schedule': momentum must be in [0, 1), got -1.0"),
+        ("pretrain", {"schedule": {**SCHEDULE, "weight_decay": -5.0}},
+         "config 'schedule': weight_decay must be >= 0, got -5.0"),
+    ], ids=["nan_lr", "inf_momentum", "-inf_dropout", "lr_past_float", "momentum_1.5",
+            "momentum_-1", "weight_decay_-5"])
+    def test_bad_number_exits_1_naming_it(self, tmp_path, capsys, calls, command, cfg, message):
+        """JSON admits NaN and +-Infinity; the schema does not."""
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [synth(51, "a")], "target": synth(50, "target", bands=5),
+            "train_per_class": 4, "network": {"filters": 4}, "schedule": self.SCHEDULE, **cfg})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert calls == {}
+
     DOMAIN = {"classes": 3, "bands": 4, "height": 12, "width": 12, "name": "s1"}
 
     @pytest.mark.parametrize("cfg,message", [
@@ -122,6 +148,8 @@ class TestConfigErrors:
         ({"domains": [{**DOMAIN, "interleave": 5}]},
          "'domains' entry 0 'interleave' must be a JSON string, got int"),
         ({**DOMAIN, "byte_order": 2}, "'byte_order' must be 0 or 1, got 2"),
+        ({"domains": [{**DOMAIN, "noise_std": float("nan")}]},
+         "'domains' entry 0: synth 'noise_std' must be a finite number, got nan"),
         ({"domains": [{**DOMAIN, "interleav": "bip"}]},
          "unknown config 'domains' entry 0 keys: ['interleav'] (known: ['bands', 'blob_scale', "
          "'byte_order', 'classes', 'data_type', 'height', 'interleave', 'name', 'noise_std', "

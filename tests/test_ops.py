@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hsinet.network import ConvBlock
 from hsinet.verify import grad_check
 
 
-def conv_reference(x, w, b, pad):
+def conv_reference(x, w, b):
     """Independent 6-nested-loop convolution oracle."""
     n, c, h, wd = x.shape
     o, ci, kh, kw = w.shape
+    pad = (kh - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.zeros((n, o, h, wd))
     for ni in range(n):
@@ -37,10 +39,31 @@ def make_conv(in_c, out_c, k, rng=None, dtype=np.float64):
     return p
 
 
-# Slow references for the training fast paths: the conv backward that returned
-# the input gradient with the parameter gradients, and the batch norm that
-# built fresh float64 temporaries and recomputed its statistics from `x` in
-# backward. The fast paths must match them bit for bit.
+# Slow references for the fast paths: the conv forward and the conv backward
+# that returned the input gradient with the parameter gradients, each with its
+# own pad, windows and contraction, and the batch norm that built fresh
+# float64 temporaries and recomputed its statistics from `x` in backward. The
+# fast paths must match them bit for bit.
+
+def windows_reference(a64, k):
+    pad = (k - 1) // 2
+    ap = np.pad(a64, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    return sliding_window_view(ap, (k, k), axis=(2, 3))
+
+
+def conv2d_forward_reference(x, p):
+    w = p.w.data
+    out_c, in_c, kh, kw = w.shape
+    n, c, h, wd = x.shape
+    x64, w64 = np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    if kh == 1:
+        out = np.matmul(w64[:, :, 0, 0][None], x64.reshape(n, c, h * wd))
+        out = out.reshape(n, out_c, h, wd)
+    else:
+        out = np.einsum("ncyxuv,ocuv->noyx", windows_reference(x64, kh), w64, optimize=True)
+    out += np.asarray(p.b.data, dtype=np.float64)[None, :, None, None]
+    return out.astype(np.result_type(x.dtype, w.dtype))
+
 
 def conv2d_backward_reference(x, p, grad_out):
     """Returns (grad_input, grad_w, grad_b)."""
@@ -55,13 +78,10 @@ def conv2d_backward_reference(x, p, grad_out):
         grad_w = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         gx = np.matmul(w64[:, :, 0, 0].T[None], g2).reshape(n, c, h, wd)
     else:
-        xp = np.pad(x64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
         grad_b = g64.sum(axis=(0, 2, 3))
-        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, win, optimize=True)
-        gp = np.pad(g64, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-        gwin = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        gx = np.einsum("noyxuv,oiuv->niyx", gwin, w64[:, :, ::-1, ::-1], optimize=True)
+        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, windows_reference(x64, kh), optimize=True)
+        gx = np.einsum("noyxuv,oiuv->niyx", windows_reference(g64, kh), w64[:, :, ::-1, ::-1],
+                       optimize=True)
     return gx.astype(x.dtype), grad_w.astype(w.dtype), grad_b.astype(p.b.data.dtype)
 
 
@@ -106,7 +126,7 @@ def batchnorm_backward_reference(x, p, grad_out):
 def block_reference(blk, x, training, grad_out):
     """A ConvBlock's output and, in training, (input, w, b, scale, shift)
     gradients, all through the references."""
-    y = ops.conv2d_forward(x, blk.conv) if training else ops.conv2d_center(x, blk.conv)
+    y = conv2d_forward_reference(x, blk.conv) if training else ops.conv2d_center(x, blk.conv)
     z = batchnorm_forward_reference(y, blk.bn, training)
     out = ops.relu(z)
     if not training:
@@ -141,7 +161,7 @@ class TestConvForward:
         rng = np.random.default_rng(42)
         p = make_conv(3, 2, 5, rng)
         x = rng.normal(0, 1, (2, 3, 5, 5))
-        ref = conv_reference(x, p.w.data, p.b.data, p.pad)
+        ref = conv_reference(x, p.w.data, p.b.data)
         np.testing.assert_allclose(ops.conv2d_forward(x, p), ref, atol=1e-6)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -151,13 +171,26 @@ class TestConvForward:
         for n, c, o in ((1, 1, 1), (2, 4, 3)):
             p = make_conv(c, o, k, rng)
             x = rng.normal(0, 1, (n, c, h, w))
-            ref = conv_reference(x, p.w.data, p.b.data, p.pad)
+            ref = conv_reference(x, p.w.data, p.b.data)
             np.testing.assert_allclose(ops.conv2d_forward(x, p), ref, atol=1e-6)
 
     def test_channel_mismatch_names_both_shapes(self):
         p = make_conv(3, 2, 1)
         with pytest.raises(ShapeError, match=r"\(1, 4, 2, 2\).*\(2, 3, 1, 1\)"):
             ops.conv2d_forward(np.zeros((1, 4, 2, 2)), p)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (1, 4, 3, 3), (1, 1, 3, 3, 3)])
+    def test_every_entry_checks_rank_and_channels(self, shape):
+        p, bad, good = make_conv(3, 2, 3), np.zeros(shape), np.zeros((1, 3, 3, 3))
+        message = rf"conv 'c.w': input shape {re.escape(str(shape))} does not match weight"
+        for call in (lambda: ops.conv2d_forward(bad, p), lambda: ops.conv2d_center(bad, p),
+                     lambda: ops.conv2d_backward(bad, p, np.zeros((1, 2, 3, 3)))):
+            with pytest.raises(ShapeError, match=message):
+                call()
+        with pytest.raises(ShapeError, match="grad_out shape"):
+            ops.conv2d_input_grad(p, bad)
+        with pytest.raises(ShapeError, match="grad_out shape"):
+            ops.conv2d_backward(good, p, bad)
 
     def test_kernel_size_restricted(self):
         with pytest.raises(ConfigError):
@@ -315,6 +348,15 @@ class TestBatchNorm:
 
 
 class TestFastPathsMatchReferences:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_forward(self, k, dtype):
+        rng = np.random.default_rng(20 + k)
+        p = make_conv(3, 4, k, rng, dtype=dtype)
+        for shape in ((2, 3, 5, 5), (1, 3, 3, 7), (3, 3, 1, 1)):
+            x = rng.normal(0, 1, shape).astype(dtype)
+            assert_same_bits(ops.conv2d_forward(x, p), conv2d_forward_reference(x, p))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_split_conv_backward(self, k, dtype):

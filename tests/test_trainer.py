@@ -75,6 +75,10 @@ class TestLrAt:
             TrainSchedule(step_size=10, max_iter=20, gamma=1.5)
         with pytest.raises(ConfigError):
             TrainSchedule(step_size=10, max_iter=20, batch=0)
+        for bad in ({"momentum": 1.0}, {"momentum": -0.1}, {"weight_decay": -1e-4}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                TrainSchedule(step_size=10, max_iter=20, **bad)
+        TrainSchedule(step_size=10, max_iter=20, momentum=0.0, weight_decay=0.0)
 
 
 class TestEvaluate:
