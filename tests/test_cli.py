@@ -148,12 +148,12 @@ class TestConfigErrors:
         ({"domains": [{**DOMAIN, "interleave": 5}]},
          "'domains' entry 0 'interleave' must be a JSON string, got int"),
         ({**DOMAIN, "byte_order": 2}, "'byte_order' must be 0 or 1, got 2"),
-        ({"domains": [{**DOMAIN, "noise_std": float("nan")}]},
-         "'domains' entry 0: synth 'noise_std' must be a finite number, got nan"),
         ({"domains": [{**DOMAIN, "interleav": "bip"}]},
          "unknown config 'domains' entry 0 keys: ['interleav'] (known: ['bands', 'blob_scale', "
          "'byte_order', 'classes', 'data_type', 'height', 'interleave', 'name', 'noise_std', "
          "'seed', 'sensor', 'signature_seed', 'width'])"),
+        ({"domains": [{**DOMAIN, "noise_std": float("nan")}]},
+         "'domains' entry 0: synth 'noise_std' must be a finite number, got nan"),
     ])
     def test_bad_synth_gen_domain_exits_1_naming_it(self, tmp_path, capsys, cfg, message):
         assert main(["synth-gen", "--config", write_json(tmp_path / "c.json", cfg),
