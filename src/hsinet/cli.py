@@ -99,7 +99,8 @@ def cmd_pretrain(args):
     names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
     _write_train_outputs(out, run.metrics, names)
     ckpt = out / "pretrained.ckpt"
-    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=run.iteration)
+    last = run.metrics[-1].rows[-1]   # at max_iter of the last phase
+    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
     print(json.dumps({"checkpoint": str(ckpt)}))
     return 0
 
@@ -112,8 +113,9 @@ def cmd_target(args):
     run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
     _write_train_outputs(out, run.metrics, ["metrics"])
     ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
-    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=run.iteration)
-    print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": run.accuracy}))
+    last = run.metrics[0].rows[-1]   # scored on the test split at max_iter
+    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
+    print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": last.accuracy}))
     return 0
 
 

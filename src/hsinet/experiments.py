@@ -25,7 +25,7 @@ from .envi import DTYPE_CODES, INTERLEAVES
 from .errors import ConfigError, DataError
 from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
                       build_cross_domain, transfer_shared)
-from .trainer import TrainSchedule, evaluate, train_cross_domain, train_single, two_step_train
+from .trainer import TrainSchedule, train_cross_domain, train_single, two_step_train
 
 CSV_HEADER = ("experiment", "seed", "condition", "iteration", "metric", "value")
 
@@ -222,8 +222,6 @@ class _Run:
     network: object
     metrics: list          # one TrainMetrics per training phase
     rng: np.random.Generator
-    iteration: int
-    accuracy: float | None = None   # target runs: final test-split accuracy
 
 
 class _Harness:
@@ -232,6 +230,7 @@ class _Harness:
     (None: the experiment it names); runs read only the values in `built`."""
 
     def __init__(self, cfg, command=None, progress=False):
+        self.command = command
         self.experiment = cfg.get("experiment")
         needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment)[1])
         c = self.built = _object(_SCHEMA, needs)({**_DEFAULTS, **cfg}, "config")
@@ -264,9 +263,13 @@ class _Harness:
 
     @cached_property
     def target(self):
+        """The split target; training runs are scored on its test split, so
+        an empty one fails as it loads, before anything trains."""
         c = self.built
         ds = with_split(_load(c["target"]), c["train_per_class"],
                         np.random.default_rng(c["split_seed"]))
+        if self.command != "eval" and ds.test_idx.size == 0:
+            raise DataError(f"test split of '{ds.name}' is empty")
         return normalize_bands(ds) if c["normalize"] else ds
 
     @property
@@ -287,10 +290,10 @@ class _Harness:
             steps = self.built["two_step"]
             cdn, *metrics = two_step_train(cdn, sources, steps["step1"], steps["step2"], rng,
                                            **self.train_kwargs)
-            return _Run(cdn, metrics, rng, steps["step2"].max_iter)
-        schedule = self.built[schedule_key]
-        cdn, metrics = train_cross_domain(cdn, sources, schedule, rng, **self.train_kwargs)
-        return _Run(cdn, [metrics], rng, schedule.max_iter)
+            return _Run(cdn, metrics, rng)
+        cdn, metrics = train_cross_domain(cdn, sources, self.built[schedule_key], rng,
+                                          **self.train_kwargs)
+        return _Run(cdn, [metrics], rng)
 
     def target_run(self, schedule, seed, pretrained=None, network=None):
         """Train on the target from scratch or from a pre-trained shared store."""
@@ -301,8 +304,7 @@ class _Harness:
         else:
             net = transfer_shared(pretrained, spec, rng)
         net, metrics = train_single(net, self.target, schedule, rng, **self.train_kwargs)
-        return _Run(net, [metrics], rng, schedule.max_iter,
-                    evaluate(net, self.target, "test"))
+        return _Run(net, [metrics], rng)
 
     def compare(self, conditions, schedule, network=None):
         """Report rows of one target run per seed for each (condition,
@@ -315,21 +317,15 @@ class _Harness:
         return rows
 
     def curve_rows(self, seed, condition, run, extra=None):
-        rows = []
-        final_iter = 0
-        for r in run.metrics[0].rows:
-            final_iter = max(final_iter, r.iteration)
-            rows.append(ReportRow(self.experiment, seed, condition, r.iteration,
-                                  "train_loss", float(r.loss)))
-            if r.accuracy is not None:
-                rows.append(ReportRow(self.experiment, seed, condition, r.iteration,
-                                      "test_accuracy", float(r.accuracy)))
-        rows.append(ReportRow(self.experiment, seed, condition, final_iter,
-                              "final_accuracy", float(run.accuracy)))
-        for metric, value in (extra or {}).items():
-            rows.append(ReportRow(self.experiment, seed, condition, final_iter,
-                                  metric, float(value)))
-        return rows
+        """train_loss and test_accuracy at each eval point of a target run, then
+        final_accuracy and the `extra` metrics at its last one (max_iter)."""
+        curve = run.metrics[0].rows
+        points = [(r.iteration, {"train_loss": r.loss, "test_accuracy": r.accuracy})
+                  for r in curve]
+        points.append((curve[-1].iteration,
+                       {"final_accuracy": curve[-1].accuracy, **(extra or {})}))
+        return [ReportRow(self.experiment, seed, condition, iteration, metric, float(value))
+                for iteration, values in points for metric, value in values.items()]
 
 
 def _with_scratch(label, pretrained):
@@ -344,6 +340,7 @@ def run_schedule_sweep(cfg, out_dir=None):
     if "checkpoint" in cfg:
         pretrained = load_network(cfg["checkpoint"], "cross")
     else:
+        h.target  # a target that cannot be scored fails before pre-training
         pretrained = h.pretrain(h.sources, h.pretrain_seed).network
     rows = []
     for label, schedule in h.sweep:
@@ -355,6 +352,7 @@ def run_depth_sweep(cfg, out_dir=None):
     """Scratch vs fine-tuned accuracy as residual modules are added; each
     depth pre-trains its own cross-domain network."""
     h = _Harness(cfg)
+    h.target  # a target that cannot be scored fails before pre-training
     rows = []
     for spec in h.depth_specs:
         pretrained = h.pretrain(h.sources, h.pretrain_seed, network=spec).network
@@ -368,6 +366,7 @@ def run_combinations(cfg, out_dir=None):
     pixel count: source_size (plus a scratch baseline unless
     `include_scratch` is false), sensor_ablation and single_vs_multi."""
     h = _Harness(cfg)
+    h.target  # a target that cannot be scored fails before pre-training
     conditions = []
     for combo in h.built[_COMBINATIONS[h.experiment][0]]:
         subset = [h.sources[i] for i in combo["sources"]]

@@ -345,8 +345,6 @@ class CrossDomainNetwork:
 def build_cross_domain(spec, rng):
     """Build N branches sharing one residual-module store; initialize branch 0
     whole (the store included), then each other branch's private layers."""
-    if not isinstance(spec, CrossDomainSpec):
-        spec = CrossDomainSpec(branches=list(spec))
     cdn = CrossDomainNetwork(spec, np.float32)
     for i, branch in enumerate(cdn.branches):
         init_weights(branch, rng, only_private=i > 0)

@@ -15,6 +15,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 
 KERNEL_SIZES = (1, 3, 5)
 BN_MOMENTUM = 0.1   # weight of the batch statistics in the running averages
+BN_EPS = 1e-5       # added to every variance before its inverse square root
 
 
 def _f64(a):
@@ -61,7 +62,6 @@ class BatchNormParams:
     shift: Param
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
 
 
 def make_conv_params(name, in_c, out_c, k, dtype=np.float32):
@@ -75,7 +75,7 @@ def make_conv_params(name, in_c, out_c, k, dtype=np.float32):
     return ConvParams(w=w, b=b)
 
 
-def make_batchnorm_params(name, channels, dtype=np.float32, eps=1e-5):
+def make_batchnorm_params(name, channels, dtype=np.float32):
     if channels < 1:
         raise ConfigError(f"batchnorm '{name}': channel count must be positive")
     return BatchNormParams(
@@ -83,7 +83,6 @@ def make_batchnorm_params(name, channels, dtype=np.float32, eps=1e-5):
         shift=Param(f"{name}.shift", np.zeros(channels, dtype=dtype)),
         running_mean=np.zeros(channels, dtype=dtype),
         running_var=np.ones(channels, dtype=dtype),
-        eps=eps,
     )
 
 
@@ -232,7 +231,7 @@ def batchnorm_forward(x, p, training, return_stats=False):
         x64 -= _f64(p.running_mean).reshape(1, -1, 1, 1)
         out = x64  # eval keeps no x̂, so the output overwrites it
         var = _f64(p.running_var).reshape(1, -1, 1, 1)
-    inv = 1.0 / np.sqrt(var + p.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     x64 *= inv  # x̂
     np.multiply(x64, _f64(p.scale.data)[None, :, None, None], out=out)
     out += _f64(p.shift.data)[None, :, None, None]

@@ -69,10 +69,9 @@ class MetricRow:
 
 @dataclass
 class TrainMetrics:
-    """Eval-point records plus per-iteration LR log."""
+    """The eval-point records of one training run; the last is at max_iter."""
 
     rows: list = field(default_factory=list)
-    lr_history: list = field(default_factory=list)   # (iteration, lr, shared_lr)
 
     def write_csv(self, path):
         """Write the eval-point rows as CSV, atomically."""
@@ -87,7 +86,7 @@ class TrainMetrics:
         final = {r.domain: {"iteration": r.iteration, "loss": r.loss, "accuracy": r.accuracy}
                  for r in self.rows}
         return {
-            "iterations": self.lr_history[-1][0] + 1 if self.lr_history else 0,
+            "iterations": self.rows[-1].iteration if self.rows else 0,
             "final": final,
         }
 
@@ -131,15 +130,14 @@ def evaluate(network, dataset, split):
     return correct / idx.size
 
 
-def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
-           progress, eval_test):
+def _train(entries, schedule, rng, *, eval_every, augment, start_iteration, progress):
     """The SGD loop behind train_single and train_cross_domain.
 
     `entries` holds one (network, dataset, groups) per domain in update order;
     `groups` lists (params, lr scale) pairs. Per iteration and per entry:
     sample a batch, run forward/backward, then step each group at lr x scale.
-    The shared lr logged in lr_history is lr x the smallest scale. At each eval
-    point every entry gets a MetricRow, with test accuracy if `eval_test`.
+    At each eval point, and always at max_iter, every entry gets a MetricRow,
+    with its test accuracy if its dataset has a test split.
     """
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
@@ -152,7 +150,6 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
         if dataset.train_idx.size == 0:
             raise DataError(f"dataset '{dataset.name}' has an empty train split")
     batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset, _ in entries]
-    shared_scale = min(scale for _, _, groups in entries for _, scale in groups)
     metrics = TrainMetrics()
     losses = [None] * len(entries)
     for it in range(start_iteration, schedule.max_iter):
@@ -170,13 +167,12 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration,
                 ops.sgd_step(params, lr * scale, schedule.momentum, schedule.weight_decay,
                              iteration=it)
             losses[i] = loss
-        metrics.lr_history.append((it, lr, lr * shared_scale))
         done = it + 1
         if done % eval_every == 0 or done == schedule.max_iter:
             shown = []
             for (network, dataset, _), loss in zip(entries, losses):
                 acc = None
-                if eval_test and dataset.test_idx.size:
+                if dataset.test_idx.size:
                     acc = evaluate(network, dataset, "test")
                 metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
                 shown.append(f"{dataset.name} loss {loss:.4f} acc "
@@ -191,12 +187,12 @@ def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=Tru
 
     Each iteration samples `schedule.batch` patches with replacement from the
     train split, applies a uniformly random square symmetry to each patch,
-    and takes one momentum-SGD step at the scheduled learning rate. The test
-    split is evaluated every `eval_every` iterations.
+    and takes one momentum-SGD step at the scheduled learning rate. A non-empty
+    test split is evaluated every `eval_every` iterations and at max_iter.
     """
     metrics = _train([(network, dataset, [(network.params(), 1.0)])], schedule, rng,
                      eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration, progress=progress, eval_test=True)
+                     start_iteration=start_iteration, progress=progress)
     return network, metrics
 
 
@@ -207,8 +203,8 @@ def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=
     Per iteration and per active domain (fixed order): sample a batch, run
     that branch forward/backward, then update immediately. Branch-private
     parameters step at the scheduled lr; the shared store steps at lr/N where
-    N is the number of active domains. Eval points record losses only: the
-    sources are not scored on their test splits.
+    N is the number of active domains. Sources as loaded have no test split,
+    so their eval points record losses only.
     """
     n_branches = len(cdn.branches)
     if len(datasets) != n_branches:
@@ -223,7 +219,7 @@ def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=
                 [(cdn.branches[d].private_params(), 1.0), (shared, 1.0 / len(active))])
                for d in active]
     metrics = _train(entries, schedule, rng, eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration, progress=progress, eval_test=False)
+                     start_iteration=start_iteration, progress=progress)
     return cdn, metrics
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 import hsinet.checkpoint
+import hsinet.ops
 
 
 class _HalfWriter:
@@ -29,3 +30,17 @@ def fill_disk(monkeypatch):
         monkeypatch.setattr(hsinet.checkpoint, "open",
                             lambda *a, **k: _HalfWriter(real_open(*a, **k)), raising=False)
     return fill
+
+
+@pytest.fixture
+def sgd_steps(monkeypatch):
+    """(iteration, lr, param names) of every ops.sgd_step call; each still steps."""
+    steps = []
+    sgd_step = hsinet.ops.sgd_step
+
+    def recorded(params, lr, *args, iteration=None, **kwargs):
+        steps.append((iteration, lr, [p.name for p in params]))
+        return sgd_step(params, lr, *args, iteration=iteration, **kwargs)
+
+    monkeypatch.setattr(hsinet.ops, "sgd_step", recorded)
+    return steps

@@ -19,7 +19,7 @@ from hsinet.data import SynthConfig, augment_d4, normalize_bands, split_per_clas
 from hsinet.envi import HyperCube, LabelRaster, load_envi, write_envi
 from hsinet.network import (CrossDomainSpec, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
-from hsinet.trainer import (TrainSchedule, evaluate, train_cross_domain,
+from hsinet.trainer import (TrainSchedule, evaluate, lr_at, train_cross_domain,
                             train_single, two_step_train)
 from hsinet.verify import oracle_suite
 
@@ -87,7 +87,7 @@ def test_criterion_2_architecture_laws():
             assert net.parameter_count() == expected_param_count(2, 3, 4, rm)
 
 
-def test_criterion_3_sharing_identity():
+def test_criterion_3_sharing_identity(sgd_steps):
     with criterion(3, "byte-identical shared stores after 200 joint iterations; "
                       "shared lr = base/3"):
         datasets = [synth_domain(301, 12, 3, side=24), synth_domain(302, 20, 4, side=24),
@@ -98,11 +98,14 @@ def test_criterion_3_sharing_identity():
         ])
         cdn = build_cross_domain(spec, np.random.default_rng(7))
         schedule = TrainSchedule(step_size=150, max_iter=200, batch=16)
-        _, metrics = train_cross_domain(cdn, datasets, schedule,
-                                        np.random.default_rng(8), eval_every=100)
-        assert len(metrics.lr_history) == 200
-        for it, lr, shared_lr in metrics.lr_history:
-            assert shared_lr == pytest.approx(lr / 3, rel=1e-12)
+        train_cross_domain(cdn, datasets, schedule, np.random.default_rng(8), eval_every=100)
+        # per iteration and branch: the private group at lr, then the store at lr/3
+        shared_names = [p.name for p in cdn.shared_params()]
+        assert [it for it, _, _ in sgd_steps] == [it for it in range(200) for _ in range(6)]
+        assert [names == shared_names for _, _, names in sgd_steps] == [False, True] * 600
+        for it, lr, names in sgd_steps:
+            scale = 1 / 3 if names == shared_names else 1.0
+            assert lr == pytest.approx(lr_at(schedule, it) * scale, rel=1e-12)
         ref = cdn.shared_bytes(0)
         assert cdn.shared_bytes(1) == ref and cdn.shared_bytes(2) == ref
 
@@ -183,7 +186,7 @@ def test_criterion_6_convergence_trend(pretrained_setup):
         assert close >= 3, f"final accuracies within 0.03 in only {close}/5 seeds"
 
 
-def test_criterion_7_two_step_schedule():
+def test_criterion_7_two_step_schedule(sgd_steps):
     with criterion(7, "two-step optimization: Step I on the largest source alone, "
                       "independent schedules, 1/N only in Step II"):
         big = synth_domain(401, 10, 3, side=40, name="big")
@@ -204,15 +207,17 @@ def test_criterion_7_two_step_schedule():
 
         assert {r.domain for r in m1.rows} == {"big"}
         assert {r.domain for r in m2.rows} == {"small1", "big", "small2"}
+        shared_names = [p.name for p in cdn.shared_params()]
+        step1, step2 = sgd_steps[:100 * 2], sgd_steps[100 * 2:]
         # Step I: own schedule, multiplier 1 (single active domain)
-        assert [it for it, _, _ in m1.lr_history] == list(range(100))
-        for it, lr, shared in m1.lr_history:
-            assert shared == lr == pytest.approx(0.001 * 0.1 ** (it // 50))
+        assert [it for it, _, _ in step1] == [it for it in range(100) for _ in range(2)]
+        for it, lr, _ in step1:
+            assert lr == pytest.approx(0.001 * 0.1 ** (it // 50))
         # Step II: iteration counter restarts, own step size, multiplier 1/3
-        assert [it for it, _, _ in m2.lr_history] == list(range(120))
-        for it, lr, shared in m2.lr_history:
-            assert lr == pytest.approx(0.001 * 0.1 ** (it // 80))
-            assert shared == pytest.approx(lr / 3, rel=1e-12)
+        assert [it for it, _, _ in step2] == [it for it in range(120) for _ in range(6)]
+        for it, lr, names in step2:
+            scale = 1 / 3 if names == shared_names else 1.0
+            assert lr == pytest.approx(0.001 * 0.1 ** (it // 80) * scale, rel=1e-12)
 
 
 def test_criterion_8_data_layer(tmp_path):

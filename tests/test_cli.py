@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hsinet.cli
 import hsinet.experiments
 import hsinet.ops
+import hsinet.trainer
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.cli import _write_train_outputs, main
-from hsinet.envi import load_label_raster
+from hsinet.data import DomainDataset, SynthConfig, synth_generate, write_dataset
+from hsinet.envi import LabelRaster, load_label_raster
 from hsinet.network import NetworkSpec, build_backbone
 from hsinet.trainer import MetricRow, TrainMetrics
 
@@ -242,15 +245,79 @@ class TestWholeConfigCheckedFirst:
         assert calls == {}
 
 
+class TestTargetRunRecord:
+    def test_eval_points_alone_score_the_run(self, tmp_path, capsys, monkeypatch):
+        """eval_every 10 and max_iter 25 score the test split at 10, 20 and 25
+        only; the printed accuracy and the checkpoint read the last row."""
+        splits = []
+        evaluate = hsinet.trainer.evaluate
+
+        def recorded(network, dataset, split):
+            splits.append(split)
+            return evaluate(network, dataset, split)
+
+        for module in (hsinet.trainer, hsinet.experiments, hsinet.cli):
+            if hasattr(module, "evaluate"):  # each name a run could call it by
+                monkeypatch.setattr(module, "evaluate", recorded)
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "target", bands=5, side=14), "train_per_class": 6,
+            "eval_every": 10, "network": {"filters": 4},
+            "schedule": {"step_size": 20, "max_iter": 25, "batch": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert splits == ["test"] * 3
+        last = (tmp_path / "o" / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "25"
+        assert json.loads(capsys.readouterr().out)["test_accuracy"] == float(last[3])
+        assert load_checkpoint(tmp_path / "o" / "scratch.ckpt").iteration == 25
+
+
+class TestEmptyTargetTestSplit:
+    """A target whose every class has exactly train_per_class labeled pixels
+    has nothing to score a training run on: a data error before any step."""
+
+    SCHEDULE = {"step_size": 4, "max_iter": 4, "batch": 4}
+
+    def config(self, tmp_path, **over):
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=12, width=12,
+                                        noise_std=0.25, seed=50, name="t"))
+        flat = ds.labels.labels.ravel().copy()
+        for cls in (1, 2, 3):
+            flat[np.flatnonzero(flat == cls)[3:]] = 0
+        ds = DomainDataset(ds.cube, LabelRaster(12, 12, flat.reshape(12, 12)), 3, name="t")
+        return write_json(tmp_path / "c.json", {
+            "target": {"manifest": str(write_dataset(ds, tmp_path / "data"))},
+            "train_per_class": 3, "network": {"filters": 4}, "seeds": [0],
+            "sources": [synth(51, "a")], "schedule": self.SCHEDULE,
+            "pretrain_schedule": self.SCHEDULE, "depths": [2], **over})
+
+    @pytest.mark.parametrize("command", [["train-scratch"], ["experiment", "depth_sweep"]])
+    def test_training_exits_2_before_any_step(self, tmp_path, capsys, calls, command):
+        assert main([*command, "--config", self.config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "data error: test split of 't' is empty" in capsys.readouterr().err
+        assert "sgd_step" not in calls
+
+    @pytest.mark.parametrize("split,code", [("train", 0), ("test", 2)])
+    def test_eval_scores_the_train_split_only(self, tmp_path, capsys, split, code):
+        spec = NetworkSpec(bands=4, classes=3, filters=4)
+        save_checkpoint(build_backbone(spec, np.random.default_rng(0)), tmp_path / "n.ckpt")
+        assert main(["eval", "--config", self.config(tmp_path, split=split),
+                     "--checkpoint", str(tmp_path / "n.ckpt")]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "data error: test split of 't' is empty" in err
+        else:
+            assert json.loads(out)["split"] == "train"
+
+
 class TestAtomicOutputs:
     def test_failed_write_keeps_the_previous_metrics(self, tmp_path, fill_disk):
-        first = TrainMetrics(rows=[MetricRow(10, "a", 0.5, 0.25)], lr_history=[(9, 0.1, 0.1)])
+        first = TrainMetrics(rows=[MetricRow(10, "a", 0.5, 0.25)])
         _write_train_outputs(tmp_path, [first], ["metrics"])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["metrics.csv", "metrics_summary.json"]
         fill_disk()
-        second = TrainMetrics(rows=first.rows + [MetricRow(20, "a", 0.4, None)],
-                              lr_history=[(19, 0.1, 0.1)])
+        second = TrainMetrics(rows=first.rows + [MetricRow(20, "a", 0.4, None)])
         with pytest.raises(OSError, match="No space left"):
             _write_train_outputs(tmp_path, [second], ["metrics"])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import hsinet.experiments
+import hsinet.trainer
+from hsinet.data import SynthConfig, synth_generate
 from hsinet.errors import ConfigError
-from hsinet.experiments import (ReportRow, run_depth_sweep, run_experiment,
+from hsinet.experiments import (ReportRow, _Harness, run_depth_sweep, run_experiment,
                                 run_schedule_sweep, summarize, write_report)
 
 
@@ -161,6 +164,49 @@ class TestPretrain:
         run_experiment(base_config(experiment="pretrain", seeds=[0]), out)
         assert (out / "pretrained_seed0.ckpt").exists()
         assert (out / "report.csv").exists()
+
+
+class TestRunKeys:
+    """The documented config keys that change how a run trains or loads."""
+
+    SWEEP = dict(experiment="schedule_sweep", seeds=[0],
+                 schedules=[{"label": "A", "step_size": 16, "max_iter": 20}])
+
+    def test_pretrain_seed_builds_the_store(self, monkeypatch):
+        stores = []
+        transfer = hsinet.experiments.transfer_shared
+
+        def recorded(pretrained, spec, rng):
+            stores.append(pretrained.shared_bytes(0))
+            return transfer(pretrained, spec, rng)
+
+        monkeypatch.setattr(hsinet.experiments, "transfer_shared", recorded)
+        cfg = base_config(**self.SWEEP, pretrain_seed=5)
+        run_schedule_sweep(cfg)
+        h = _Harness(cfg)
+        assert stores == [h.pretrain(h.sources, 5).network.shared_bytes(0)]
+        assert stores[0] != h.pretrain(h.sources, 0).network.shared_bytes(0)
+
+    @pytest.mark.parametrize("augment", [True, False])
+    def test_augment_false_draws_no_symmetry(self, monkeypatch, augment):
+        calls = []
+        augment_d4 = hsinet.trainer.augment_d4
+
+        def recorded(patch, k):
+            calls.append(k)
+            return augment_d4(patch, k)
+
+        monkeypatch.setattr(hsinet.trainer, "augment_d4", recorded)
+        run_schedule_sweep(base_config(**self.SWEEP, augment=augment))
+        assert bool(calls) == augment
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_normalize_false_keeps_the_raw_cubes(self, normalize):
+        cfg = base_config(**self.SWEEP, normalize=normalize)
+        h = _Harness(cfg)
+        for ds, entry in [(h.target, cfg["target"]), *zip(h.sources, cfg["sources"])]:
+            raw = synth_generate(SynthConfig(**entry["synth"])).cube.data
+            assert np.array_equal(ds.cube.data, raw) == (not normalize)
 
 
 class TestReports:

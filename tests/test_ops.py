@@ -100,7 +100,7 @@ def batchnorm_forward_reference(x, p, training):
         mean = p.running_mean.astype(np.float64).reshape(1, -1, 1, 1)
         centered = x64 - mean
         var = p.running_var.astype(np.float64).reshape(1, -1, 1, 1)
-    xhat = centered * (1.0 / np.sqrt(var + p.eps))
+    xhat = centered * (1.0 / np.sqrt(var + ops.BN_EPS))
     scale = p.scale.data.astype(np.float64)[None, :, None, None]
     out = xhat * scale + p.shift.data.astype(np.float64)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, p.scale.data.dtype))
@@ -112,7 +112,7 @@ def batchnorm_backward_reference(x, p, grad_out):
     mean = x64.mean(axis=(0, 2, 3), keepdims=True)
     centered = x64 - mean
     var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + p.eps)
+    inv = 1.0 / np.sqrt(var + ops.BN_EPS)
     xhat = centered * inv
     count = x.shape[0] * x.shape[2] * x.shape[3]
     g_sum = g64.sum(axis=(0, 2, 3), keepdims=True)
@@ -270,7 +270,7 @@ class TestConvBackward:
 
 class TestBatchNorm:
     def test_three_value_channel(self):
-        p = ops.make_batchnorm_params("bn", 1, dtype=np.float64, eps=0.0)
+        p = ops.make_batchnorm_params("bn", 1, dtype=np.float64)
         x = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1)
         out = ops.batchnorm_forward(x, p, training=True).ravel()
         np.testing.assert_allclose(out, [-1.2247, 0.0, 1.2247], atol=1e-3)
@@ -292,7 +292,7 @@ class TestBatchNorm:
         p.scale.data[...] = 1.5
         p.shift.data[...] = -0.2
         x = rng.normal(0, 1, (3, 1, 1, 1))
-        expected = 1.5 * (x - 0.3) / np.sqrt(4.0 + p.eps) - 0.2
+        expected = 1.5 * (x - 0.3) / np.sqrt(4.0 + ops.BN_EPS) - 0.2
         np.testing.assert_allclose(ops.batchnorm_forward(x, p, training=False),
                                    expected, atol=1e-12)
 
@@ -334,7 +334,7 @@ class TestBatchNorm:
         g = rng.normal(0, 1, x.shape)
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
-        xhat = (x - mean) / np.sqrt(var + p.eps)
+        xhat = (x - mean) / np.sqrt(var + ops.BN_EPS)
         _, saved_xhat, inv = ops.batchnorm_forward(x, p, training=True, return_stats=True)
         _, g_scale, g_shift = ops.batchnorm_backward(saved_xhat, inv, p, g)
         np.testing.assert_allclose(g_shift, g.sum(axis=(0, 2, 3)), atol=1e-10)

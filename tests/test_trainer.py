@@ -174,7 +174,7 @@ class TestTrainSingle:
         losses = [r.loss for r in metrics.rows]
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
 
-    def test_metrics_rows_and_lr_history(self):
+    def test_metrics_rows_and_step_lrs(self, sgd_steps):
         ds = target_domain(seed=3, classes=2, side=12, n_per_class=6)
         net = build_backbone(NetworkSpec(bands=4, classes=2, filters=4),
                              np.random.default_rng(1))
@@ -182,9 +182,12 @@ class TestTrainSingle:
         _, metrics = train_single(net, ds, schedule, np.random.default_rng(2),
                                   eval_every=10)
         assert [r.iteration for r in metrics.rows] == [10, 20, 25]
-        assert len(metrics.lr_history) == 25
-        assert metrics.lr_history[0][1] == pytest.approx(0.001)
-        assert metrics.lr_history[24][1] == pytest.approx(0.0001)
+        assert metrics.summary()["iterations"] == 25
+        # one step per iteration over every parameter
+        assert [it for it, _, _ in sgd_steps] == list(range(25))
+        assert all(names == [p.name for p in net.params()] for _, _, names in sgd_steps)
+        assert sgd_steps[0][1] == pytest.approx(0.001)
+        assert sgd_steps[24][1] == pytest.approx(0.0001)
 
     def test_bank_computes_no_input_gradient(self, input_grad_calls):
         net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
@@ -219,21 +222,27 @@ class TestCrossDomain:
         cdn = build_cross_domain(spec, np.random.default_rng(0))
         return cdn, datasets
 
-    def test_shared_lr_is_base_over_n(self):
+    def test_shared_lr_is_base_over_n(self, sgd_steps):
         cdn, datasets = self._setup(3)
         schedule = TrainSchedule(step_size=8, max_iter=10, batch=4)
-        _, metrics = train_cross_domain(cdn, datasets, schedule,
-                                        np.random.default_rng(1), eval_every=5)
-        for it, lr, shared_lr in metrics.lr_history:
-            assert shared_lr == pytest.approx(lr / 3, rel=1e-12)
+        train_cross_domain(cdn, datasets, schedule, np.random.default_rng(1), eval_every=5)
+        # per iteration and branch: the private group, then the shared store
+        shared_names = [p.name for p in cdn.shared_params()]
+        assert [it for it, _, _ in sgd_steps] == [it for it in range(10) for _ in range(6)]
+        assert [names == shared_names for _, _, names in sgd_steps] == [False, True] * 30
+        for it, lr, names in sgd_steps:
+            if names == shared_names:
+                assert lr == pytest.approx(lr_at(schedule, it) / 3, rel=1e-12)
+            else:
+                assert lr == lr_at(schedule, it)
+                assert not any(name.startswith("res") for name in names)
 
-    def test_single_branch_multiplier_is_one(self):
+    def test_single_branch_multiplier_is_one(self, sgd_steps):
         cdn, datasets = self._setup(1)
         schedule = TrainSchedule(step_size=8, max_iter=8, batch=4)
-        _, metrics = train_cross_domain(cdn, datasets, schedule,
-                                        np.random.default_rng(1), eval_every=4)
-        for it, lr, shared_lr in metrics.lr_history:
-            assert shared_lr == lr
+        train_cross_domain(cdn, datasets, schedule, np.random.default_rng(1), eval_every=4)
+        assert [it for it, _, _ in sgd_steps] == [it for it in range(8) for _ in range(2)]
+        assert all(lr == lr_at(schedule, it) for it, lr, _ in sgd_steps)
 
     def test_losses_decrease_and_shared_stores_stay_identical(self):
         for seed in range(3):
@@ -285,7 +294,7 @@ class TestTwoStep:
         ])
         return build_cross_domain(spec, np.random.default_rng(0)), datasets
 
-    def test_step1_trains_largest_only_then_joint(self):
+    def test_step1_trains_largest_only_then_joint(self, sgd_steps):
         cdn, datasets = self._setup()
         s1 = TrainSchedule(step_size=8, max_iter=10, batch=4)
         s2 = TrainSchedule(step_size=10, max_iter=12, batch=4)
@@ -293,11 +302,16 @@ class TestTwoStep:
                                      np.random.default_rng(4), eval_every=5)
         assert {r.domain for r in m1.rows} == {"big"}
         assert {r.domain for r in m2.rows} == {"small1", "big", "small2"}
-        # step I: multiplier 1; step II: multiplier 1/3; schedules independent
-        assert all(shared == lr for _, lr, shared in m1.lr_history)
-        assert all(shared == pytest.approx(lr / 3) for _, lr, shared in m2.lr_history)
-        assert m1.lr_history[0][0] == 0 and m2.lr_history[0][0] == 0
-        assert m1.lr_history[-1][0] == 9 and m2.lr_history[-1][0] == 11
+        # step I: one branch, both groups at multiplier 1; step II: the
+        # counter restarts, three branches, the shared store at 1/3
+        shared_names = [p.name for p in cdn.shared_params()]
+        step1, step2 = sgd_steps[:10 * 2], sgd_steps[10 * 2:]
+        assert [it for it, _, _ in step1] == [it for it in range(10) for _ in range(2)]
+        assert all(lr == lr_at(s1, it) for it, lr, _ in step1)
+        assert [it for it, _, _ in step2] == [it for it in range(12) for _ in range(6)]
+        for it, lr, names in step2:
+            scale = 1 / 3 if names == shared_names else 1.0
+            assert lr == pytest.approx(lr_at(s2, it) * scale, rel=1e-12)
 
     def test_tie_break_first_in_input_order(self):
         a = synth_domain(seed=5, side=12, name="a")
