@@ -94,8 +94,9 @@ def _write_train_outputs(out, metrics_list, names):
 
 def cmd_pretrain(args):
     h = _harness(args)
+    sources = h.sources  # a run that fails on its data leaves no --out behind
     out = _outdir(args)
-    run = h.pretrain(h.sources, h.built["seed"], schedule_key="schedule")
+    run = h.pretrain(sources, h.built["seed"], schedule_key="schedule")
     names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
     _write_train_outputs(out, run.metrics, names)
     ckpt = out / "pretrained.ckpt"
@@ -109,6 +110,7 @@ def cmd_target(args):
     """finetune (from --checkpoint) and train-scratch."""
     h = _harness(args)
     pretrained = load_network(args.checkpoint, "cross") if args.command == "finetune" else None
+    h.target  # a run that fails on its data leaves no --out behind
     out = _outdir(args)
     run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
     _write_train_outputs(out, run.metrics, ["metrics"])

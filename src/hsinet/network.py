@@ -246,6 +246,8 @@ class Network:
         p = self.spec.patch
         if x.shape[2] != p or x.shape[3] != p:
             raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
+        # training bank outputs are held channel-major, and np.concatenate keeps
+        # its inputs' common memory order: c2 reads channel-major rows too
         t = np.concatenate([blk.forward(x, training) for blk in self.bank], axis=1)
         t = self.c2.forward(t, training)
         for m in self.modules:
@@ -268,7 +270,8 @@ class Network:
         if self._z_shape is None:
             raise ConfigError("backward called before a training-mode forward")
         c = self.spec.patch // 2
-        gz = np.zeros(self._z_shape, dtype=grad_logits.dtype)
+        n, classes, h, w = self._z_shape
+        gz = np.zeros((classes, n, h, w), dtype=grad_logits.dtype).transpose(1, 0, 2, 3)
         self._z_shape = None
         gz[:, :, c, c] = grad_logits
         g = self.c9.backward(gz)
@@ -278,9 +281,8 @@ class Network:
             g = m.backward(g)
         g = self.c2.backward(g)
         f = self.spec.filters
-        parts = np.split(g, [f, 2 * f], axis=1)
-        gxs = [blk.backward(np.ascontiguousarray(part), input_grad)
-               for blk, part in zip(self.bank, parts)]
+        parts = np.split(g, [f, 2 * f], axis=1)  # channel-major: each part is contiguous
+        gxs = [blk.backward(part, input_grad) for blk, part in zip(self.bank, parts)]
         return gxs[0] + gxs[1] + gxs[2] if input_grad else None
 
 

@@ -1,4 +1,12 @@
-"""Differentiable layer primitives on dense (batch, channel, height, width) arrays.
+"""Differentiable layer primitives on (batch, channel, height, width)-shaped arrays.
+
+Every op takes and returns NCHW shapes, whatever the memory order. Training
+activations are held channel-major: a contiguous (channel, batch, height,
+width) buffer passed around as its NCHW-shaped transposed view. Then
+`_rows(a)`, each channel as one contiguous row of n*h*w values, is a free
+view: a 1x1 convolution is one GEMM over the rows and batch norm reduces
+along them. An op handed an NCHW-contiguous array gives bit-identical
+results, after one copy into rows where it needs them.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -20,6 +28,18 @@ BN_EPS = 1e-5       # added to every variance before its inverse square root
 
 def _f64(a):
     return np.asarray(a, dtype=np.float64)
+
+
+def _channel_major64(a):
+    """An (n, c, h, w) array in float64, held channel-major; no copy when it
+    already is both."""
+    return np.asarray(a.transpose(1, 0, 2, 3), dtype=np.float64, order="C").transpose(1, 0, 2, 3)
+
+
+def _rows(a):
+    """The (c, n*h*w) rows of an (n, c, h, w) array: a view when `a` is held
+    channel-major, a copy otherwise."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
 
 
 def _check_4d(a, what):
@@ -96,30 +116,36 @@ def _conv_check(p, a, what):
         )
 
 
-def _windows(a64, k):
-    """The k x k windows of `a64` zero-padded by (k - 1) // 2, shaped (n, c, h, w, k, k)."""
+def _windows(a, k):
+    """The k x k windows of `a` zero-padded by (k - 1) // 2, shaped (n, c, h, w, k, k),
+    over a float64 copy that is NCHW-contiguous whatever the memory order of `a`."""
     r = (k - 1) // 2
-    return sliding_window_view(np.pad(a64, ((0, 0), (0, 0), (r, r), (r, r))), (k, k),
-                               axis=(2, 3))
+    n, c, h, w = a.shape
+    padded = np.zeros((n, c, h + 2 * r, w + 2 * r))
+    padded[:, :, r:r + h, r:r + w] = a
+    return sliding_window_view(padded, (k, k), axis=(2, 3))
 
 
-def _correlate(a64, w64):
+def _correlate(a, w64):
     """Bias-free same-padded correlation in float64:
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
+
+    The result is held channel-major.
     """
-    n, c, h, wd = a64.shape
+    n, _, h, wd = a.shape
     out_c, _, k, _ = w64.shape
-    if k == 1:  # 1x1 kernels are a per-pixel channel mix: one batched matmul
-        out = np.matmul(w64[:, :, 0, 0][None], a64.reshape(n, c, h * wd))
-        return out.reshape(n, out_c, h, wd)
-    return np.einsum("ncyxuv,ocuv->noyx", _windows(a64, k), w64, optimize=True)
+    if k == 1:  # a 1x1 kernel is a per-pixel channel mix: one GEMM over the rows
+        out = (w64[:, :, 0, 0] @ _rows(_channel_major64(a))).reshape(out_c, n, h, wd)
+    else:
+        out = np.einsum("ncyxuv,ocuv->onyx", _windows(a, k), w64, optimize=True)
+    return out.transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(x, p):
     """Zero-padded "same" convolution: the correlation of x with w, plus b."""
     _conv_check(p, x, "input")
-    out = _correlate(_f64(x), _f64(p.w.data))
+    out = _correlate(x, _f64(p.w.data))
     out += _f64(p.b.data)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, p.w.data.dtype), copy=False)
 
@@ -158,22 +184,19 @@ def conv2d_backward(x, p, grad_out):
     _conv_check(p, x, "input")
     w = p.w.data
     out_c, _, k, _ = w.shape
-    n, c, h, wd = x.shape
+    n, _, h, wd = x.shape
     if grad_out.shape != (n, out_c, h, wd):
         raise ShapeError(
             f"conv '{p.w.name}': grad_out shape {grad_out.shape} does not match "
             f"output shape {(n, out_c, h, wd)}"
         )
-    x64 = _f64(x)
-    g64 = _f64(grad_out)
-    if k == 1:
-        g2 = g64.reshape(n, out_c, h * wd)
-        x2 = x64.reshape(n, c, h * wd)
-        grad_b = g2.sum(axis=(0, 2))
-        grad_w = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    g64 = _channel_major64(grad_out)
+    g_rows = _rows(g64)
+    grad_b = g_rows.sum(axis=1)
+    if k == 1:  # one GEMM over all n*h*w pixels
+        grad_w = (g_rows @ _rows(_channel_major64(x)).T).reshape(w.shape)
     else:
-        grad_b = g64.sum(axis=(0, 2, 3))
-        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, _windows(x64, k), optimize=True)
+        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, _windows(x, k), optimize=True)
     return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
 
 
@@ -183,7 +206,7 @@ def conv2d_input_grad(p, grad_out):
     """
     _conv_check(p, grad_out, "grad_out")
     w64 = _f64(p.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    return _correlate(_f64(grad_out), w64).astype(grad_out.dtype, copy=False)
+    return _correlate(grad_out, w64).astype(grad_out.dtype, copy=False)
 
 
 def _bn_check(x, p):
@@ -202,36 +225,40 @@ def batchnorm_forward(x, p, training, return_stats=False):
     Training uses batch statistics (population variance) and folds them into
     the running estimates by exponential moving average; eval uses the running
     estimates. With return_stats (training only) the result is (out, x̂, 1/σ),
-    x̂ and 1/σ in float64, the statistics batchnorm_backward reads.
+    x̂ (held channel-major) and 1/σ in float64, the statistics
+    batchnorm_backward reads.
     """
     _bn_check(x, p)
     if return_stats and not training:
         raise ConfigError(
             f"batchnorm '{p.scale.name}': statistics are returned in training mode only"
         )
-    x64 = x.astype(np.float64)  # the one float64 copy; every later pass works in place
     if training:
         if x.shape[0] * x.shape[2] * x.shape[3] == 1:
             raise DataError(
                 f"batchnorm '{p.scale.name}': cannot compute batch statistics over a "
                 "single value (n*h*w == 1) in training mode"
             )
-        mean = x64.mean(axis=(0, 2, 3), keepdims=True)
-        x64 -= mean
+        # the one float64 copy, channel-major; every later pass works in place
+        x64 = x.transpose(1, 0, 2, 3).astype(np.float64, order="C").transpose(1, 0, 2, 3)
+        rows = _rows(x64)
+        mean = rows.mean(axis=1)
+        rows -= mean[:, None]
         out = np.square(x64)
-        var = out.mean(axis=(0, 2, 3), keepdims=True)
+        var = _rows(out).mean(axis=1)
         m = BN_MOMENTUM
-        p.running_mean[...] = ((1.0 - m) * _f64(p.running_mean) + m * mean.ravel()).astype(
+        p.running_mean[...] = ((1.0 - m) * _f64(p.running_mean) + m * mean).astype(
             p.running_mean.dtype
         )
-        p.running_var[...] = ((1.0 - m) * _f64(p.running_var) + m * var.ravel()).astype(
+        p.running_var[...] = ((1.0 - m) * _f64(p.running_var) + m * var).astype(
             p.running_var.dtype
         )
     else:
+        x64 = x.astype(np.float64)  # eval: the one float64 copy, in the input's order
         x64 -= _f64(p.running_mean).reshape(1, -1, 1, 1)
         out = x64  # eval keeps no x̂, so the output overwrites it
-        var = _f64(p.running_var).reshape(1, -1, 1, 1)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
+        var = _f64(p.running_var)
+    inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(1, -1, 1, 1)
     x64 *= inv  # x̂
     np.multiply(x64, _f64(p.scale.data)[None, :, None, None], out=out)
     out += _f64(p.shift.data)[None, :, None, None]
@@ -251,19 +278,21 @@ def batchnorm_backward(xhat, inv, p, grad_out):
             f"batchnorm '{p.scale.name}': grad_out shape {grad_out.shape} does not "
             f"match input shape {xhat.shape}"
         )
-    g64 = _f64(grad_out)
-    count = xhat.shape[0] * xhat.shape[2] * xhat.shape[3]
-    g_sum = g64.sum(axis=(0, 2, 3), keepdims=True)
-    t = g64 * xhat
-    gxhat_sum = t.sum(axis=(0, 2, 3), keepdims=True)
-    np.multiply(xhat, gxhat_sum / count, out=t)
-    gx = g64 - g_sum / count
+    n, c, h, w = xhat.shape
+    count = n * h * w
+    g = _rows(_channel_major64(grad_out))
+    xr = _rows(xhat)
+    g_sum = g.sum(axis=1, keepdims=True)
+    t = g * xr
+    gxhat_sum = t.sum(axis=1, keepdims=True)
+    np.multiply(xr, gxhat_sum / count, out=t)
+    gx = g - g_sum / count
     gx -= t
-    gx *= _f64(p.scale.data)[None, :, None, None] * inv
+    gx *= _f64(p.scale.data)[:, None] * inv.reshape(c, 1)
     grad_scale = gxhat_sum.reshape(-1)
     grad_shift = g_sum.reshape(-1)
     return (
-        gx.astype(grad_out.dtype, copy=False),
+        gx.reshape(c, n, h, w).transpose(1, 0, 2, 3).astype(grad_out.dtype, copy=False),
         grad_scale.astype(p.scale.data.dtype, copy=False),
         grad_shift.astype(p.shift.data.dtype, copy=False),
     )
@@ -292,14 +321,22 @@ def dropout(x, rate, training, rng=None):
         return x, np.ones(x.shape, dtype=bool)
     if rng is None:
         raise ConfigError("dropout in training mode requires an rng")
-    mask = rng.random(x.shape) >= rate
-    return (x * mask) * (1.0 / (1.0 - rate)), mask
+    # the mask takes the memory order of x, so both products run contiguously
+    mask = np.greater_equal(rng.random(x.shape), rate, out=np.empty_like(x, dtype=bool))
+    return _masked(x, mask, rate), mask
 
 
 def dropout_backward(grad_out, mask, rate):
     if grad_out.shape != mask.shape:
         raise ShapeError(f"dropout: grad_out shape {grad_out.shape} != mask shape {mask.shape}")
-    return (grad_out * mask) * (1.0 / (1.0 - rate))
+    return _masked(grad_out, mask, rate)
+
+
+def _masked(a, mask, rate):
+    """(a * mask) * (1 / (1 - rate)), in the memory order of `a`."""
+    out = np.multiply(a, mask, out=np.empty_like(a))
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def softmax_cross_entropy(logits, labels):

@@ -296,6 +296,15 @@ class TestEmptyTargetTestSplit:
                      "--out", str(tmp_path / "o")]) == 2
         assert "data error: test split of 't' is empty" in capsys.readouterr().err
         assert "sgd_step" not in calls
+        assert not (tmp_path / "o").exists()
+
+    def test_pretrain_on_a_missing_source_leaves_no_out_dir(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [{"manifest": str(tmp_path / "missing.json")}],
+            "network": {"filters": 4}, "schedule": self.SCHEDULE})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "missing.json" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("split,code", [("train", 0), ("test", 2)])
     def test_eval_scores_the_train_split_only(self, tmp_path, capsys, split, code):

@@ -155,6 +155,24 @@ class TestForward:
         with pytest.raises(ConfigError, match="training-mode forward"):
             net.backward(grad)
 
+    def test_training_activations_are_channel_major(self, monkeypatch):
+        """A training step holds the trunk's block inputs, every x̂ and every
+        gradient reaching a conv or batch norm channel-major, so their rows
+        are views, not copies."""
+        grads = []
+        for name in ("conv2d_backward", "batchnorm_backward"):
+            fn = getattr(ops, name)
+            monkeypatch.setattr(ops, name, lambda *a, fn=fn: grads.append(a[-1]) or fn(*a))
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (3, 4, 5, 5)).astype(np.float32)
+        net.forward(x, training=True, rng=np.random.default_rng(2))
+        held = [blk._x for blk in net.blocks()[3:]]  # past the NCHW bank input
+        held += [blk._bn_stats[0] for blk in net.blocks() if blk.with_bn]
+        net.backward(np.ones((3, 3), dtype=np.float32))
+        assert len(grads) == 2 * len(net.blocks()) - 1  # c9 has no batch norm
+        assert all(np.shares_memory(ops._rows(a), a) for a in held + grads)
+
     def test_backward_after_eval_forward_rejected(self):
         spec = NetworkSpec(bands=4, classes=3, filters=4)
         net = build_backbone(spec, np.random.default_rng(0))

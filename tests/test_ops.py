@@ -42,8 +42,9 @@ def make_conv(in_c, out_c, k, rng=None, dtype=np.float64):
 # Slow references for the fast paths: the conv forward and the conv backward
 # that returned the input gradient with the parameter gradients, each with its
 # own pad, windows and contraction, and the batch norm that built fresh
-# float64 temporaries and recomputed its statistics from `x` in backward. The
-# fast paths must match them bit for bit.
+# float64 temporaries and recomputed its statistics from `x` in backward, all
+# on NCHW memory. The fast paths must match them bit for bit, except for the
+# float64 training sums bounded by the F64_* constants below.
 
 def windows_reference(a64, k):
     pad = (k - 1) // 2
@@ -139,6 +140,34 @@ def block_reference(blk, x, training, grad_out):
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def assert_within_ulp(a, b, maxulp):
+    """Same bits when maxulp is 0, else at most maxulp float steps apart."""
+    if maxulp == 0:
+        assert_same_bits(a, b)
+    else:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_max_ulp(a, b, maxulp)
+
+
+# The training sums run once per channel over a contiguous row of all n*h*w
+# values, where the references sum per sample and then over the batch: the 1x1
+# weight gradient (one GEMM), the conv bias gradient and the batch-norm mean,
+# variance, sum(g) and sum(g * x̂). In the float32 cases the cast back hides
+# the new order; in float64 these cases move by at most these ulps (the
+# smallest bounds that pass). Every other case stays bit-exact.
+F64_CONV_GRAD_MAX_ULP = 4   # grad_w (1x1) and grad_b
+F64_BLOCK_MAX_ULP = {"out": 48, "running_mean": 0, "running_var": 1, "grad_x": 345,
+                     "grad_w": 256, "grad_scale": 8, "grad_shift": 4}
+# Batch norm removes the mean gradient, so the conv bias gradient of a block
+# is zero up to rounding and its ulp distance is meaningless: bound |diff|.
+F64_BLOCK_BIAS_GRAD_ATOL = 7 * np.finfo(np.float64).eps
+
+
+def channel_major(a):
+    """The values of an (n, c, h, w) array, held as a contiguous (c, n, h, w) buffer."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
 class TestConvForward:
@@ -366,8 +395,9 @@ class TestFastPathsMatchReferences:
         g = rng.normal(0, 1, (2, 4, 5, 5)).astype(dtype)
         gx, gw, gb = conv2d_backward_reference(x, p, g)
         assert_same_bits(ops.conv2d_input_grad(p, g), gx)
+        maxulp = F64_CONV_GRAD_MAX_ULP if dtype == np.float64 else 0
         for fast, ref in zip(ops.conv2d_backward(x, p, g), (gw, gb)):
-            assert_same_bits(fast, ref)
+            assert_within_ulp(fast, ref, maxulp)
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -386,15 +416,19 @@ class TestFastPathsMatchReferences:
         out = blk.forward(x, training)
         g = rng.normal(0, 1, out.shape).astype(dtype)
         ref_out, ref_grads = block_reference(ref, x, training, g)
-        assert_same_bits(out, ref_out)
-        assert_same_bits(blk.bn.running_mean, ref.bn.running_mean)
-        assert_same_bits(blk.bn.running_var, ref.bn.running_var)
+        ulps = F64_BLOCK_MAX_ULP if dtype == np.float64 and training else {}
+        assert_within_ulp(out, ref_out, ulps.get("out", 0))
+        assert_within_ulp(blk.bn.running_mean, ref.bn.running_mean, ulps.get("running_mean", 0))
+        assert_within_ulp(blk.bn.running_var, ref.bn.running_var, ulps.get("running_var", 0))
         if training:
-            gx = blk.backward(g)
-            grads = (gx, blk.conv.w.grad, blk.conv.b.grad, blk.bn.scale.grad,
+            grads = (blk.backward(g), blk.conv.w.grad, blk.conv.b.grad, blk.bn.scale.grad,
                      blk.bn.shift.grad)
-            for fast, slow in zip(grads, ref_grads, strict=True):
-                assert_same_bits(fast, slow)
+            names = ("grad_x", "grad_w", "grad_b", "grad_scale", "grad_shift")
+            for name, fast, slow in zip(names, grads, ref_grads, strict=True):
+                if name == "grad_b" and ulps:
+                    np.testing.assert_allclose(fast, slow, rtol=0, atol=F64_BLOCK_BIAS_GRAD_ATOL)
+                else:
+                    assert_within_ulp(fast, slow, ulps.get(name, 0))
 
     def test_forward_leaves_a_float64_input_unchanged(self):
         """Gradient checking hands batch norm float64 arrays, which the
@@ -418,6 +452,56 @@ class TestFastPathsMatchReferences:
                                              return_stats=True)
         with pytest.raises(ShapeError, match="does not match input shape"):
             ops.batchnorm_backward(xhat, inv, p, np.zeros((2, 1, 1, 1)))
+
+
+class TestChannelMajorInputs:
+    """Training hands the ops channel-major arrays. Each op gives the same
+    bits for those as for the same values held NCHW-contiguous."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv(self, k, dtype):
+        rng = np.random.default_rng(30 + k)
+        p = make_conv(3, 4, k, rng, dtype=dtype)
+        for side in (5, 1):  # at side 1 a channel-major array is also F-contiguous
+            x = rng.normal(0, 1, (6, 3, side, side)).astype(dtype)
+            g = rng.normal(0, 1, (6, 4, side, side)).astype(dtype)
+            results = [(ops.conv2d_forward(a, p), ops.conv2d_center(a, p),
+                        ops.conv2d_input_grad(p, ga), *ops.conv2d_backward(a, p, ga))
+                       for a, ga in ((x, g), (channel_major(x), channel_major(g)))]
+            for nchw, cm in zip(*results, strict=True):
+                assert_same_bits(nchw, cm)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm(self, dtype):
+        rng = np.random.default_rng(40)
+        x = rng.normal(1, 2, (6, 4, 5, 5)).astype(dtype)
+        g = rng.normal(0, 1, x.shape).astype(dtype)
+        results = []
+        for a, ga in ((x, g), (channel_major(x), channel_major(g))):
+            p = ops.make_batchnorm_params("bn", 4, dtype=dtype)
+            p.scale.data[...] = np.linspace(0.5, 2.0, 4)
+            p.shift.data[...] = np.linspace(-1.0, 1.0, 4)
+            out, xhat, inv = ops.batchnorm_forward(a, p, True, return_stats=True)
+            results.append((out, p.running_mean, p.running_var, xhat, inv,
+                            *ops.batchnorm_backward(xhat, inv, p, ga),
+                            *ops.batchnorm_backward(np.ascontiguousarray(xhat), inv, p, ga),
+                            ops.batchnorm_forward(a, p, False)))
+        for nchw, cm in zip(*results, strict=True):
+            assert_same_bits(nchw, cm)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elementwise(self, dtype):
+        rng = np.random.default_rng(50)
+        x = rng.normal(0, 1, (6, 4, 3, 3)).astype(dtype)
+        g = rng.normal(0, 1, x.shape).astype(dtype)
+        results = []
+        for a, ga in ((x, g), (channel_major(x), channel_major(g))):
+            dropped, mask = ops.dropout(a, 0.5, True, np.random.default_rng(0))
+            results.append((ops.relu(a), ops.relu_backward(a, ga), dropped, mask,
+                            ops.dropout_backward(ga, mask, 0.5)))
+        for nchw, cm in zip(*results, strict=True):
+            assert_same_bits(nchw, cm)
 
 
 class TestRelu:
