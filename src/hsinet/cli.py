@@ -110,7 +110,7 @@ def cmd_target(args):
     """finetune (from --checkpoint) and train-scratch."""
     h = _harness(args)
     pretrained = load_network(args.checkpoint, "cross") if args.command == "finetune" else None
-    h.target  # a run that fails on its data leaves no --out behind
+    target = h.target  # loaded before --out is made, as in cmd_pretrain
     out = _outdir(args)
     run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
     _write_train_outputs(out, run.metrics, ["metrics"])

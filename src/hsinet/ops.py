@@ -6,7 +6,12 @@ width) buffer passed around as its NCHW-shaped transposed view. Then
 `_rows(a)`, each channel as one contiguous row of n*h*w values, is a free
 view: a 1x1 convolution is one GEMM over the rows and batch norm reduces
 along them. An op handed an NCHW-contiguous array gives bit-identical
-results, after one copy into rows where it needs them.
+results, after one copy into rows where it needs them. The batch statistics
+and the conv bias gradient are summed in the order of a sum over NCHW memory
+(`_channel_sums`), so forward outputs and running statistics do not depend on
+the layout. The 1x1 weight gradient (one GEMM) and the batch-norm backward
+sums run along whole rows, so in float64 they round differently from a
+per-sample NCHW sum.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -40,6 +45,15 @@ def _rows(a):
     """The (c, n*h*w) rows of an (n, c, h, w) array: a view when `a` is held
     channel-major, a copy otherwise."""
     return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
+def _channel_sums(rows, n):
+    """The sum of each (c, n*h*w) row in the order of `a.sum(axis=(0, 2, 3))` on
+    NCHW memory: each sample's h*w values pairwise, then the samples in turn."""
+    c = rows.shape[0]
+    per_sample = np.empty((n, c))
+    np.sum(rows.reshape(c, n, -1), axis=2, out=per_sample.T)
+    return per_sample.sum(axis=0)
 
 
 def _check_4d(a, what):
@@ -192,7 +206,7 @@ def conv2d_backward(x, p, grad_out):
         )
     g64 = _channel_major64(grad_out)
     g_rows = _rows(g64)
-    grad_b = g_rows.sum(axis=1)
+    grad_b = _channel_sums(g_rows, n)
     if k == 1:  # one GEMM over all n*h*w pixels
         grad_w = (g_rows @ _rows(_channel_major64(x)).T).reshape(w.shape)
     else:
@@ -241,11 +255,12 @@ def batchnorm_forward(x, p, training, return_stats=False):
             )
         # the one float64 copy, channel-major; every later pass works in place
         x64 = x.transpose(1, 0, 2, 3).astype(np.float64, order="C").transpose(1, 0, 2, 3)
+        count = x.shape[0] * x.shape[2] * x.shape[3]
         rows = _rows(x64)
-        mean = rows.mean(axis=1)
+        mean = _channel_sums(rows, x.shape[0]) / count
         rows -= mean[:, None]
         out = np.square(x64)
-        var = _rows(out).mean(axis=1)
+        var = _channel_sums(_rows(out), x.shape[0]) / count
         m = BN_MOMENTUM
         p.running_mean[...] = ((1.0 - m) * _f64(p.running_mean) + m * mean).astype(
             p.running_mean.dtype
