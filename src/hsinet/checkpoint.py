@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -163,23 +164,33 @@ def load_checkpoint(path):
                 raise CheckpointError(f"tensor record '{name}' is malformed: {e}") from None
     if meta is None:
         raise CheckpointError("checkpoint has no metadata record")
-    kind, network, iteration, rng = _parse_meta(meta)
+    kind, network, iteration, rng = _parse_meta(meta, records)
     for name, arr in network.state():
-        if name not in records:
-            raise CheckpointError(f"checkpoint missing tensor '{name}'")
-        src = records[name]
+        src = _record(records, name)
         if src.shape != arr.shape:
             raise CheckpointError(
                 f"tensor '{name}' has shape {src.shape}, expected {arr.shape}"
             )
-        arr[...] = src.astype(arr.dtype, copy=False)
+        if src.dtype != arr.dtype:
+            raise CheckpointError(
+                f"tensor '{name}' has dtype {src.dtype.str}, but the checkpoint metadata "
+                f"says {arr.dtype.str}"
+            )
+        arr[...] = src
 
     return Checkpoint(network=network, rng=rng, iteration=iteration, kind=kind)
 
 
-def _parse_meta(raw):
+def _record(records, name):
+    if name not in records:
+        raise CheckpointError(f"checkpoint missing tensor '{name}'")
+    return records[name]
+
+
+def _parse_meta(raw, records):
     """(kind, the network its tensors fill, iteration, rng) from the metadata
-    record, or a CheckpointError naming the field that is missing or malformed."""
+    record, or a CheckpointError naming the field that is missing or malformed
+    or that disagrees with the tensor records."""
     try:
         meta = json.loads(bytes(raw).decode("utf-8"))
     except ValueError as e:  # also UnicodeDecodeError
@@ -195,17 +206,56 @@ def _parse_meta(raw):
             raise CheckpointError(f"checkpoint metadata has no '{name}'")
         try:
             return parse(meta[name])
-        except (TypeError, ValueError, KeyError, ConfigError) as e:
+        except (TypeError, ValueError, KeyError, OverflowError, ConfigError) as e:
             raise CheckpointError(f"checkpoint metadata '{name}' is malformed: {e}") from None
 
     dtype = field("dtype", _float_dtype)
+    # every size the network allocates is checked against the records first
     if kind == "single":
-        network = field("spec", lambda d: Network(NetworkSpec(**d), dtype=dtype))
+        network = field("spec", lambda d: Network(_sized(_spec(d), records), dtype=dtype))
     else:
         network = field("branches", lambda b: CrossDomainNetwork(
-            CrossDomainSpec([NetworkSpec(**d) for d in b]), dtype))
+            _sized(CrossDomainSpec([_spec(d) for d in b]), records), dtype))
     rng = field("rng", _restore_rng) if "rng" in meta else None
     return kind, network, field("iteration", _non_negative), rng
+
+
+def _spec(fields):
+    """NetworkSpec(**fields), its sizes JSON integers (a float patch would
+    reach the patch batcher)."""
+    spec = NetworkSpec(**fields)
+    for key in ("bands", "classes", "patch", "filters", "residual_modules"):
+        if type(getattr(spec, key)) is not int:
+            raise TypeError(f"{key} must be an integer, got {getattr(spec, key)!r}")
+    return spec
+
+
+def _sized(spec, records):
+    """A NetworkSpec or CrossDomainSpec, once the sizes of each branch agree
+    with its records: c1x1.w is (filters, bands, 1, 1), c9.w is (classes,
+    filters, 1, 1), and residual_modules counts the res<i>.conv1.w records."""
+    single = isinstance(spec, NetworkSpec)
+    shared = "" if single else r"shared\."
+    modules = sum(1 for name in records if re.fullmatch(rf"{shared}res\d+\.conv1\.w", name))
+    for i, sp in enumerate([spec] if single else spec.branches):
+        where, prefix = ("spec", "") if single else (f"branches[{i}]", f"branch{i}.")
+        for name, attrs in ((f"{prefix}c1x1.w", ("filters", "bands")),
+                            (f"{prefix}c9.w", ("classes", "filters"))):
+            shape = _record(records, name).shape
+            if len(shape) != 4 or shape[2:] != (1, 1):
+                want = tuple(getattr(sp, a) for a in attrs) + (1, 1)
+                raise CheckpointError(f"tensor '{name}' has shape {shape}, expected {want}")
+            for attr, size in zip(attrs, shape):
+                if getattr(sp, attr) != size:
+                    raise CheckpointError(f"checkpoint metadata '{where}.{attr}' is "
+                                          f"{getattr(sp, attr)}, but tensor '{name}' has "
+                                          f"shape {shape}")
+        if sp.residual_modules != modules:
+            raise CheckpointError(
+                f"checkpoint metadata '{where}.residual_modules' is {sp.residual_modules}, "
+                f"but the checkpoint holds {modules} residual modules"
+            )
+    return spec
 
 
 def _float_dtype(name):

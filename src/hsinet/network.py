@@ -4,8 +4,8 @@ The backbone is fully convolutional: a multi-scale bank of 1x1/3x3/5x5
 convolutions over the input patch, a 1x1 reduction (c2), a chain of residual
 modules (two 1x1 convolutions each, additive skip), two dropout-guarded 1x1
 layers (c7, c8) and a 1x1 classifier head (c9). Batch norm + ReLU follow
-every convolution except c9. Per-pixel logits are read at the patch center;
-an eval forward computes that pixel alone.
+every convolution except c9. Per-pixel logits are read at the patch center,
+so c9 computes that pixel alone; an eval forward computes only it throughout.
 """
 from __future__ import annotations
 
@@ -81,8 +81,9 @@ class ConvBlock:
         self._bn_stats = None
         self._pre_relu = None
 
-    def forward(self, x, training):
-        """Training computes every pixel; eval only the center (n, out_c, 1, 1)."""
+    def forward(self, x, training, rng=None):
+        """Training computes every pixel; eval only the center (n, out_c, 1, 1).
+        `rng` is unused: the call form of Dropout.forward."""
         self._x = x
         y = ops.conv2d_forward(x, self.conv) if training else ops.conv2d_center(x, self.conv)
         if self.with_bn and training:
@@ -94,9 +95,13 @@ class ConvBlock:
             y = ops.relu(y)
         return y
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
+        """Fill the parameter gradients; returns the input gradient."""
+        return ops.conv2d_input_grad(self.conv, self.param_backward(grad_out))
+
+    def param_backward(self, grad_out):
         """Fill the parameter gradients and release the batch-norm statistics;
-        returns the input gradient, or None without input_grad."""
+        returns the gradient at the conv output (a bank block stops here)."""
         g = grad_out
         if self.with_relu:
             g = ops.relu_backward(self._pre_relu, g)
@@ -106,7 +111,7 @@ class ConvBlock:
             self.bn.scale.grad = g_scale
             self.bn.shift.grad = g_shift
         self.conv.w.grad, self.conv.b.grad = ops.conv2d_backward(self._x, self.conv, g)
-        return ops.conv2d_input_grad(self.conv, g) if input_grad else None
+        return g
 
     def params(self):
         out = [self.conv.w, self.conv.b]
@@ -136,7 +141,7 @@ class ResidualModule:
         self.conv2 = ConvBlock(f"{name}.conv2", filters, filters, 1, dtype, with_relu=False)
         self._pre_add = None
 
-    def forward(self, x, training):
+    def forward(self, x, training, rng=None):
         y = self.conv2.forward(self.conv1.forward(x, training), training)
         self._pre_add = x + y
         return ops.relu(self._pre_add)
@@ -184,17 +189,15 @@ class Network:
         self.c8 = ConvBlock("c8", f, f, 1, dtype)
         self.drop7 = Dropout(spec.dropout_rate)
         self.drop8 = Dropout(spec.dropout_rate)
+        # every layer between the bank and the head, in forward order
+        self.trunk = [self.c2, *self.modules, self.c7, self.drop7, self.c8, self.drop8]
         self.c9 = ConvBlock("c9", f, spec.classes, 1, dtype, with_bn=False, with_relu=False)
-        self._z_shape = None
+        self._backward_ready = False
 
     # --- structure ------------------------------------------------------
 
     def blocks(self):
-        out = list(self.bank) + [self.c2]
-        for m in self.modules:
-            out += m.blocks()
-        out += [self.c7, self.c8, self.c9]
-        return out
+        return [*self.bank, self.c2, *self.shared_blocks(), self.c7, self.c8, self.c9]
 
     def private_blocks(self):
         return list(self.bank) + [self.c2, self.c7, self.c8, self.c9]
@@ -232,10 +235,11 @@ class Network:
     def forward(self, x, training=False, rng=None):
         """Run the graph; returns center-pixel logits shaped (n, classes).
 
-        Eval computes the patch center alone. After the bank every layer is
-        1x1, and eval batch norm uses running statistics, so each works per
-        pixel and the center logit depends only on the bank's center output.
-        Training computes all p x p pixels, which backward needs.
+        Only the center logit reaches the loss, and c9 (no batch norm) works
+        per pixel, so c9 computes it alone. Eval computes the patch center
+        alone throughout: after the bank every layer is 1x1 and eval batch
+        norm uses running statistics, so the center logit depends only on the
+        bank's center output. Training batch statistics span all p x p pixels.
         """
         ops._check_4d(x, "network input")
         if x.shape[1] != self.spec.bands:
@@ -249,41 +253,31 @@ class Network:
         # training bank outputs are held channel-major, and np.concatenate keeps
         # its inputs' common memory order: c2 reads channel-major rows too
         t = np.concatenate([blk.forward(x, training) for blk in self.bank], axis=1)
-        t = self.c2.forward(t, training)
-        for m in self.modules:
-            t = m.forward(t, training)
-        t = self.drop7.forward(self.c7.forward(t, training), training, rng)
-        t = self.drop8.forward(self.c8.forward(t, training), training, rng)
-        z = self.c9.forward(t, training)
+        for layer in self.trunk:
+            t = layer.forward(t, training, rng)
+        c = t.shape[2] // 2  # 0 in eval, whose trunk computed the center alone
+        z = self.c9.forward(t[:, :, c:c + 1, c:c + 1], training)
         # the caches of an eval forward hold center pixels only: no backward
-        self._z_shape = z.shape if training else None
-        c = p // 2 if training else 0
-        return np.ascontiguousarray(z[:, :, c, c])
+        self._backward_ready = training
+        return np.ascontiguousarray(z[:, :, 0, 0])
 
-    def backward(self, grad_logits, input_grad=False):
-        """Backprop from center-pixel logits, filling every parameter's grad.
-
-        The update reads no gradient of the data, so the bank computes none
-        and this returns None; input_grad (the gradient oracle's) returns it.
-        One training forward serves one backward.
-        """
-        if self._z_shape is None:
+    def backward(self, grad_logits):
+        """Backprop from the (n, classes) center-pixel logits, filling every
+        parameter's grad. c9's input gradient is zero off the center. The
+        update reads no gradient of the data, so the bank computes none and
+        this returns None. One training forward serves one backward."""
+        if not self._backward_ready:
             raise ConfigError("backward called before a training-mode forward")
-        c = self.spec.patch // 2
-        n, classes, h, w = self._z_shape
-        gz = np.zeros((classes, n, h, w), dtype=grad_logits.dtype).transpose(1, 0, 2, 3)
-        self._z_shape = None
-        gz[:, :, c, c] = grad_logits
-        g = self.c9.backward(gz)
-        g = self.c8.backward(self.drop8.backward(g))
-        g = self.c7.backward(self.drop7.backward(g))
-        for m in reversed(self.modules):
-            g = m.backward(g)
-        g = self.c2.backward(g)
-        f = self.spec.filters
-        parts = np.split(g, [f, 2 * f], axis=1)  # channel-major: each part is contiguous
-        gxs = [blk.backward(part, input_grad) for blk, part in zip(self.bank, parts)]
-        return gxs[0] + gxs[1] + gxs[2] if input_grad else None
+        self._backward_ready = False
+        gc = self.c9.backward(grad_logits[:, :, None, None])
+        n, f, p = len(grad_logits), self.spec.filters, self.spec.patch
+        g = np.zeros((f, n, p, p), dtype=gc.dtype).transpose(1, 0, 2, 3)  # channel-major
+        g[:, :, p // 2, p // 2] = gc[:, :, 0, 0]
+        for layer in reversed(self.trunk):
+            g = layer.backward(g)
+        # channel-major: each part is contiguous
+        for blk, part in zip(self.bank, np.split(g, 3, axis=1)):
+            blk.param_backward(part)
 
 
 def init_weights(network, rng, only_private=False):

@@ -7,6 +7,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import hsinet.checkpoint
+
 from hsinet.checkpoint import (MAGIC, VERSION, _pack_record, _parse_records, load_checkpoint,
                                save_checkpoint)
 from hsinet.cli import main
@@ -188,6 +190,16 @@ def _without(name):
     return _meta(lambda meta: {k: v for k, v in meta.items() if k != name})
 
 
+def _spec(*branches, **fields):
+    """Set fields of the single spec, or of the specs of the given branches."""
+    def change(meta):
+        if not branches:
+            return {**meta, "spec": {**meta["spec"], **fields}}
+        return {**meta, "branches": [{**b, **fields} if i in branches else b
+                                     for i, b in enumerate(meta["branches"])]}
+    return _meta(change)
+
+
 def _retag(name, dtype):
     return lambda records: [(n, dtype if n == name else dt, shape, raw)
                             for n, dt, shape, raw in records]
@@ -220,15 +232,70 @@ class TestMalformedRecords:
         (small_net, _set(iteration="7"), "checkpoint metadata 'iteration' is malformed"),
         (small_net, _set(rng={"state": 1}), "checkpoint metadata 'rng' is malformed"),
         (small_net, _retag("c9.w", "<zz"), "tensor record 'c9.w' is malformed"),
+        (small_net, _set(dtype="<f2"),
+         "tensor 'c1x1.w' has dtype <f4, but the checkpoint metadata says <f2"),
+        (small_cdn, _set(dtype=">f4"),
+         "tensor 'shared.res1.conv1.w' has dtype <f4, but the checkpoint metadata says >f4"),
+        (small_net, _retag("c9.b", "<i4"),
+         "tensor 'c9.b' has dtype <i4, but the checkpoint metadata says <f4"),
+        (small_net, _set(rng={**np.random.default_rng(0).bit_generator.state, "uinteger": -5}),
+         "checkpoint metadata 'rng' is malformed"),
+        (small_net, _spec(filters=4.0),
+         "checkpoint metadata 'spec' is malformed: filters must be an integer, got 4.0"),
+        (small_cdn, _spec(1, patch=5.0),
+         "checkpoint metadata 'branches' is malformed: patch must be an integer, got 5.0"),
+        (small_net, _spec(patch=True),
+         "checkpoint metadata 'spec' is malformed: patch must be an integer, got True"),
     ], ids=["missing_branch", "missing_shared", "missing_single", "wrong_shape",
             "unknown_kind", "no_meta", "meta_not_object", "no_dtype", "dtype_not_string",
             "dtype_not_float", "no_spec", "spec_not_object", "unknown_spec_key",
             "spec_out_of_range", "no_branches", "branches_not_list", "no_branch",
-            "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype"])
+            "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype",
+            "half_meta_dtype", "big_endian_meta_dtype", "record_dtype_not_meta_dtype",
+            "rng_out_of_range", "float_filters", "float_patch", "bool_patch"])
     def test_rejected_naming_the_record_and_eval_exits_2(self, tmp_path, capsys, net, edit,
                                                          message):
         save_checkpoint(net(), tmp_path / "ok.ckpt")
         path = _repack(tmp_path / "bad.ckpt", edit(_records(tmp_path / "ok.ckpt")))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert message in str(exc.value)
+        (tmp_path / "c.json").write_text("{}")
+        assert main(["eval", "--config", str(tmp_path / "c.json"),
+                     "--checkpoint", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("net,edit,message", [
+        (small_net, _spec(filters=10**7),
+         "checkpoint metadata 'spec.filters' is 10000000, but tensor 'c1x1.w' has shape "
+         "(4, 4, 1, 1)"),
+        (small_net, _spec(bands=10**9),
+         "checkpoint metadata 'spec.bands' is 1000000000, but tensor 'c1x1.w'"),
+        (small_net, _spec(classes=10**6),
+         "checkpoint metadata 'spec.classes' is 1000000, but tensor 'c9.w' has shape "
+         "(3, 4, 1, 1)"),
+        (small_net, _spec(residual_modules=10**6),
+         "checkpoint metadata 'spec.residual_modules' is 1000000, but the checkpoint "
+         "holds 2 residual modules"),
+        (small_cdn, _spec(1, bands=10**9),
+         "checkpoint metadata 'branches[1].bands' is 1000000000, but tensor "
+         "'branch1.c1x1.w' has shape (4, 6, 1, 1)"),
+        (small_cdn, _spec(0, 1, residual_modules=10**6),
+         "checkpoint metadata 'branches[0].residual_modules' is 1000000"),
+        (small_cdn, _flatten("branch0.c9.w"),
+         "tensor 'branch0.c9.w' has shape (12,), expected (3, 4, 1, 1)"),
+    ], ids=["filters", "bands", "classes", "residual_modules", "branch_bands",
+            "branch_residual_modules", "flat_head"])
+    def test_sizes_checked_against_the_records_before_allocating(
+            self, tmp_path, capsys, monkeypatch, net, edit, message):
+        """A spec that its records contradict is rejected naming the field,
+        without building a network for it."""
+        def refuse(spec, *args, **kwargs):
+            raise AssertionError(f"network built for a contradicted spec {spec}")
+        save_checkpoint(net(), tmp_path / "ok.ckpt")
+        path = _repack(tmp_path / "bad.ckpt", edit(_records(tmp_path / "ok.ckpt")))
+        monkeypatch.setattr(hsinet.checkpoint, "Network", refuse)
+        monkeypatch.setattr(hsinet.checkpoint, "CrossDomainNetwork", refuse)
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert message in str(exc.value)

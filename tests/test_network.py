@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.errors import ConfigError, ShapeError
 from hsinet.network import (CrossDomainSpec, Network, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
-from hsinet.verify import check_backbone
+from hsinet.verify import ABS_FLOOR, check_backbone
 
 
 def expected_param_count(bands, classes, filters, rm):
@@ -136,22 +138,36 @@ class TestForward:
     def test_full_gradient_check_single_seed(self):
         report = check_backbone(0)
         assert report.passed, report.failures
-        assert "input" in report.max_rel
+
+    def test_gradient_check_holds_structural_zeros_to_zero(self, monkeypatch):
+        """A conv bias feeding batch norm has gradient 0. An error of 1e-7 in
+        it passes the finite differences through ABS_FLOOR, but not the
+        ZERO_BOUND check."""
+        backward = ops.conv2d_backward
+
+        def biased(x, p, g):
+            gw, gb = backward(x, p, g)
+            return gw, gb if p.b.name == "c9.b" else gb + 1e-7
+        monkeypatch.setattr(ops, "conv2d_backward", biased)
+        report = check_backbone(0)
+        net = Network(NetworkSpec(bands=3, classes=3, filters=4))  # check_backbone's layers
+        zero = [blk.conv.b.name for blk in net.blocks() if blk.with_bn]
+        assert not report.passed
+        assert report.failures == zero
+        assert all(report.max_abs[name] < ABS_FLOOR for name in zero)
 
     def test_backward_releases_batchnorm_statistics(self):
-        """Training reads no input gradient; the oracle asks for it. Each
-        training forward serves one backward, which frees its statistics."""
+        """Each training forward serves one backward, which frees its
+        statistics and returns no input gradient."""
         net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
                              np.random.default_rng(0))
         x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
         grad = np.ones((2, 3), dtype=np.float32)
         bn_blocks = [blk for blk in net.blocks() if blk.with_bn]
-        for input_grad in (False, True):
-            net.forward(x, training=True, rng=np.random.default_rng(2))
-            assert all(blk._bn_stats is not None for blk in bn_blocks)
-            gx = net.backward(grad, input_grad=input_grad)
-            assert all(blk._bn_stats is None for blk in bn_blocks)
-            assert (gx is None) if not input_grad else (gx.shape == x.shape)
+        net.forward(x, training=True, rng=np.random.default_rng(2))
+        assert all(blk._bn_stats is not None for blk in bn_blocks)
+        assert net.backward(grad) is None
+        assert all(blk._bn_stats is None for blk in bn_blocks)
         with pytest.raises(ConfigError, match="training-mode forward"):
             net.backward(grad)
 
@@ -222,6 +238,91 @@ def test_center_only_eval_matches_full_patch_reference(patch):
     assert logits.shape == ref.shape == (64, 5)
     assert np.abs(logits.astype(np.float64) - ref).max() <= 1e-5
     np.testing.assert_array_equal(np.argmax(logits, axis=1), np.argmax(ref, axis=1))
+
+
+def full_head_training_step(net, x, labels, seed):
+    """A training step whose head c9 runs over all p x p pixels and back-
+    propagates a p x p logit gradient that is zero off the center: the
+    reference for the center-only head. Returns the center logits."""
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([blk.forward(x, True) for blk in net.bank], axis=1)
+    for layer in net.trunk:
+        t = layer.forward(t, True, rng)
+    head = net.c9.conv
+    z = ops.conv2d_forward(t, head)
+    c = net.spec.patch // 2
+    logits = np.ascontiguousarray(z[:, :, c, c])
+    gz = np.zeros_like(z)
+    gz[:, :, c, c] = ops.softmax_cross_entropy(logits, labels)[1]
+    head.w.grad, head.b.grad = ops.conv2d_backward(t, head, gz)
+    g = ops.conv2d_input_grad(head, gz)
+    for layer in reversed(net.trunk):
+        g = layer.backward(g)
+    for blk, part in zip(net.bank, np.split(g, 3, axis=1)):
+        blk.param_backward(part)
+    return logits
+
+
+# float64 logits and gradients of the center-only head differ from the full
+# p x p head by at most this many ulps of each tensor's largest element (BLAS
+# picks its GEMM kernel by shape; a probe over 120 random shapes reached 6.1).
+# A conv bias feeding batch norm has gradient 0 up to rounding, so its
+# difference is bounded in units of eps instead (the probe reached 3.8).
+F64_HEAD_MAX_ULP = 16
+F64_ZERO_GRAD_MAX_EPS = 16
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("patch", [1, 3, 5, 7])
+def test_center_only_head_matches_full_patch_training_step(patch, dtype):
+    """float32 training is bit-identical to the full-patch head; float64
+    matches within the bounds above."""
+    rng = np.random.default_rng(patch)
+    spec = NetworkSpec(bands=6, classes=5, patch=patch, filters=8, residual_modules=3,
+                       dropout_rate=0.25)
+    net = build_backbone(spec, rng, dtype=dtype)
+    for blk in net.blocks():
+        blk.conv.w.data[...] = rng.normal(0, 0.3, blk.conv.w.data.shape)
+    ref = copy.deepcopy(net)
+    x = rng.normal(0.5, 2.0, (12, 6, patch, patch)).astype(dtype)
+    labels = rng.integers(0, 5, 12)
+    logits = net.forward(x, training=True, rng=np.random.default_rng(7))
+    net.backward(ops.softmax_cross_entropy(logits, labels)[1])
+    ref_logits = full_head_training_step(ref, x, labels, 7)
+    zero = {blk.conv.b.name for blk in net.blocks() if blk.with_bn}
+    pairs = [("logits", logits, ref_logits)]
+    pairs += [(a.name, a.grad, b.grad) for a, b in zip(net.params(), ref.params(), strict=True)]
+    for name, fast, slow in pairs:
+        assert fast.dtype == slow.dtype == dtype, name
+        if dtype == np.float32:
+            np.testing.assert_array_equal(fast, slow, err_msg=name)
+            continue
+        eps = np.finfo(np.float64).eps
+        bound = F64_ZERO_GRAD_MAX_EPS * eps if name in zero else (
+            F64_HEAD_MAX_ULP * eps * np.abs(slow).max())
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=bound, err_msg=name)
+
+
+def test_training_head_computes_the_center_pixel_alone(monkeypatch):
+    """c9's conv ops see one pixel per sample in a training step: an
+    (n, f, 1, 1) input and an (n, classes, 1, 1) gradient."""
+    seen = []
+    for op in ("conv2d_forward", "conv2d_backward", "conv2d_input_grad"):
+        fn = getattr(ops, op)
+
+        def spy(*args, fn=fn, op=op):
+            p = next(a for a in args if isinstance(a, ops.ConvParams))
+            if p.w.name == "c9.w":
+                seen.append((op, [a.shape for a in args if isinstance(a, np.ndarray)]))
+            return fn(*args)
+        monkeypatch.setattr(ops, op, spy)
+    net = build_backbone(NetworkSpec(bands=4, classes=3, filters=6), np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(0, 1, (5, 4, 5, 5)).astype(np.float32)
+    logits = net.forward(x, training=True, rng=np.random.default_rng(2))
+    net.backward(ops.softmax_cross_entropy(logits, np.arange(5) % 3)[1])
+    assert seen == [("conv2d_forward", [(5, 6, 1, 1)]),
+                    ("conv2d_backward", [(5, 6, 1, 1), (5, 3, 1, 1)]),
+                    ("conv2d_input_grad", [(5, 3, 1, 1)])]
 
 
 def _copy_block(dst, src):

@@ -57,7 +57,8 @@ CONFIGS = {
                                "eval_every": 20},
     "target.json": TARGET,
     "eval_train.json": {**TARGET, "split": "train"},
-    **{f"target_patch{p}.json": {**TARGET, "network": {**NETWORK, "patch": p}} for p in (3, 7)},
+    **{f"target_patch{p}.json": {**TARGET, "network": {**NETWORK, "patch": p}}
+       for p in (1, 3, 7)},
 }
 
 EXPERIMENT = {**TARGET, "seeds": [0, 1], "sources": SOURCES, "pretrain_schedule": SCHEDULE}
@@ -96,10 +97,12 @@ COMMANDS = [
                    "finetune/finetuned.ckpt"]),
     ("eval_train", ["eval", "--config", "config/eval_train.json", "--checkpoint",
                     "scratch/scratch.ckpt"]),
-    # a patch smaller than the 5x5 kernel (training pads it with zeros, eval
-    # crops the kernel) and one larger (interior windows)
+    # patches smaller than the 5x5 kernel (training pads it with zeros, eval
+    # crops the kernel; at patch 1 every kernel crops to 1x1 and the head reads
+    # a 1x1 map) and one larger (interior windows)
     *[(f"train-scratch_patch{p}", ["train-scratch", "--config", f"config/target_patch{p}.json",
-                                   "--seed", "3", "--out", f"scratch_patch{p}"]) for p in (3, 7)],
+                                   "--seed", "3", "--out", f"scratch_patch{p}"])
+      for p in (1, 3, 7)],
 ] + [(f"experiment_{name}", ["experiment", extra.get("experiment", name), "--config",
                              f"config/experiment_{name}.json", "--out", f"experiment_{name}"])
       for name, extra in EXPERIMENTS.items()] + [
