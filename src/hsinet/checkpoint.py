@@ -51,8 +51,15 @@ def _rng_state(rng):
 
 
 def _restore_rng(state):
+    """A generator at a saved PCG64 state. The fields are checked by type first,
+    because numpy truncates a float state and takes a bool as an integer."""
     if state is None:
         return None
+    fields = (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+              state["uinteger"])
+    if (state["bit_generator"] != "PCG64" or any(type(v) is not int for v in fields)
+            or state["has_uint32"] not in (0, 1)):
+        raise ValueError("need a PCG64 state of JSON integers, with has_uint32 0 or 1")
     rng = np.random.default_rng(0)
     rng.bit_generator.state = state
     return rng

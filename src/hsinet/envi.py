@@ -3,7 +3,9 @@ BSQ, BIL, or BIP interleave.
 
 Cubes normalize to a band-major float32 array (bands, lines, samples) on
 load. Supported on-disk sample types: int16, uint16, float32, float64
-(ENVI data type codes 2, 12, 4, 5), either byte order.
+(ENVI data type codes 2, 12, 4, 5), either byte order. The reader and the
+writer share one description of each encoding: INTERLEAVE_AXES, DTYPE_CODES
+and _sample_dtype.
 """
 from __future__ import annotations
 
@@ -18,49 +20,39 @@ from .errors import DataError, read_file
 
 # ENVI data type code -> numpy dtype char (byte order prefixed at use)
 DTYPE_CODES = {2: "i2", 4: "f4", 5: "f8", 12: "u2"}
-INTERLEAVES = ("bsq", "bil", "bip")
-REQUIRED_KEYS = ("samples", "lines", "bands", "interleave", "data type", "byte order")
+# interleave -> the cube axes (0 band, 1 line, 2 sample) in file order, outermost first
+INTERLEAVE_AXES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
+INTERLEAVES = tuple(INTERLEAVE_AXES)
 LABEL_MAX = 2**31 - 1  # labels are stored as int32
 
 
 @dataclass
 class HyperCube:
-    """Hyperspectral cube, band-major float32."""
+    """Hyperspectral cube, band-major float32: data is (bands, height, width)."""
 
-    bands: int
-    height: int
-    width: int
-    data: np.ndarray  # (bands, height, width)
+    data: np.ndarray
 
-    def __post_init__(self):
-        if self.data.shape != (self.bands, self.height, self.width):
-            raise DataError(
-                f"cube data shape {self.data.shape} != declared "
-                f"{(self.bands, self.height, self.width)}"
-            )
+    bands = property(lambda self: self.data.shape[0])
+    height = property(lambda self: self.data.shape[1])
+    width = property(lambda self: self.data.shape[2])
 
     @classmethod
     def from_array(cls, data):
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 3:
             raise DataError(f"cube array must be (bands, h, w), got shape {data.shape}")
-        b, h, w = data.shape
-        return cls(bands=b, height=h, width=w, data=data)
+        return cls(data)
 
 
 @dataclass
 class LabelRaster:
-    """Per-pixel class labels; 0 means unlabeled, 1..K are classes."""
+    """Per-pixel class labels, (height, width) int32; 0 means unlabeled, 1..K
+    are classes."""
 
-    height: int
-    width: int
-    labels: np.ndarray  # (height, width) int32
+    labels: np.ndarray
 
-    def __post_init__(self):
-        if self.labels.shape != (self.height, self.width):
-            raise DataError(
-                f"label shape {self.labels.shape} != declared {(self.height, self.width)}"
-            )
+    height = property(lambda self: self.labels.shape[0])
+    width = property(lambda self: self.labels.shape[1])
 
     @classmethod
     def from_array(cls, labels, source=None):
@@ -79,8 +71,7 @@ class LabelRaster:
                 f"label {values[y, x]}{where} at pixel (x={x}, y={y}) is not an integer "
                 f"in [0, {LABEL_MAX}] (0 = unlabeled)"
             )
-        labels = np.ascontiguousarray(values, dtype=np.int32)
-        return cls(height=labels.shape[0], width=labels.shape[1], labels=labels)
+        return cls(np.ascontiguousarray(values, dtype=np.int32))
 
 
 def parse_envi_header(path):
@@ -126,31 +117,36 @@ def _int_key(header, key, default=None):
         raise DataError(f"ENVI header key '{key}' is not an integer: '{raw}'") from None
 
 
+def _sample_dtype(interleave, data_type, byte_order):
+    """The numpy dtype of one sample of an (interleave, data type, byte order)
+    encoding, once each is checked to be one this module reads and writes."""
+    if interleave not in INTERLEAVE_AXES:
+        raise DataError(f"unsupported interleave '{interleave}' (need bsq, bil, or bip)")
+    if data_type not in DTYPE_CODES:
+        raise DataError(
+            f"unsupported ENVI data type {data_type} (supported: {sorted(DTYPE_CODES)})"
+        )
+    if byte_order not in (0, 1):
+        raise DataError(f"byte order must be 0 (little) or 1 (big), got {byte_order}")
+    return np.dtype(("<" if byte_order == 0 else ">") + DTYPE_CODES[data_type])
+
+
 def load_envi(header_path, data_path=None):
     """Load an ENVI raster into a band-major HyperCube."""
     header = parse_envi_header(header_path)
-    samples = _int_key(header, "samples")
-    lines = _int_key(header, "lines")
-    bands = _int_key(header, "bands")
+    samples, lines, bands = (_int_key(header, key) for key in ("samples", "lines", "bands"))
     code = _int_key(header, "data type")
     byte_order = _int_key(header, "byte order")
     interleave = _require(header, "interleave").lower()
     offset = _int_key(header, "header offset", default=0)
+    dtype = _sample_dtype(interleave, code, byte_order)
+    for key, value, low in (("samples", samples, 1), ("lines", lines, 1), ("bands", bands, 1),
+                            ("header offset", offset, 0)):
+        if value < low:
+            raise DataError(
+                f"ENVI header '{header_path}' key '{key}' must be >= {low}, got {value}"
+            )
 
-    if interleave not in INTERLEAVES:
-        raise DataError(f"unsupported interleave '{interleave}' (need bsq, bil, or bip)")
-    if code not in DTYPE_CODES:
-        raise DataError(
-            f"unsupported ENVI data type {code} (supported: {sorted(DTYPE_CODES)})"
-        )
-    if byte_order not in (0, 1):
-        raise DataError(f"byte order must be 0 (little) or 1 (big), got {byte_order}")
-    if offset < 0:
-        raise DataError(
-            f"ENVI header '{header_path}' key 'header offset' must be >= 0, got {offset}"
-        )
-
-    dtype = np.dtype(("<" if byte_order == 0 else ">") + DTYPE_CODES[code])
     if data_path is None:
         data_path = Path(header_path).with_suffix(".img")
     raw = read_file(data_path, "ENVI data file")
@@ -163,33 +159,29 @@ def load_envi(header_path, data_path=None):
             f"{offset}) but the file has {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    if interleave == "bsq":
-        cube = flat.reshape(bands, lines, samples)
-    elif interleave == "bil":
-        cube = flat.reshape(lines, bands, samples).transpose(1, 0, 2)
-    else:  # bip
-        cube = flat.reshape(lines, samples, bands).transpose(2, 0, 1)
-    return HyperCube.from_array(cube)
+    axes = INTERLEAVE_AXES[interleave]
+    in_file = flat.reshape([(bands, lines, samples)[a] for a in axes])
+    # reshape and transpose are views; from_array makes the one copy
+    return HyperCube.from_array(in_file.transpose(np.argsort(axes)))
 
 
 def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte_order=0):
-    """Write a HyperCube as an ENVI header + raw binary pair."""
-    if interleave not in INTERLEAVES:
-        raise DataError(f"unsupported interleave '{interleave}'")
-    if data_type not in DTYPE_CODES:
-        raise DataError(f"unsupported ENVI data type {data_type}")
-    if byte_order not in (0, 1):
-        raise DataError(f"byte order must be 0 or 1, got {byte_order}")
-    dtype = np.dtype(("<" if byte_order == 0 else ">") + DTYPE_CODES[data_type])
-
+    """Write a HyperCube as an ENVI header + raw binary pair. Integer types
+    take the rounded samples; one the type cannot hold (or a NaN) is a
+    DataError, where a cast would wrap it."""
+    dtype = _sample_dtype(interleave, data_type, byte_order)
     arr = cube.data
     if dtype.kind in "iu":
         arr = np.rint(arr)
-    if interleave == "bil":
-        arr = arr.transpose(1, 0, 2)
-    elif interleave == "bip":
-        arr = arr.transpose(1, 2, 0)
-    np.ascontiguousarray(arr).astype(dtype).tofile(data_path)
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        # NaN propagates through min and max and fails both comparisons
+        if not (lo <= arr.min(initial=lo) and arr.max(initial=hi) <= hi):
+            b, y, x = np.argwhere(~((arr >= lo) & (arr <= hi)))[0]
+            raise DataError(
+                f"ENVI data '{data_path}': band {b} pixel (x={x}, y={y}) holds "
+                f"{arr[b, y, x]:g}, outside the {dtype.name} range [{lo}, {hi}]"
+            )
+    arr.transpose(INTERLEAVE_AXES[interleave]).astype(dtype, order="C").tofile(data_path)
 
     out = [
         "ENVI",

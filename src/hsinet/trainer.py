@@ -108,6 +108,17 @@ def _draw_batch(dataset, batcher, batch_size, rng, augment):
     return x, y
 
 
+def _check_fits(network, dataset):
+    """A ShapeError unless the network reads the dataset's bands and scores
+    its classes."""
+    for what, want, got in (("bands", network.spec.bands, dataset.cube.bands),
+                            ("classes", network.spec.classes, dataset.classes)):
+        if want != got:
+            raise ShapeError(
+                f"network expects {want} {what} but dataset '{dataset.name}' has {got}"
+            )
+
+
 def evaluate(network, dataset, split):
     """Overall accuracy of eval-mode argmax predictions on a split (no
     augmentation, batch-norm running statistics). The eval forward computes
@@ -119,6 +130,7 @@ def evaluate(network, dataset, split):
         idx = dataset.test_idx
     else:
         raise ConfigError(f"split must be 'train' or 'test', got '{split}'")
+    _check_fits(network, dataset)
     if idx.size == 0:
         raise DataError(f"{split} split of '{dataset.name}' is empty")
     batcher = PatchBatcher(dataset, network.spec.patch)
@@ -142,11 +154,7 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration, prog
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
     for network, dataset, _ in entries:
-        if network.spec.bands != dataset.cube.bands:
-            raise ShapeError(
-                f"network expects {network.spec.bands} bands but dataset "
-                f"'{dataset.name}' has {dataset.cube.bands}"
-            )
+        _check_fits(network, dataset)
         if dataset.train_idx.size == 0:
             raise DataError(f"dataset '{dataset.name}' has an empty train split")
     batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset, _ in entries]

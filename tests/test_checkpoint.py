@@ -200,6 +200,14 @@ def _spec(*branches, **fields):
     return _meta(change)
 
 
+def _rng(**fields):
+    """A saved PCG64 state with `fields` replaced; `state` and `inc` sit in its
+    inner "state" object."""
+    state = np.random.default_rng(0).bit_generator.state
+    inner = {k: fields.pop(k) for k in ("state", "inc") if k in fields}
+    return _set(rng={**state, **fields, "state": {**state["state"], **inner}})
+
+
 def _retag(name, dtype):
     return lambda records: [(n, dtype if n == name else dt, shape, raw)
                             for n, dt, shape, raw in records]
@@ -246,13 +254,20 @@ class TestMalformedRecords:
          "checkpoint metadata 'branches' is malformed: patch must be an integer, got 5.0"),
         (small_net, _spec(patch=True),
          "checkpoint metadata 'spec' is malformed: patch must be an integer, got True"),
+        (small_net, _rng(state=1.5), "checkpoint metadata 'rng' is malformed"),
+        (small_net, _rng(inc=True), "checkpoint metadata 'rng' is malformed"),
+        (small_net, _rng(has_uint32=2), "checkpoint metadata 'rng' is malformed"),
+        (small_net, _rng(uinteger=1.0), "checkpoint metadata 'rng' is malformed"),
+        (small_net, _rng(bit_generator="MT19937"), "checkpoint metadata 'rng' is malformed"),
     ], ids=["missing_branch", "missing_shared", "missing_single", "wrong_shape",
             "unknown_kind", "no_meta", "meta_not_object", "no_dtype", "dtype_not_string",
             "dtype_not_float", "no_spec", "spec_not_object", "unknown_spec_key",
             "spec_out_of_range", "no_branches", "branches_not_list", "no_branch",
             "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype",
             "half_meta_dtype", "big_endian_meta_dtype", "record_dtype_not_meta_dtype",
-            "rng_out_of_range", "float_filters", "float_patch", "bool_patch"])
+            "rng_out_of_range", "float_filters", "float_patch", "bool_patch",
+            "rng_float_state", "rng_bool_inc", "rng_has_uint32_2", "rng_float_uinteger",
+            "rng_not_pcg64"])
     def test_rejected_naming_the_record_and_eval_exits_2(self, tmp_path, capsys, net, edit,
                                                          message):
         save_checkpoint(net(), tmp_path / "ok.ckpt")

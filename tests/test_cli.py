@@ -283,7 +283,7 @@ class TestEmptyTargetTestSplit:
         flat = ds.labels.labels.ravel().copy()
         for cls in (1, 2, 3):
             flat[np.flatnonzero(flat == cls)[3:]] = 0
-        ds = DomainDataset(ds.cube, LabelRaster(12, 12, flat.reshape(12, 12)), 3, name="t")
+        ds = DomainDataset(ds.cube, LabelRaster.from_array(flat.reshape(12, 12)), 3, name="t")
         return write_json(tmp_path / "c.json", {
             "target": {"manifest": str(write_dataset(ds, tmp_path / "data"))},
             "train_per_class": 3, "network": {"filters": 4}, "seeds": [0],
@@ -412,6 +412,14 @@ def _negative_offset(manifest, tmp_path):
     return {**manifest, "header": "h.hdr", "data": "h.img"}
 
 
+def _zero_bands(manifest, tmp_path):
+    """The manifest with a header that declares 0 bands over an empty data file."""
+    header = Path(manifest["header"]).read_text()
+    (tmp_path / "h.hdr").write_text(header.replace("bands = 4", "bands = 0"))
+    (tmp_path / "h.img").write_bytes(b"")
+    return {**manifest, "header": "h.hdr", "data": "h.img"}
+
+
 class TestPipeline:
     def test_synth_gen_wrote_envi_and_manifests(self, workdir):
         for name in ("s1", "s2"):
@@ -515,7 +523,8 @@ class TestPipeline:
          "manifest '{m}' key 'classes' must be a JSON integer, got list"),
         (lambda m, tmp: {**m, "header": 5}, "manifest '{m}' key 'header' must be a JSON string"),
         (_negative_offset, "ENVI header '{tmp}/h.hdr' key 'header offset' must be >= 0, got -4"),
-    ], ids=["int", "classes_list", "header_int", "negative_offset"])
+        (_zero_bands, "ENVI header '{tmp}/h.hdr' key 'bands' must be >= 1, got 0"),
+    ], ids=["int", "classes_list", "header_int", "negative_offset", "zero_bands"])
     def test_mistyped_manifest_value_is_data_error_naming_it(self, workdir, tmp_path, capsys,
                                                              edit, message):
         manifest = json.loads((workdir / "data" / "s1.json").read_text())
@@ -567,6 +576,30 @@ class TestPipeline:
         assert (f"data error: label 4294967297 in '{tmp_path / 'l.txt'}' at pixel (x=4, y=3)"
                 in capsys.readouterr().err)
         assert "sgd_step" not in calls
+
+    def test_synth_gen_sample_outside_uint16_is_data_error(self, tmp_path, capsys):
+        """A noisy domain written as uint16 used to wrap its negative samples to
+        65531 and above and exit 0."""
+        cfg = write_json(tmp_path / "g.json", {
+            "classes": 3, "bands": 4, "height": 16, "width": 16, "noise_std": 1.0,
+            "seed": 5, "name": "u", "data_type": 12})
+        assert main(["synth-gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: ENVI data '{tmp_path / 'o' / 'u.img'}': band " in err
+        assert "outside the uint16 range [0, 65535]" in err
+        assert not (tmp_path / "o" / "u.img").exists()
+
+    def test_eval_with_another_class_count_exits_2(self, tmp_path, capsys):
+        """A 3-class network used to score a 5-class target and print an accuracy."""
+        net = build_backbone(NetworkSpec(bands=5, classes=3, filters=4),
+                             np.random.default_rng(0))
+        save_checkpoint(net, tmp_path / "c3.ckpt")
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "target", bands=5, classes=5, side=14),
+            "train_per_class": 6})
+        assert main(["eval", "--config", cfg, "--checkpoint", str(tmp_path / "c3.ckpt")]) == 2
+        assert ("data error: network expects 3 classes but dataset 'target' has 5"
+                in capsys.readouterr().err)
 
     def test_config_path_that_is_a_directory_exits_1(self, tmp_path, capsys):
         assert main(["train-scratch", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1

@@ -101,6 +101,56 @@ class TestEnviRoundTrip:
         with pytest.raises(DataError, match="h.hdr' key 'header offset' must be >= 0, got -4"):
             load_envi(hdr, img)
 
+    @pytest.mark.parametrize("key", ["samples", "lines", "bands"])
+    def test_zero_size_header_names_key_and_file(self, tmp_path, key):
+        """0 bands over an empty data file used to load as an empty cube."""
+        write_envi(cube_123(), tmp_path / "h.hdr", tmp_path / "h.img")
+        hdr = tmp_path / "h.hdr"
+        hdr.write_text(re.sub(rf"^{key} = \d+$", f"{key} = 0", hdr.read_text(), flags=re.M))
+        (tmp_path / "h.img").write_bytes(b"")
+        with pytest.raises(DataError, match=f"h.hdr' key '{key}' must be >= 1, got 0"):
+            load_envi(hdr, tmp_path / "h.img")
+
+    @pytest.mark.parametrize("data_type,value,shown,name,bounds", [
+        (12, -5.0, "-5", "uint16", "[0, 65535]"),
+        (12, 65535.6, "65536", "uint16", "[0, 65535]"),
+        (12, np.nan, "nan", "uint16", "[0, 65535]"),
+        (2, 40000.0, "40000", "int16", "[-32768, 32767]"),
+        (2, -32768.6, "-32769", "int16", "[-32768, 32767]"),
+        (2, np.inf, "inf", "int16", "[-32768, 32767]"),
+    ], ids=["uint16_negative", "uint16_past_max", "uint16_nan", "int16_past_max",
+            "int16_past_min", "int16_inf"])
+    @pytest.mark.parametrize("interleave", ["bsq", "bip"])
+    def test_integer_write_outside_the_type_is_rejected(self, tmp_path, interleave, data_type,
+                                                        value, shown, name, bounds):
+        """The cast used to wrap: -5 became 65531 as uint16, 40000 became -25536
+        as int16. The error names the file, band, pixel and rounded value."""
+        values = np.arange(1, 13, dtype=np.float32).reshape(3, 2, 2)
+        values[2, 1, 0] = value  # band 2, x 0, y 1
+        img = tmp_path / "w.img"
+        with pytest.raises(DataError, match=re.escape(
+                f"ENVI data '{img}': band 2 pixel (x=0, y=1) holds {shown}, outside the "
+                f"{name} range {bounds}")):
+            write_envi(HyperCube.from_array(values), tmp_path / "w.hdr", img,
+                       interleave=interleave, data_type=data_type, byte_order=1)
+        assert not img.exists() and not (tmp_path / "w.hdr").exists()
+
+    @pytest.mark.parametrize("data_type,low,high", [(12, 0, 65535), (2, -32768, 32767)])
+    def test_integer_write_holds_the_ends_of_the_type(self, tmp_path, data_type, low, high):
+        values = np.array([[[low - 0.4, low], [high, high + 0.4]]], dtype=np.float32)
+        write_envi(HyperCube.from_array(values), tmp_path / "e.hdr", tmp_path / "e.img",
+                   data_type=data_type)
+        loaded = load_envi(tmp_path / "e.hdr", tmp_path / "e.img")
+        np.testing.assert_array_equal(loaded.data, [[[low, low], [high, high]]])
+
+    def test_write_rejects_an_unsupported_encoding_with_the_reader_wording(self, tmp_path):
+        for kwargs, message in (
+                ({"interleave": "bxx"}, "unsupported interleave 'bxx' (need bsq, bil, or bip)"),
+                ({"data_type": 3}, "unsupported ENVI data type 3 (supported: [2, 4, 5, 12])"),
+                ({"byte_order": 2}, "byte order must be 0 (little) or 1 (big), got 2")):
+            with pytest.raises(DataError, match=re.escape(message)):
+                write_envi(cube_123(), tmp_path / "x.hdr", tmp_path / "x.img", **kwargs)
+
     def test_multiline_brace_values(self, tmp_path):
         (tmp_path / "h.hdr").write_text(
             "ENVI\nsamples = 1\nlines = 1\nbands = 2\n"

@@ -146,6 +146,17 @@ class TestTrainSingle:
             train_single(net, ds, TrainSchedule(step_size=10, max_iter=10),
                          np.random.default_rng(0))
 
+    def test_class_mismatch_rejected_before_any_batch(self, sgd_steps):
+        ds = synth_domain(0, classes=5)
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="network expects 3 classes but dataset 'd0' has 5"):
+            train_single(net, ds, TrainSchedule(step_size=10, max_iter=10), rng)
+        assert sgd_steps == []
+        assert rng.bit_generator.state == state  # no batch drawn
+
     def test_empty_train_split_rejected(self):
         ds = synth_domain(0)
         ds = ds.__class__(cube=ds.cube, labels=ds.labels, classes=ds.classes)

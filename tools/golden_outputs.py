@@ -50,6 +50,9 @@ CONFIGS = {
         # several blocks of centers
         {"classes": 3, "bands": 3, "height": 40, "width": 40, "blob_scale": 1,
          "noise_std": 0.25, "seed": 54, "name": "s4"},
+        # uint16 holds every rounded sample: with this little noise none rounds below 0
+        {"classes": 3, "bands": 5, "height": 14, "width": 14, "noise_std": 0.05,
+         "seed": 55, "name": "s5", "data_type": 12, "byte_order": 1},
     ]},
     "pretrain.json": {"sources": SOURCES[:2], "network": NETWORK, "schedule": SCHEDULE,
                       "eval_every": 20},
@@ -59,6 +62,7 @@ CONFIGS = {
     "eval_train.json": {**TARGET, "split": "train"},
     **{f"target_patch{p}.json": {**TARGET, "network": {**NETWORK, "patch": p}}
        for p in (1, 3, 7)},
+    "target_uint16.json": {**TARGET, "target": {"manifest": "data/s5.json"}},
 }
 
 EXPERIMENT = {**TARGET, "seeds": [0, 1], "sources": SOURCES, "pretrain_schedule": SCHEDULE}
@@ -103,6 +107,9 @@ COMMANDS = [
     *[(f"train-scratch_patch{p}", ["train-scratch", "--config", f"config/target_patch{p}.json",
                                    "--seed", "3", "--out", f"scratch_patch{p}"])
       for p in (1, 3, 7)],
+    # a target read back from a big-endian uint16 raster
+    ("train-scratch_uint16", ["train-scratch", "--config", "config/target_uint16.json",
+                              "--seed", "4", "--out", "scratch_uint16"]),
 ] + [(f"experiment_{name}", ["experiment", extra.get("experiment", name), "--config",
                              f"config/experiment_{name}.json", "--out", f"experiment_{name}"])
       for name, extra in EXPERIMENTS.items()] + [
