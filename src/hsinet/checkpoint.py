@@ -9,16 +9,15 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
-import os
 import re
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, read_file
+from .errors import (CheckpointError, ConfigError, _at_least, _list, _object, _record, _valid,
+                     read_file, read_json, write_atomic)
 from .network import CrossDomainNetwork, CrossDomainSpec, Network, NetworkSpec
 
 MAGIC = b"HSICKPT\x00"
@@ -44,41 +43,20 @@ def _pack_tensor(buf, name, arr):
     _pack_record(buf, name, dt.str, a.shape, a.astype(dt, copy=False).tobytes())
 
 
-def _rng_state(rng):
-    if rng is None:
-        return None
-    return rng.bit_generator.state
+# a saved PCG64 state; numpy would truncate a float in it and take a bool as an integer
+_PCG64 = _object({"bit_generator": _valid("str", "PCG64".__eq__, "'PCG64'"),
+                  "state": _object({"state": "int", "inc": "int"}, ("state", "inc")),
+                  "has_uint32": _valid("int", (0, 1).__contains__, "0 or 1"),
+                  "uinteger": "int"}, ("bit_generator", "state", "has_uint32", "uinteger"))
+_SPEC = _record(NetworkSpec, "spec")
+_FLOAT_DTYPE = _valid("str", lambda name: np.dtype(name).kind == "f", "a floating-point dtype")
 
 
-def _restore_rng(state):
-    """A generator at a saved PCG64 state. The fields are checked by type first,
-    because numpy truncates a float state and takes a bool as an integer."""
-    if state is None:
-        return None
-    fields = (state["state"]["state"], state["state"]["inc"], state["has_uint32"],
-              state["uinteger"])
-    if (state["bit_generator"] != "PCG64" or any(type(v) is not int for v in fields)
-            or state["has_uint32"] not in (0, 1)):
-        raise ValueError("need a PCG64 state of JSON integers, with has_uint32 0 or 1")
+def _restore_rng(state, where):
+    """A generator at a saved PCG64 state."""
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
+    rng.bit_generator.state = _PCG64(state, where)
     return rng
-
-
-def write_atomic(path, data):
-    """Write `data` (bytes-like) to `path` through a temp file in the same
-    directory and os.replace it over the target, so a failure midway leaves
-    the previous file whole and no temp file behind. No fsync: this guards
-    against a failed or interrupted write, not against power loss."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 @dataclass
@@ -101,7 +79,7 @@ def save_checkpoint(network, path, rng=None, iteration=0):
     else:
         raise CheckpointError(f"cannot checkpoint object of type {type(network).__name__}")
     meta.update(dtype=np.dtype(network.dtype).newbyteorder("<").str, iteration=iteration,
-                rng=_rng_state(rng))
+                rng=None if rng is None else rng.bit_generator.state)
     buf = bytearray(MAGIC + struct.pack("<I", VERSION))
     _pack_record(buf, _META_NAME, _JSON_DTYPE, (),
                  json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
@@ -173,7 +151,7 @@ def load_checkpoint(path):
         raise CheckpointError("checkpoint has no metadata record")
     kind, network, iteration, rng = _parse_meta(meta, records)
     for name, arr in network.state():
-        src = _record(records, name)
+        src = _tensor(records, name)
         if src.shape != arr.shape:
             raise CheckpointError(
                 f"tensor '{name}' has shape {src.shape}, expected {arr.shape}"
@@ -188,7 +166,7 @@ def load_checkpoint(path):
     return Checkpoint(network=network, rng=rng, iteration=iteration, kind=kind)
 
 
-def _record(records, name):
+def _tensor(records, name):
     if name not in records:
         raise CheckpointError(f"checkpoint missing tensor '{name}'")
     return records[name]
@@ -198,12 +176,7 @@ def _parse_meta(raw, records):
     """(kind, the network its tensors fill, iteration, rng) from the metadata
     record, or a CheckpointError naming the field that is missing or malformed
     or that disagrees with the tensor records."""
-    try:
-        meta = json.loads(bytes(raw).decode("utf-8"))
-    except ValueError as e:  # also UnicodeDecodeError
-        raise CheckpointError(f"metadata record is not valid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise CheckpointError("metadata record must hold a JSON object")
+    meta = read_json(bytes(raw), "metadata record", CheckpointError)
     kind = meta.get("kind")
     if kind not in ("single", "cross"):
         raise CheckpointError(f"unknown checkpoint kind '{kind}'")
@@ -212,29 +185,20 @@ def _parse_meta(raw, records):
         if name not in meta:
             raise CheckpointError(f"checkpoint metadata has no '{name}'")
         try:
-            return parse(meta[name])
-        except (TypeError, ValueError, KeyError, OverflowError, ConfigError) as e:
+            return parse(meta[name], name)
+        except (TypeError, ValueError, OverflowError, ConfigError) as e:
             raise CheckpointError(f"checkpoint metadata '{name}' is malformed: {e}") from None
 
-    dtype = field("dtype", _float_dtype)
+    dtype = np.dtype(field("dtype", _FLOAT_DTYPE))
     # every size the network allocates is checked against the records first
     if kind == "single":
-        network = field("spec", lambda d: Network(_sized(_spec(d), records), dtype=dtype))
+        network = field("spec", lambda d, where: Network(_sized(_SPEC(d, where), records),
+                                                         dtype=dtype))
     else:
-        network = field("branches", lambda b: CrossDomainNetwork(
-            _sized(CrossDomainSpec([_spec(d) for d in b]), records), dtype))
-    rng = field("rng", _restore_rng) if "rng" in meta else None
-    return kind, network, field("iteration", _non_negative), rng
-
-
-def _spec(fields):
-    """NetworkSpec(**fields), its sizes JSON integers (a float patch would
-    reach the patch batcher)."""
-    spec = NetworkSpec(**fields)
-    for key in ("bands", "classes", "patch", "filters", "residual_modules"):
-        if type(getattr(spec, key)) is not int:
-            raise TypeError(f"{key} must be an integer, got {getattr(spec, key)!r}")
-    return spec
+        network = field("branches", lambda b, where: CrossDomainNetwork(
+            _sized(CrossDomainSpec(_list(_SPEC)(b, where)), records), dtype))
+    rng = None if meta.get("rng") is None else field("rng", _restore_rng)
+    return kind, network, field("iteration", _at_least(0)), rng
 
 
 def _sized(spec, records):
@@ -248,7 +212,7 @@ def _sized(spec, records):
         where, prefix = ("spec", "") if single else (f"branches[{i}]", f"branch{i}.")
         for name, attrs in ((f"{prefix}c1x1.w", ("filters", "bands")),
                             (f"{prefix}c9.w", ("classes", "filters"))):
-            shape = _record(records, name).shape
+            shape = _tensor(records, name).shape
             if len(shape) != 4 or shape[2:] != (1, 1):
                 want = tuple(getattr(sp, a) for a in attrs) + (1, 1)
                 raise CheckpointError(f"tensor '{name}' has shape {shape}, expected {want}")
@@ -263,15 +227,3 @@ def _sized(spec, records):
                 f"but the checkpoint holds {modules} residual modules"
             )
     return spec
-
-
-def _float_dtype(name):
-    if not isinstance(name, str) or np.dtype(name).kind != "f":
-        raise TypeError(f"{name!r} is not a floating-point dtype")
-    return np.dtype(name)
-
-
-def _non_negative(value):
-    if type(value) is not int or value < 0:
-        raise TypeError(f"{value!r} is not a non-negative integer")
-    return value

@@ -12,10 +12,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .checkpoint import save_checkpoint, write_atomic
-from .data import synth_generate, write_dataset
-from .errors import ConfigError, DataError, NumericError, read_file
-from .experiments import (EXPERIMENT_IDS, _Harness, _json_text, load_network, run_experiment,
+from .checkpoint import save_checkpoint
+from .data import dataset_files, synth_generate, write_dataset
+from .errors import ConfigError, DataError, NumericError, read_file, read_json, write_json
+from .experiments import (EXPERIMENT_IDS, _Harness, load_network, run_experiment,
                           synth_domains)
 from .trainer import evaluate
 from .verify import oracle_suite
@@ -63,13 +63,8 @@ def _build_parser():
 
 
 def _load_config(path):
-    try:
-        cfg = json.loads(read_file(path, "config file", ConfigError))
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigError(f"config file '{path}' is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file '{path}' must hold a JSON object")
-    return cfg
+    return read_json(read_file(path, "config file", ConfigError), f"config file '{path}'",
+                     ConfigError)
 
 
 def _harness(args):
@@ -89,7 +84,7 @@ def _outdir(args):
 def _write_train_outputs(out, metrics_list, names):
     for metrics, name in zip(metrics_list, names):
         metrics.write_csv(out / f"{name}.csv")
-        write_atomic(out / f"{name}_summary.json", _json_text(metrics.summary()).encode())
+        write_json(out / f"{name}_summary.json", metrics.summary())
 
 
 def cmd_pretrain(args):
@@ -147,13 +142,26 @@ def cmd_experiment(args):
 
 
 def cmd_synth_gen(args):
+    """Every domain is generated before --out is made; a failed write removes
+    the files of this run and --out if this run made it."""
     domains = synth_domains(_load_config(args.config))
-    out = _outdir(args)
-    manifests = []
-    for i, (synth, envi) in enumerate(domains):
-        if args.seed is not None:
-            synth = replace(synth, seed=args.seed + i)
-        manifests.append(str(write_dataset(synth_generate(synth), out, **envi)))
+    datasets = [synth_generate(synth if args.seed is None
+                               else replace(synth, seed=args.seed + i))
+                for i, (synth, _) in enumerate(domains)]
+    out = Path(args.out)
+    made = not out.exists()
+    manifests, written = [], []
+    try:
+        for ds, (_, envi) in zip(datasets, domains):
+            written += dataset_files(out, ds.name)
+            manifests.append(str(write_dataset(ds, out, **envi)))
+    except BaseException:
+        if out.is_dir():  # not when --out names a file, which mkdir rejected
+            for path in written:
+                path.unlink(missing_ok=True)
+            if made:
+                out.rmdir()
+        raise
     print(json.dumps({"manifests": manifests}))
     return 0
 

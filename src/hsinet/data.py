@@ -5,7 +5,6 @@ Pixels are addressed by flat index y * width + x over the label raster.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -14,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .envi import HyperCube, LabelRaster, load_envi, load_label_raster, write_envi
-from .errors import ConfigError, DataError, ShapeError, read_file
+from .errors import ConfigError, DataError, ShapeError, _build, read_file, read_json, write_json
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 # squared distances synth_generate holds at once (int64, 8 MB)
@@ -39,6 +38,10 @@ class DomainDataset:
                 f"label raster {self.labels.height}x{self.labels.width} does not match "
                 f"cube {self.cube.height}x{self.cube.width}"
             )
+        pixels = self.labels.labels.size
+        if not 2 <= self.classes <= pixels:
+            raise DataError(f"dataset '{self.name}' declares {self.classes} classes; its "
+                            f"{pixels} pixels can hold 2 to {pixels}")
         if self.labels.labels.max(initial=0) > self.classes:
             raise DataError(
                 f"label {int(self.labels.labels.max())} exceeds declared class count "
@@ -83,6 +86,10 @@ class SynthConfig:
             raise ConfigError(f"synthetic domain needs >= 1 band, got {self.bands}")
         if self.height < 1 or self.width < 1:
             raise ConfigError("synthetic raster dimensions must be positive")
+        if self.classes > self.height * self.width:
+            raise ConfigError(f"synthetic domain 'classes' {self.classes} exceeds the "
+                              f"{self.height * self.width} pixels of its {self.height}x"
+                              f"{self.width} raster")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.blob_scale < 1:
@@ -145,27 +152,21 @@ def extract_patch(cube, x, y, patch):
     return padded[np.newaxis, :, y:y + patch, x:x + patch].copy()
 
 
+_D4_TURNS = (0, 1, 2, 3, 3, 1, 0, 2)
+
+
 def augment_d4(patch, k):
     """Apply the k-th symmetry of the square across the last two axes:
     0 identity, 1-3 rotations by 90/180/270, 4 horizontal flip, 5 vertical
-    flip, 6 main-diagonal transpose, 7 anti-diagonal transpose."""
+    flip, 6 main-diagonal transpose, 7 anti-diagonal transpose. Element k is
+    _D4_TURNS[k] quarter turns (np.rot90), of the transpose when k >= 4."""
     if not 0 <= k < 8:
         raise ConfigError(f"D4 element index {k} out of range 0..7")
     if patch.shape[-1] != patch.shape[-2]:
         raise ShapeError(f"D4 needs square spatial dims, got {patch.shape}")
-    if k == 0:
-        out = patch
-    elif k <= 3:
-        out = np.rot90(patch, k, axes=(-2, -1))
-    elif k == 4:
-        out = np.flip(patch, axis=-1)
-    elif k == 5:
-        out = np.flip(patch, axis=-2)
-    elif k == 6:
-        out = np.swapaxes(patch, -2, -1)
-    else:
-        out = np.swapaxes(patch[..., ::-1, ::-1], -2, -1)
-    return np.ascontiguousarray(out)
+    if k >= 4:
+        patch = np.swapaxes(patch, -2, -1)
+    return np.ascontiguousarray(np.rot90(patch, _D4_TURNS[k], axes=(-2, -1)))
 
 
 def normalize_bands(ds):
@@ -287,19 +288,14 @@ def load_manifest(path):
     relative paths resolve against the manifest's directory. All labeled
     pixels start in the train split."""
     path = Path(path)
-    try:
-        cfg = json.loads(read_file(path, "manifest"))
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise DataError(f"manifest '{path}' is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise DataError(f"manifest '{path}' must hold a JSON object, got {type(cfg).__name__}")
-    for key in ("name", "sensor", "header", "data", "labels", "classes"):
+    cfg = read_json(read_file(path, "manifest"), f"manifest '{path}'", DataError)
+    for key in ("name", "sensor", "header", "data", "labels", "classes"):  # others are ignored
         if key not in cfg:
             raise DataError(f"manifest '{path}' missing key '{key}'")
-        kind, what = (int, "integer") if key == "classes" else (str, "string")
-        if type(cfg[key]) is not kind:  # a JSON true/false is a bool, not an int
-            raise DataError(f"manifest '{path}' key '{key}' must be a JSON {what}, "
-                            f"got {type(cfg[key]).__name__}")
+        try:
+            _build("int" if key == "classes" else "str", cfg[key], f"manifest '{path}' key '{key}'")
+        except ConfigError as e:
+            raise DataError(str(e)) from None
     base = path.parent
     cube = load_envi(base / cfg["header"], base / cfg["data"])
     labels = load_label_raster(base / cfg["labels"])
@@ -313,25 +309,23 @@ def load_manifest(path):
     return replace(ds, train_idx=ds.labeled_indices())
 
 
+def dataset_files(out_dir, name):
+    """The paths write_dataset writes for dataset `name`: cube header and
+    data, label header and data, manifest."""
+    return [Path(out_dir) / f"{name}{suffix}"
+            for suffix in (".hdr", ".img", "_labels.hdr", "_labels.img", ".json")]
+
+
 def write_dataset(ds, out_dir, interleave="bsq", data_type=4, byte_order=0):
     """Write a dataset as ENVI cube + ENVI int16 label raster + manifest JSON;
     returns the manifest path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = ds.name
-    write_envi(ds.cube, out_dir / f"{name}.hdr", out_dir / f"{name}.img",
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    cube_hdr, cube_img, label_hdr, label_img, manifest_path = dataset_files(out_dir, ds.name)
+    write_envi(ds.cube, cube_hdr, cube_img,
                interleave=interleave, data_type=data_type, byte_order=byte_order)
     label_cube = HyperCube.from_array(ds.labels.labels[np.newaxis].astype(np.float32))
-    write_envi(label_cube, out_dir / f"{name}_labels.hdr", out_dir / f"{name}_labels.img",
-               interleave="bsq", data_type=2, byte_order=byte_order)
-    manifest = {
-        "name": name,
-        "sensor": ds.sensor,
-        "header": f"{name}.hdr",
-        "data": f"{name}.img",
-        "labels": f"{name}_labels.hdr",
-        "classes": ds.classes,
-    }
-    manifest_path = out_dir / f"{name}.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_envi(label_cube, label_hdr, label_img, data_type=2, byte_order=byte_order)
+    write_json(manifest_path, {"name": ds.name, "sensor": ds.sensor, "header": cube_hdr.name,
+                               "data": cube_img.name, "labels": label_hdr.name,
+                               "classes": ds.classes})
     return manifest_path

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_file
+from .errors import DataError, read_file, write_atomic
 
 # ENVI data type code -> numpy dtype char (byte order prefixed at use)
 DTYPE_CODES = {2: "i2", 4: "f4", 5: "f8", 12: "u2"}
@@ -181,7 +181,7 @@ def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte
                 f"ENVI data '{data_path}': band {b} pixel (x={x}, y={y}) holds "
                 f"{arr[b, y, x]:g}, outside the {dtype.name} range [{lo}, {hi}]"
             )
-    arr.transpose(INTERLEAVE_AXES[interleave]).astype(dtype, order="C").tofile(data_path)
+    write_atomic(data_path, arr.transpose(INTERLEAVE_AXES[interleave]).astype(dtype, order="C"))
 
     out = [
         "ENVI",
@@ -195,7 +195,7 @@ def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte
         f"interleave = {interleave}",
         f"byte order = {byte_order}",
     ]
-    Path(header_path).write_text("\n".join(out) + "\n")
+    write_atomic(header_path, ("\n".join(out) + "\n").encode())
 
 
 def load_label_raster(path):

@@ -9,20 +9,17 @@ Identical config + seeds reproduce byte-identical CSV output.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
-import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import SynthConfig, load_manifest, normalize_bands, synth_generate, with_split
 from .envi import DTYPE_CODES, INTERLEAVES
-from .errors import ConfigError, DataError
+from .errors import (ConfigError, DataError, _at, _at_least, _build, _list, _object, _record,
+                     _valid, write_csv, write_json)
 from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
                       build_cross_domain, transfer_shared)
 from .trainer import TrainSchedule, train_cross_domain, train_single, two_step_train
@@ -44,82 +41,8 @@ class ReportRow:
 # A config is checked in one pass before any dataset is generated or loaded:
 # each key is type-checked and built into what it describes (schedules,
 # network specs, synthetic domains, source-index lists), so a bad entry fails
-# before the runs ahead of it train. Value ranges stay in __post_init__.
+# before the runs ahead of it train.
 
-# the JSON type name and the Python types of each annotation a value can have
-_KINDS = {"int": ("integer", int), "float": ("number", float, int), "str": ("string", str),
-          "bool": ("boolean", bool), "int | None": ("integer", int, type(None)),
-          "list": ("list", list), "object": ("object", dict)}
-
-
-def _at(where, make, *args, **kwargs):
-    """make(*args, **kwargs), its ConfigError prefixed with the location `where`."""
-    try:
-        return make(*args, **kwargs)
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _build(spec, value, where):
-    """`value` checked and built by `spec`: a builder(value, where), or a
-    `_KINDS` name (true/false count only as booleans, NaN and +-Infinity
-    not as numbers)."""
-    if callable(spec):
-        return spec(value, where)
-    name, *types = _KINDS[spec]
-    if isinstance(value, bool) != (bool in types) or not isinstance(value, tuple(types)):
-        raise ConfigError(f"{where} must be a JSON {name}, got {type(value).__name__}")
-    if spec == "float" and not abs(value) <= sys.float_info.max:  # NaN compares false
-        raise ConfigError(f"{where} must be a finite number, got {value}")
-    return value
-
-
-def _object(schema, required=()):
-    """A JSON object of `schema` keys, each built by its spec, holding every
-    `required` key ("a|b": either one)."""
-    def build(value, where):
-        unknown = sorted(set(_build("object", value, where)) - set(schema))
-        if unknown:
-            raise ConfigError(f"unknown {where} keys: {unknown} (known: {sorted(schema)})")
-        built = {key: _build(schema[key], v, f"{where} '{key}'") for key, v in value.items()}
-        for need in required:
-            keys = need.split("|")
-            if not any(key in value for key in keys):
-                raise ConfigError(f"{where} needs {' or '.join(map(repr, keys))}")
-        return built
-    return build
-
-
-def _record(cls, what, **stub):
-    """cls(**value) for a JSON object of `cls` fields, each of its annotated
-    type; `stub` fills the fields that only data supplies."""
-    schema = {f.name: f.type for f in fields(cls) if f.name not in stub}
-    check = _object(schema, [f.name for f in fields(cls)
-                             if f.name in schema and f.default is MISSING])
-
-    def build(value, where):
-        _build("object", value, where)
-        return _at(where, lambda: cls(**check(value, what), **stub))
-    return build
-
-
-def _valid(kind, ok, must):
-    """A value of JSON type `kind` that passes `ok`; `must` says what it must be."""
-    def build(value, where):
-        if not ok(_build(kind, value, where)):
-            raise ConfigError(f"{where} must be {must}, got {value!r}")
-        return value
-    return build
-
-
-def _list(item):
-    """A non-empty JSON list of `item` entries."""
-    non_empty = _valid("list", len, "a non-empty JSON list")
-    return lambda value, where: [_build(item, v, f"{where} entry {i}")
-                                 for i, v in enumerate(non_empty(value, where))]
-
-
-_SEED = _valid("int", lambda n: n >= 0, ">= 0")
 _SCHEDULE = _record(TrainSchedule, "schedule")
 _SYNTH = _record(SynthConfig, "synth")
 _DATASET = _object({"synth": _SYNTH, "manifest": "str"}, ("synth|manifest",))
@@ -129,11 +52,11 @@ _CONDITIONS = _list(_object({"label": "str", "sources": _list("int")}, ("label",
 # train-scratch and eval alike, and can carry an experiment's keys too
 _SCHEMA = {
     **dict.fromkeys(("experiment", "checkpoint"), "str"),
-    **dict.fromkeys(("seed", "pretrain_seed", "split_seed"), _SEED), "eval_every": "int",
+    **dict.fromkeys(("seed", "pretrain_seed", "split_seed"), _at_least(0)), "eval_every": "int",
     **dict.fromkeys(("augment", "normalize", "include_scratch"), "bool"),
-    "seeds": _list(_SEED), "depths": _list("int"), "schedules": _list("object"),
+    "seeds": _list(_at_least(0)), "depths": _list("int"), "schedules": _list("object"),
     "sources": _list(_DATASET), "target": _DATASET,
-    "train_per_class": _valid("int", lambda n: n >= 1, ">= 1"),
+    "train_per_class": _at_least(1),
     "split": _valid("str", ("train", "test").__contains__, "'train' or 'test'"),
     "network": _record(NetworkSpec, "network", bands=1, classes=2),
     "schedule": _SCHEDULE, "pretrain_schedule": _SCHEDULE,
@@ -439,22 +362,13 @@ def write_report(rows, cfg, out_dir):
     """report.csv, summary.json and config.json, each written atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_text = io.StringIO()
-    writer = csv.writer(csv_text, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([r.experiment, r.seed, r.condition, r.iteration,
-                         r.metric, repr(float(r.value))])
-    for name, text in (("report.csv", csv_text.getvalue()),
-                       ("summary.json", _json_text(summarize(rows, cfg))),
-                       # config echo: curve rows stay whole series; schedule step
-                       # boundaries and every other run parameter live here
-                       ("config.json", _json_text(cfg))):
-        write_atomic(out_dir / name, text.encode())
-
-
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    write_csv(out_dir / "report.csv", [CSV_HEADER] + [
+        [r.experiment, r.seed, r.condition, r.iteration, r.metric, repr(float(r.value))]
+        for r in rows])
+    write_json(out_dir / "summary.json", summarize(rows, cfg))
+    # config echo: curve rows stay whole series; schedule step boundaries and
+    # every other run parameter live here
+    write_json(out_dir / "config.json", cfg)
 
 
 def summarize(rows, cfg=None):

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .checkpoint import write_atomic
 from .data import PatchBatcher, augment_d4
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, write_csv
 
 EVAL_BATCH = 512   # patches per eval forward
 
@@ -75,11 +74,9 @@ class TrainMetrics:
 
     def write_csv(self, path):
         """Write the eval-point rows as CSV, atomically."""
-        lines = ["iteration,domain,loss,accuracy\n"]
-        for r in self.rows:
-            acc = "" if r.accuracy is None else repr(float(r.accuracy))
-            lines.append(f"{r.iteration},{r.domain},{repr(float(r.loss))},{acc}\n")
-        write_atomic(path, "".join(lines).encode())
+        rows = [(r.iteration, r.domain, repr(float(r.loss)),
+                 "" if r.accuracy is None else repr(float(r.accuracy))) for r in self.rows]
+        write_csv(path, [("iteration", "domain", "loss", "accuracy"), *rows])
 
     def summary(self):
         # a later row overwrites an earlier one: each domain keeps its last eval point

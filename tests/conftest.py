@@ -1,6 +1,6 @@
 import pytest
 
-import hsinet.checkpoint
+import hsinet.errors
 import hsinet.ops
 
 
@@ -27,7 +27,7 @@ def fill_disk(monkeypatch):
     real_open = open
 
     def fill():
-        monkeypatch.setattr(hsinet.checkpoint, "open",
+        monkeypatch.setattr(hsinet.errors, "open",
                             lambda *a, **k: _HalfWriter(real_open(*a, **k)), raising=False)
     return fill
 

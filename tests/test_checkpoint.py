@@ -249,11 +249,14 @@ class TestMalformedRecords:
         (small_net, _set(rng={**np.random.default_rng(0).bit_generator.state, "uinteger": -5}),
          "checkpoint metadata 'rng' is malformed"),
         (small_net, _spec(filters=4.0),
-         "checkpoint metadata 'spec' is malformed: filters must be an integer, got 4.0"),
+         "checkpoint metadata 'spec' is malformed: spec 'filters' must be a JSON integer, "
+         "got float"),
         (small_cdn, _spec(1, patch=5.0),
-         "checkpoint metadata 'branches' is malformed: patch must be an integer, got 5.0"),
+         "checkpoint metadata 'branches' is malformed: branches entry 1: spec 'patch' must be "
+         "a JSON integer, got float"),
         (small_net, _spec(patch=True),
-         "checkpoint metadata 'spec' is malformed: patch must be an integer, got True"),
+         "checkpoint metadata 'spec' is malformed: spec 'patch' must be a JSON integer, "
+         "got bool"),
         (small_net, _rng(state=1.5), "checkpoint metadata 'rng' is malformed"),
         (small_net, _rng(inc=True), "checkpoint metadata 'rng' is malformed"),
         (small_net, _rng(has_uint32=2), "checkpoint metadata 'rng' is malformed"),

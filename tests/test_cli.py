@@ -587,7 +587,51 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"data error: ENVI data '{tmp_path / 'o' / 'u.img'}': band " in err
         assert "outside the uint16 range [0, 65535]" in err
-        assert not (tmp_path / "o" / "u.img").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_synth_gen_removes_only_the_files_it_wrote(self, tmp_path, capsys):
+        """The first domain's files used to stay when the second failed to write."""
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        cfg = write_json(tmp_path / "g.json", {"domains": [
+            {"classes": 3, "bands": 4, "height": 12, "width": 12, "name": "a"},
+            {"classes": 3, "bands": 4, "height": 16, "width": 16, "noise_std": 1.0,
+             "seed": 5, "name": "u", "data_type": 12}]})
+        assert main(["synth-gen", "--config", cfg, "--out", str(out)]) == 2
+        assert "outside the uint16 range" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("command", ["synth-gen", "train-scratch"])
+    def test_synth_domain_with_more_classes_than_pixels_exits_1(self, tmp_path, capsys, calls,
+                                                                 command):
+        """synth_generate used to die broadcasting 200 class centers into 144 pixels."""
+        domain = {"classes": 200, "bands": 4, "height": 12, "width": 12}
+        cfg = write_json(tmp_path / "c.json", domain if command == "synth-gen" else {
+            "target": {"synth": domain}, "train_per_class": 2, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert ("synthetic domain 'classes' 200 exceeds the 144 pixels of its 12x12 raster"
+                in capsys.readouterr().err)
+        assert "sgd_step" not in calls
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("classes", [10**12, 1])
+    def test_manifest_class_count_outside_2_to_pixels_exits_2(self, workdir, tmp_path, capsys,
+                                                              calls, classes):
+        """10**12 classes used to die allocating a 14.6 TiB head; 1 class (every
+        label 1) exited 1 as a config error."""
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header", "data")})
+        np.savetxt(tmp_path / "l.txt", np.ones((12, 12), dtype=int), fmt="%d")
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [{"manifest": write_json(tmp_path / "m.json", {
+                **manifest, "labels": "l.txt", "classes": classes})}],
+            "network": {"filters": 4}, "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"data error: dataset 's1' declares {classes} classes; its 144 pixels can "
+                "hold 2 to 144" in capsys.readouterr().err)
+        assert "sgd_step" not in calls
 
     def test_eval_with_another_class_count_exits_2(self, tmp_path, capsys):
         """A 3-class network used to score a 5-class target and print an accuracy."""
@@ -599,6 +643,14 @@ class TestPipeline:
             "train_per_class": 6})
         assert main(["eval", "--config", cfg, "--checkpoint", str(tmp_path / "c3.ckpt")]) == 2
         assert ("data error: network expects 3 classes but dataset 'target' has 5"
+                in capsys.readouterr().err)
+
+    def test_config_nested_past_the_recursion_limit_exits_1(self, tmp_path, capsys):
+        """json.loads raises RecursionError, which used to escape as a traceback."""
+        (tmp_path / "c.json").write_text("[" * 100000)
+        assert main(["train-scratch", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert (f"config error: config file '{tmp_path / 'c.json'}' is not valid JSON: "
                 in capsys.readouterr().err)
 
     def test_config_path_that_is_a_directory_exits_1(self, tmp_path, capsys):

@@ -143,6 +143,16 @@ class TestEnviRoundTrip:
         loaded = load_envi(tmp_path / "e.hdr", tmp_path / "e.img")
         np.testing.assert_array_equal(loaded.data, [[[low, low], [high, high]]])
 
+    def test_failed_write_keeps_the_previous_raster(self, tmp_path, fill_disk):
+        """The data file used to be written in place: a full disk left it cut short."""
+        hdr, img = tmp_path / "h.hdr", tmp_path / "h.img"
+        write_envi(cube_123(), hdr, img)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            write_envi(HyperCube.from_array(cube_123().data + 1), hdr, img)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_write_rejects_an_unsupported_encoding_with_the_reader_wording(self, tmp_path):
         for kwargs, message in (
                 ({"interleave": "bxx"}, "unsupported interleave 'bxx' (need bsq, bil, or bip)"),
@@ -209,6 +219,18 @@ def ip_like_dataset():
     cube = HyperCube.from_array(
         np.random.default_rng(0).normal(0, 1, (4, h, w)).astype(np.float32))
     return DomainDataset(cube=cube, labels=labels, classes=8, name="ip_like")
+
+
+class TestDomainDataset:
+    @pytest.mark.parametrize("classes", [1, 0, 17, 10**12])
+    def test_class_count_outside_2_to_pixels_is_data_error(self, classes):
+        """A count past the pixels used to reach the network builder, which
+        tried to allocate the head (14.6 TiB at 10**12 classes)."""
+        with pytest.raises(DataError, match=re.escape(
+                f"dataset 'd' declares {classes} classes; its 16 pixels can hold 2 to 16")):
+            DomainDataset(cube=HyperCube.from_array(np.zeros((1, 4, 4))),
+                          labels=LabelRaster.from_array(np.ones((4, 4), dtype=np.int32)),
+                          classes=classes, name="d")
 
 
 class TestSplitPerClass:
@@ -294,6 +316,21 @@ class TestAugmentD4:
 
     def test_identity(self):
         np.testing.assert_array_equal(augment_d4(self.MARKER, 0), self.MARKER)
+
+    @pytest.mark.parametrize("k,element", [
+        (0, [[1, 2], [3, 4]]),  # identity
+        (1, [[2, 4], [1, 3]]),  # rotation by 90 degrees (np.rot90)
+        (2, [[4, 3], [2, 1]]),  # rotation by 180
+        (3, [[3, 1], [4, 2]]),  # rotation by 270
+        (4, [[2, 1], [4, 3]]),  # horizontal flip
+        (5, [[3, 4], [1, 2]]),  # vertical flip
+        (6, [[1, 3], [2, 4]]),  # transpose
+        (7, [[4, 2], [3, 1]]),  # anti-transpose
+    ])
+    def test_each_index_is_its_documented_element(self, k, element):
+        """A renumbering keeps the group properties below but moves every
+        training bit."""
+        np.testing.assert_array_equal(augment_d4(self.MARKER, k), [[element]])
 
     def test_horizontal_flip_is_involution(self):
         once = augment_d4(self.MARKER, 4)
@@ -381,6 +418,12 @@ class TestSynthGenerate:
         a = synth_generate(SynthConfig(classes=3, bands=32, height=8, width=8, seed=1))
         b = synth_generate(SynthConfig(classes=3, bands=48, height=8, width=8, seed=1))
         assert a.cube.bands == 32 and b.cube.bands == 48
+
+    def test_more_classes_than_pixels_is_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "synthetic domain 'classes' 200 exceeds the 144 pixels of its 12x12 raster")):
+            SynthConfig(classes=200, bands=4, height=12, width=12)
+        SynthConfig(classes=144, bands=4, height=12, width=12)
 
     def test_all_pixels_start_in_train(self):
         ds = synth_generate(SynthConfig(classes=2, bands=3, height=6, width=6, seed=0))

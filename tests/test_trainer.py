@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from hsinet.errors import ConfigError, DataError, NumericError, ShapeError
 from hsinet.network import (CrossDomainSpec, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
-from hsinet.trainer import (TrainSchedule, evaluate, lr_at, train_cross_domain,
-                            train_single, two_step_train)
+from hsinet.trainer import (MetricRow, TrainMetrics, TrainSchedule, evaluate, lr_at,
+                            train_cross_domain, train_single, two_step_train)
 
 
 def synth_domain(seed, bands=4, classes=3, side=14, noise=0.2, name=None):
@@ -46,6 +48,17 @@ def assert_bank_computes_no_input_gradient(calls, branches, iterations):
     assert not bank & set(calls)
     assert set(calls) == trunk
     assert len(calls) == iterations * len(branches) * len(trunk)
+
+
+class TestTrainMetrics:
+    def test_csv_quotes_a_domain_name_with_a_comma(self, tmp_path):
+        """Fields used to be joined by hand: 'a,b' made a 5-field row."""
+        rows = [MetricRow(2, "a,b", 1.5, 0.25), MetricRow(4, "c", 0.5, None)]
+        TrainMetrics(rows=rows).write_csv(tmp_path / "m.csv")
+        with open(tmp_path / "m.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["iteration", "domain", "loss", "accuracy"],
+                                            ["2", "a,b", "1.5", "0.25"], ["4", "c", "0.5", ""]]
+        assert (tmp_path / "m.csv").read_bytes().endswith(b'\n4,c,0.5,\n')
 
 
 class TestLrAt:

@@ -4,11 +4,13 @@
     PYTHONPATH=src python3 tools/golden_outputs.py OUT
 
 OUT must not exist yet. The commands run inside OUT with relative paths, so
-the echoed configs and stdout lines do not depend on where OUT is. The last
-command runs the gradient oracles over two seeds, so their printed errors
-are part of the listing too. Run it against two checkouts (PYTHONPATH
-pointing at each one's src) and diff the listings: outputs that are
-byte-identical print identical lines.
+the echoed configs and stdout lines do not depend on where OUT is. One step
+copies domain s1's labels into a text grid with a manifest of its own, so a
+train-scratch run reads labels from a .txt grid. The last command runs the
+gradient oracles over two seeds, so their printed errors are part of the
+listing too. Run it against two checkouts (PYTHONPATH pointing at each
+one's src) and diff the listings: outputs that are byte-identical print
+identical lines.
 """
 from __future__ import annotations
 
@@ -20,7 +22,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hsinet.cli import main
+from hsinet.envi import load_label_raster
 
 SCHEDULE = {"step_size": 40, "max_iter": 60, "batch": 8}
 NETWORK = {"filters": 4, "dropout_rate": 0.25}
@@ -63,6 +68,7 @@ CONFIGS = {
     **{f"target_patch{p}.json": {**TARGET, "network": {**NETWORK, "patch": p}}
        for p in (1, 3, 7)},
     "target_uint16.json": {**TARGET, "target": {"manifest": "data/s5.json"}},
+    "target_grid.json": {**TARGET, "target": {"manifest": "data/s1_grid.json"}},
 }
 
 EXPERIMENT = {**TARGET, "seeds": [0, 1], "sources": SOURCES, "pretrain_schedule": SCHEDULE}
@@ -87,8 +93,19 @@ EXPERIMENTS = {
                                                 {"label": "two", "sources": [1, 2]}]},
 }
 
+
+def write_label_grid():
+    """data/s1_grid.txt, s1's labels as a text grid, and data/s1_grid.json,
+    s1's manifest with its labels read from that grid."""
+    np.savetxt("data/s1_grid.txt", load_label_raster("data/s1_labels.hdr").labels, fmt="%d")
+    manifest = json.loads(Path("data/s1.json").read_text())
+    Path("data/s1_grid.json").write_text(json.dumps({**manifest, "labels": "s1_grid.txt"}))
+
+
+# (step, argv of an hsinet command, or a function run in OUT)
 COMMANDS = [
     ("synth-gen", ["synth-gen", "--config", "config/gen.json", "--out", "data"]),
+    ("label-grid", write_label_grid),
     ("pretrain", ["pretrain", "--config", "config/pretrain.json", "--seed", "0",
                   "--out", "pretrain"]),
     ("pretrain_two_step", ["pretrain", "--config", "config/pretrain_two_step.json",
@@ -110,6 +127,9 @@ COMMANDS = [
     # a target read back from a big-endian uint16 raster
     ("train-scratch_uint16", ["train-scratch", "--config", "config/target_uint16.json",
                               "--seed", "4", "--out", "scratch_uint16"]),
+    # a target whose labels load from the .txt grid
+    ("train-scratch_grid", ["train-scratch", "--config", "config/target_grid.json",
+                            "--seed", "4", "--out", "scratch_grid"]),
 ] + [(f"experiment_{name}", ["experiment", extra.get("experiment", name), "--config",
                              f"config/experiment_{name}.json", "--out", f"experiment_{name}"])
       for name, extra in EXPERIMENTS.items()] + [
@@ -137,6 +157,9 @@ def run(out):
         Path("config", name).write_text(json.dumps(cfg, indent=2))
     stdout = {}
     for step, argv in COMMANDS:
+        if callable(argv):
+            argv()
+            continue
         captured, progress = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(progress):
             code = main(argv)
