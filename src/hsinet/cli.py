@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Subcommands: pretrain, finetune, train-scratch, eval, experiment <id>,
-synth-gen, gradcheck. Exit codes: 0 success, 1 config error, 2 data error,
-3 numeric failure.
+synth-gen, gradcheck. Exit codes: 0 success, 1 config error, 2 data error
+(also an output that cannot be written), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -215,6 +215,9 @@ def main(argv=None):
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # reads raise DataError, so this is an output path
+        print(f"data error: cannot write '{e.filename}': {e.strerror or e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -53,8 +53,11 @@ class DomainDataset:
                 raise DataError(f"{what} index out of raster range")
             if idx.size and (flat[idx] == 0).any():
                 raise DataError(f"{what} split contains unlabeled pixels")
-        if np.intersect1d(self.train_idx, self.test_idx).size:
-            raise DataError("train and test splits overlap")
+        if self.train_idx.size and self.test_idx.size:
+            in_train = np.zeros(flat.size, dtype=bool)
+            in_train[self.train_idx] = True
+            if in_train[self.test_idx].any():
+                raise DataError("train and test splits overlap")
 
     @property
     def labeled_count(self):
@@ -299,14 +302,14 @@ def load_manifest(path):
     base = path.parent
     cube = load_envi(base / cfg["header"], base / cfg["data"])
     labels = load_label_raster(base / cfg["labels"])
-    ds = DomainDataset(
+    return DomainDataset(
         cube=cube,
         labels=labels,
         classes=cfg["classes"],
         name=cfg["name"],
         sensor=cfg["sensor"],
+        train_idx=np.flatnonzero(labels.labels.ravel() > 0),
     )
-    return replace(ds, train_idx=ds.labeled_indices())
 
 
 def dataset_files(out_dir, name):

@@ -2,10 +2,10 @@
 BSQ, BIL, or BIP interleave.
 
 Cubes normalize to a band-major float32 array (bands, lines, samples) on
-load. Supported on-disk sample types: int16, uint16, float32, float64
-(ENVI data type codes 2, 12, 4, 5), either byte order. The reader and the
-writer share one description of each encoding: INTERLEAVE_AXES, DTYPE_CODES
-and _sample_dtype.
+load; label rasters are decoded from their file samples. Supported sample
+types: int16, uint16, float32, float64 (ENVI data type codes 2, 12, 4, 5),
+either byte order. The reader and the writer share one description of each
+encoding: INTERLEAVE_AXES, DTYPE_CODES and _sample_dtype.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ DTYPE_CODES = {2: "i2", 4: "f4", 5: "f8", 12: "u2"}
 INTERLEAVE_AXES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
 INTERLEAVES = tuple(INTERLEAVE_AXES)
 LABEL_MAX = 2**31 - 1  # labels are stored as int32
+BIP_BLOCK = 1 << 18  # samples per cast from BIP: a whole-cube transposing cast misses cache
 
 
 @dataclass
@@ -131,8 +132,9 @@ def _sample_dtype(interleave, data_type, byte_order):
     return np.dtype(("<" if byte_order == 0 else ">") + DTYPE_CODES[data_type])
 
 
-def load_envi(header_path, data_path=None):
-    """Load an ENVI raster into a band-major HyperCube."""
+def read_envi_samples(header_path, data_path=None):
+    """The samples of an ENVI raster in their file dtype: a read-only
+    band-major (bands, lines, samples) view of the data file's bytes."""
     header = parse_envi_header(header_path)
     samples, lines, bands = (_int_key(header, key) for key in ("samples", "lines", "bands"))
     code = _int_key(header, "data type")
@@ -161,8 +163,20 @@ def load_envi(header_path, data_path=None):
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
     axes = INTERLEAVE_AXES[interleave]
     in_file = flat.reshape([(bands, lines, samples)[a] for a in axes])
-    # reshape and transpose are views; from_array makes the one copy
-    return HyperCube.from_array(in_file.transpose(np.argsort(axes)))
+    return in_file.transpose(np.argsort(axes))
+
+
+def load_envi(header_path, data_path=None):
+    """Load an ENVI raster into a band-major HyperCube."""
+    view = read_envi_samples(header_path, data_path)
+    bands, lines, samples = view.shape
+    if view.strides[0] >= view.strides[2]:  # bands are not innermost: one cast
+        return HyperCube.from_array(view)
+    data = np.empty(view.shape, dtype=np.float32)
+    step = max(1, BIP_BLOCK // (bands * samples))  # whole lines, at least one
+    for start in range(0, lines, step):
+        data[:, start:start + step] = view[:, start:start + step]
+    return HyperCube(data)
 
 
 def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte_order=0):
@@ -199,8 +213,8 @@ def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte
 
 
 def load_label_raster(path):
-    """Read labels from an ENVI single-band integer raster (.hdr) or a
-    whitespace-separated text grid (.txt)."""
+    """Read labels from the file samples of an ENVI single-band raster (.hdr)
+    or from a whitespace-separated text grid (.txt)."""
     path = Path(path)
     if path.suffix.lower() == ".txt":
         raw = read_file(path, "label grid")
@@ -215,8 +229,8 @@ def load_label_raster(path):
             raise DataError(f"label grid '{path}' holds no labels")
         return LabelRaster.from_array(grid, source=path)
     if path.suffix.lower() == ".hdr":
-        cube = load_envi(path)
-        if cube.bands != 1:
-            raise DataError(f"label raster must have exactly 1 band, got {cube.bands}")
-        return LabelRaster.from_array(np.rint(cube.data[0]), source=path)
+        samples = read_envi_samples(path)
+        if samples.shape[0] != 1:
+            raise DataError(f"label raster must have exactly 1 band, got {samples.shape[0]}")
+        return LabelRaster.from_array(samples[0], source=path)
     raise DataError(f"cannot infer label format from '{path}' (need .hdr or .txt)")

@@ -50,9 +50,16 @@ def read_file(path, what, error=DataError):
 
 
 def read_json(data, what, error):
-    """The JSON object in `data` (bytes), or `error` naming `what`."""
+    """The JSON object in `data` (bytes), or `error` naming `what` (a repeated key too)."""
+    def unique(pairs):
+        value = {}
+        for key, item in pairs:
+            if key in value:
+                raise error(f"{what} repeats the key '{key}'")
+            value[key] = item
+        return value
     try:
-        value = json.loads(data)
+        value = json.loads(data, object_pairs_hook=unique)
     except (ValueError, RecursionError) as e:  # also bytes that are not UTF-8
         raise error(f"{what} is not valid JSON: {e}") from None
     if not isinstance(value, dict):
@@ -63,16 +70,18 @@ def read_json(data, what, error):
 def write_atomic(path, data):
     """Write `data` (bytes-like) to `path` through a temp file in the same
     directory and os.replace it over the target, so a failure midway leaves
-    the previous file whole and no temp file behind. No fsync: this guards
-    against a failed or interrupted write, not against power loss."""
+    the previous file whole, no temp file behind and an OSError naming `path`.
+    No fsync: this guards against a failed write, not against power loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror or str(e), str(path)) from e
         raise
 
 

@@ -283,6 +283,20 @@ class TestMalformedRecords:
                      "--checkpoint", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_repeated_metadata_key_is_rejected_and_eval_exits_2(self, tmp_path, capsys):
+        save_checkpoint(small_net(), tmp_path / "ok.ckpt")
+        (_, dt, shape, raw), *rest = _records(tmp_path / "ok.ckpt")
+        assert b'"iteration":' in raw
+        raw = raw.replace(b'"iteration":', b'"iteration":3,"iteration":', 1)
+        path = _repack(tmp_path / "bad.ckpt", [("__meta__", dt, shape, raw), *rest])
+        message = "metadata record repeats the key 'iteration'"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        (tmp_path / "c.json").write_text("{}")
+        assert main(["eval", "--config", str(tmp_path / "c.json"),
+                     "--checkpoint", str(path)]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("net,edit,message", [
         (small_net, _spec(filters=10**7),
          "checkpoint metadata 'spec.filters' is 10000000, but tensor 'c1x1.w' has shape "

@@ -11,8 +11,9 @@ import hsinet.ops
 import hsinet.trainer
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.cli import _write_train_outputs, main
-from hsinet.data import DomainDataset, SynthConfig, synth_generate, write_dataset
-from hsinet.envi import LabelRaster, load_label_raster
+from hsinet.data import (DomainDataset, SynthConfig, dataset_files, synth_generate,
+                         write_dataset)
+from hsinet.envi import HyperCube, LabelRaster, load_label_raster, write_envi
 from hsinet.network import NetworkSpec, build_backbone
 from hsinet.trainer import MetricRow, TrainMetrics
 
@@ -330,6 +331,74 @@ class TestAtomicOutputs:
         with pytest.raises(OSError, match="No space left"):
             _write_train_outputs(tmp_path, [second], ["metrics"])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestUnwritableOutput:
+    """An OSError on an output path is a data error naming the path, where it
+    escaped main as a traceback."""
+
+    def test_synth_gen_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        out.write_text("keep")
+        cfg = write_json(tmp_path / "c.json", {"domains": [TestConfigErrors.DOMAIN]})
+        assert main(["synth-gen", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: cannot write '{out}': File exists" in err
+        assert "Traceback" not in err
+        assert out.read_text() == "keep"
+
+    def test_full_disk_during_train_scratch_exits_2(self, tmp_path, capsys, fill_disk):
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "t"), "train_per_class": 4, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4, "batch": 4}})
+        fill_disk()
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"data error: cannot write '{tmp_path / 'o' / 'metrics.csv'}': No space left "
+                "on device") in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "o").iterdir()) == []
+
+
+class TestMalformedInput:
+    def test_fractional_float_label_exits_2_naming_it(self, tmp_path, capsys):
+        """Labels were rounded through a float32 cube: 2.5 trained as class 2."""
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=12, width=12,
+                                        noise_std=0.25, seed=50, name="t"))
+        manifest = write_dataset(ds, tmp_path / "data")
+        labels = ds.labels.labels.astype(np.float32)
+        labels[3, 4] -= 0.5  # y 3, x 4
+        _, _, label_hdr, label_img, _ = dataset_files(tmp_path / "data", "t")
+        write_envi(HyperCube.from_array(labels[np.newaxis]), label_hdr, label_img, data_type=4)
+        cfg = write_json(tmp_path / "c.json", {
+            "target": {"manifest": str(manifest)}, "train_per_class": 2,
+            "network": {"filters": 4}, "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"in '{label_hdr}' at pixel (x=4, y=3) is not an integer"
+                in capsys.readouterr().err)
+
+    def test_repeated_config_key_exits_1(self, tmp_path, capsys):
+        """Only the second 'domains' used to be generated."""
+        domain = json.dumps(TestConfigErrors.DOMAIN)
+        (tmp_path / "c.json").write_text(f'{{"domains": [{domain}], "domains": [{domain}]}}')
+        assert main(["synth-gen", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert (f"config error: config file '{tmp_path / 'c.json'}' repeats the key 'domains'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_manifest_key_exits_2(self, tmp_path, capsys):
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=12, width=12,
+                                        noise_std=0.25, seed=50, name="t"))
+        manifest = write_dataset(ds, tmp_path / "data")
+        manifest.write_text(manifest.read_text().replace('"name": "t"',
+                                                         '"name": "t", "name": "u"'))
+        cfg = write_json(tmp_path / "c.json", {
+            "target": {"manifest": str(manifest)}, "train_per_class": 2,
+            "network": {"filters": 4}, "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"data error: manifest '{manifest}' repeats the key 'name'"
+                in capsys.readouterr().err)
 
 
 class TestGradcheck:

@@ -3,16 +3,18 @@ import re
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hsinet.envi
 from hsinet import data
 from hsinet.data import (DomainDataset, PatchBatcher, SynthConfig, augment_d4,
                          extract_patch, load_manifest, normalize_bands,
                          split_per_class, synth_generate, with_split, write_dataset)
 from hsinet.envi import (HyperCube, LabelRaster, load_envi, load_label_raster,
-                         parse_envi_header, write_envi)
+                         parse_envi_header, read_envi_samples, write_envi)
 from hsinet.errors import ConfigError, DataError, ShapeError
 
 
@@ -61,6 +63,29 @@ class TestEnviRoundTrip:
                    byte_order=byte_order)
         loaded = load_envi(hdr, img)
         np.testing.assert_array_equal(loaded.data, values)
+
+    @pytest.mark.parametrize("data_type,low,high", [
+        (2, -32768, 32767), (4, -1e6, 1e6), (5, -1e6, 1e6), (12, 0, 65535)])
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    @pytest.mark.parametrize("lines,block", [(7, 2 * 3 * 5), (7, 1), (1, 4)],
+                             ids=["ragged_last_block", "block_under_a_line", "one_line"])
+    def test_bip_line_blocks_match_one_cast(self, tmp_path, monkeypatch, data_type, low, high,
+                                            byte_order, lines, block):
+        """A BIP cube is cast a block of lines at a time; the cast of the whole
+        sample view in one call is the reference."""
+        values = np.random.default_rng(5).uniform(low, high, (3, lines, 5))
+        hdr, img = tmp_path / "b.hdr", tmp_path / "b.img"
+        write_envi(HyperCube.from_array(values), hdr, img, interleave="bip",
+                   data_type=data_type, byte_order=byte_order)
+        monkeypatch.setattr(hsinet.envi, "BIP_BLOCK", block)
+        reference = np.ascontiguousarray(read_envi_samples(hdr, img), dtype=np.float32)
+        loaded = load_envi(hdr, img).data
+        assert loaded.flags.c_contiguous and loaded.dtype == np.float32
+        np.testing.assert_array_equal(loaded, reference)
+
+    def test_little_endian_float32_bsq_loads_without_a_copy(self, tmp_path):
+        write_envi(cube_123(), tmp_path / "z.hdr", tmp_path / "z.img")
+        assert not load_envi(tmp_path / "z.hdr", tmp_path / "z.img").data.flags.owndata
 
     def test_short_file_is_size_mismatch(self, tmp_path):
         cube = cube_123()
@@ -209,6 +234,33 @@ class TestEnviRoundTrip:
                 f"label {np.float32(3e9)} in '{tmp_path / 'l.hdr'}' at pixel (x=0, y=1)")):
             load_label_raster(tmp_path / "l.hdr")
 
+    @pytest.mark.parametrize("data_type", [4, 5])
+    def test_fractional_float_label_is_rejected(self, tmp_path, data_type):
+        """Labels were rounded through the float32 cube: 1.4 loaded as class 1."""
+        cube = HyperCube.from_array(np.array([[[1.4, 2.0], [0.0, 2.6]]]))
+        write_envi(cube, tmp_path / "l.hdr", tmp_path / "l.img", data_type=data_type)
+        with pytest.raises(DataError, match=re.escape(
+                f"in '{tmp_path / 'l.hdr'}' at pixel (x=0, y=0) is not an integer")):
+            load_label_raster(tmp_path / "l.hdr")
+
+    def test_float64_label_loads_exactly(self, tmp_path):
+        """16777217 has no float32; it used to load as class 16777216."""
+        (tmp_path / "l.img").write_bytes(struct.pack(">2d", 16777217.0, 0.0))
+        (tmp_path / "l.hdr").write_text("ENVI\nsamples = 2\nlines = 1\nbands = 1\n"
+                                        "data type = 5\ninterleave = bsq\nbyte order = 1\n")
+        labels = load_label_raster(tmp_path / "l.hdr")
+        np.testing.assert_array_equal(labels.labels, [[16777217, 0]])
+
+    @pytest.mark.parametrize("data_type,byte_order", [(2, 0), (2, 1), (12, 0), (12, 1)])
+    def test_integer_label_raster_loads_its_samples(self, tmp_path, data_type, byte_order):
+        grid = np.array([[0, 1, 65535 if data_type == 12 else 32767], [3, 2, 1]])
+        write_envi(HyperCube.from_array(grid[np.newaxis]), tmp_path / "l.hdr",
+                   tmp_path / "l.img", data_type=data_type, byte_order=byte_order)
+        labels = load_label_raster(tmp_path / "l.hdr").labels
+        assert labels.dtype == np.int32
+        np.testing.assert_array_equal(labels, grid)
+
+
 def ip_like_dataset():
     """8504 labeled pixels in 8 equal classes on a 93x92 raster (rest unlabeled)."""
     h, w = 93, 92
@@ -231,6 +283,30 @@ class TestDomainDataset:
             DomainDataset(cube=HyperCube.from_array(np.zeros((1, 4, 4))),
                           labels=LabelRaster.from_array(np.ones((4, 4), dtype=np.int32)),
                           classes=classes, name="d")
+
+
+    def test_overlapping_splits_are_rejected(self):
+        ds = ip_like_dataset()
+        for test in ([5, 7, 9], [7, 9, 5]):
+            with pytest.raises(DataError, match="train and test splits overlap"):
+                replace(ds, train_idx=np.array([0, 5]), test_idx=np.array(test))
+        replace(ds, train_idx=np.array([0, 5]), test_idx=np.array([7, 6, 9]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlap_check_matches_intersect1d(self, seed):
+        """The reference check: np.intersect1d of the two splits is non-empty."""
+        ds = ip_like_dataset()
+        rng = np.random.default_rng(seed)
+        labeled = ds.labeled_indices()
+        train = rng.choice(labeled, size=rng.integers(0, 40), replace=False)
+        test = rng.choice(labeled, size=rng.integers(0, 40), replace=False)
+        if seed % 2:  # random draws of 40 of 8504 pixels rarely share one
+            test = np.append(test, train[:1])
+        if np.intersect1d(train, test).size:
+            with pytest.raises(DataError, match="train and test splits overlap"):
+                replace(ds, train_idx=train, test_idx=test)
+        else:
+            replace(ds, train_idx=train, test_idx=test)
 
 
 class TestSplitPerClass:
@@ -484,6 +560,28 @@ class TestBatcherAndManifest:
         np.testing.assert_array_equal(loaded.labels.labels, ds.labels.labels)
         assert loaded.name == "domA" and loaded.sensor == "R" and loaded.classes == 3
         assert loaded.train_idx.size == 64
+
+    def test_load_manifest_checks_the_dataset_once(self, tmp_path, monkeypatch):
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=8, width=8, seed=4))
+        unlabeled = np.arange(8) % 3 == 0  # columns 0, 3 and 6
+        ds = DomainDataset(ds.cube, LabelRaster.from_array(ds.labels.labels * ~unlabeled), 3)
+        manifest = write_dataset(ds, tmp_path)
+        calls = []
+        post_init = DomainDataset.__post_init__
+        monkeypatch.setattr(DomainDataset, "__post_init__",
+                            lambda self: calls.append(self) or post_init(self))
+        loaded = load_manifest(manifest)
+        assert calls == [loaded]
+        np.testing.assert_array_equal(loaded.train_idx, loaded.labeled_indices())
+        assert loaded.train_idx.size == (ds.labels.labels > 0).sum() < 64
+
+    def test_repeated_manifest_key_is_rejected(self, tmp_path):
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=8, width=8, name="d"))
+        path = write_dataset(ds, tmp_path)
+        path.write_text(path.read_text().replace('"classes": 3', '"classes": 2, "classes": 3'))
+        with pytest.raises(DataError, match=re.escape(
+                f"manifest '{path}' repeats the key 'classes'")):
+            load_manifest(path)
 
     def test_manifest_missing_key(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps({"name": "x"}))
