@@ -2,7 +2,7 @@
 
 Subcommands: pretrain, finetune, train-scratch, eval, experiment <id>,
 synth-gen, gradcheck. Exit codes: 0 success, 1 config error, 2 data error
-(also an output that cannot be written), 3 numeric failure.
+(also an output that cannot be written), 3 numeric failure, 4 out of memory.
 """
 from __future__ import annotations
 
@@ -218,6 +218,10 @@ def main(argv=None):
     except OSError as e:  # reads raise DataError, so this is an output path
         print(f"data error: cannot write '{e.filename}': {e.strerror or e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"out of memory: hsinet {args.command}{detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -100,17 +100,19 @@ class ConvBlock:
         return ops.conv2d_input_grad(self.conv, self.param_backward(grad_out))
 
     def param_backward(self, grad_out):
-        """Fill the parameter gradients and release the batch-norm statistics;
+        """Fill the parameter gradients and release what the forward kept;
         returns the gradient at the conv output (a bank block stops here)."""
         g = grad_out
         if self.with_relu:
             g = ops.relu_backward(self._pre_relu, g)
+            self._pre_relu = None
         if self.with_bn:
             (xhat, inv), self._bn_stats = self._bn_stats, None
             g, g_scale, g_shift = ops.batchnorm_backward(xhat, inv, self.bn, g)
             self.bn.scale.grad = g_scale
             self.bn.shift.grad = g_shift
         self.conv.w.grad, self.conv.b.grad = ops.conv2d_backward(self._x, self.conv, g)
+        self._x = None
         return g
 
     def params(self):
@@ -148,6 +150,7 @@ class ResidualModule:
 
     def backward(self, grad_out):
         g = ops.relu_backward(self._pre_add, grad_out)
+        self._pre_add = None
         gx = self.conv1.backward(self.conv2.backward(g))
         return gx + g
 
@@ -165,7 +168,8 @@ class Dropout:
         return y
 
     def backward(self, grad_out):
-        return ops.dropout_backward(grad_out, self._mask, self.rate)
+        mask, self._mask = self._mask, None
+        return ops.dropout_backward(grad_out, mask, self.rate)
 
 
 class Network:
@@ -275,8 +279,9 @@ class Network:
         g[:, :, p // 2, p // 2] = gc[:, :, 0, 0]
         for layer in reversed(self.trunk):
             g = layer.backward(g)
-        # channel-major: each part is contiguous
-        for blk, part in zip(self.bank, np.split(g, 3, axis=1)):
+        # channel-major: each part is contiguous. c5x5, the largest, runs first
+        # and reads the patch columns its forward kept; c3x3 builds its own
+        for blk, part in zip(self.bank[::-1], np.split(g, 3, axis=1)[::-1]):
             blk.param_backward(part)
 
 

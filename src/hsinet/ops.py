@@ -13,12 +13,21 @@ the layout. The 1x1 weight gradient (one GEMM) and the batch-norm backward
 sums run along whole rows, so in float64 they round differently from a
 per-sample NCHW sum.
 
+A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): the
+zero-padded input's k x k taps as a (c*k*k, n*h*w) matrix. conv2d_forward
+keeps the columns it built, one set per thread at a time, and
+conv2d_backward reads them for the weight gradient when its input has the
+same kernel size and bytes; any other input gets fresh columns. Each GEMM
+sees the operands numpy 2.4's einsum matmul path built, so a training step
+gives the einsum's bits.
+
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
 one code path serves both float32 training and float64 gradient checking.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,26 +149,70 @@ def _windows(a, k):
     return sliding_window_view(padded, (k, k), axis=(2, 3))
 
 
-def _correlate(a, w64):
+def _columns(a, k):
+    """The (c*k*k, n*h*w) patch columns of `a` for a k x k kernel: row (c, dy, dx)
+    holds the tap at offset (dy, dx) of every output pixel, in (n, y, x) order.
+    Reshaping the transposed window view, rather than copying it contiguous,
+    leaves the columns in the memory order einsum's matmul path gave them, so
+    a GEMM over them gives einsum's bits on every shape a network trains on."""
+    n, c, h, w = a.shape
+    return _windows(a, k).transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+
+
+class _Kept(threading.local):
+    """The patch columns of this thread's latest k > 1 conv2d_forward, kept for
+    the weight gradient that reads the same input."""
+
+    def __init__(self):
+        self.columns = []  # at most one (input key, columns) pair
+
+
+_kept = _Kept()
+
+
+def _input_key(a, k):
+    return k, a.shape, a.dtype.str, a.tobytes()
+
+
+def _keep_columns(a, k):
+    """Fresh patch columns of `a`, kept in place of the ones kept before."""
+    _kept.columns.clear()  # one set at a time: free the old before building
+    cols = _columns(a, k)
+    _kept.columns.append((_input_key(a, k), cols))
+    return cols
+
+
+def _take_columns(a, k):
+    """The kept patch columns when they were built for kernel size k from these
+    bytes of `a`, else fresh ones; either way nothing stays kept."""
+    if _kept.columns and _kept.columns[0][0] == _input_key(a, k):
+        return _kept.columns.pop()[1]
+    _kept.columns.clear()
+    return _columns(a, k)
+
+
+def _correlate(a, w64, keep=False):
     """Bias-free same-padded correlation in float64:
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
-    The result is held channel-major.
+    With `keep`, a k > 1 kernel's patch columns replace the kept ones. The
+    result is held channel-major.
     """
     n, _, h, wd = a.shape
     out_c, _, k, _ = w64.shape
     if k == 1:  # a 1x1 kernel is a per-pixel channel mix: one GEMM over the rows
-        out = (w64[:, :, 0, 0] @ _rows(_channel_major64(a))).reshape(out_c, n, h, wd)
+        out = w64[:, :, 0, 0] @ _rows(_channel_major64(a))
     else:
-        out = np.einsum("ncyxuv,ocuv->onyx", _windows(a, k), w64, optimize=True)
-    return out.transpose(1, 0, 2, 3)
+        out = w64.reshape(out_c, -1) @ (_keep_columns if keep else _columns)(a, k)
+    return out.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(x, p):
-    """Zero-padded "same" convolution: the correlation of x with w, plus b."""
+    """Zero-padded "same" convolution: the correlation of x with w, plus b.
+    A k > 1 kernel keeps its patch columns for conv2d_backward on the same x."""
     _conv_check(p, x, "input")
-    out = _correlate(x, _f64(p.w.data))
+    out = _correlate(x, _f64(p.w.data), keep=True)
     out += _f64(p.b.data)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, p.w.data.dtype), copy=False)
 
@@ -192,13 +245,14 @@ def conv2d_center(x, p):
 def conv2d_backward(x, p, grad_out):
     """Parameter gradients of conv2d_forward; returns (grad_w, grad_b).
 
-    The input gradient is conv2d_input_grad, which a layer reading the data
-    itself does not need.
+    A k > 1 kernel reads the patch columns the forward kept when they were
+    built from these bytes of x, and releases them. The input gradient is
+    conv2d_input_grad, which a layer reading the data itself does not need.
     """
     _conv_check(p, x, "input")
     w = p.w.data
     out_c, _, k, _ = w.shape
-    n, _, h, wd = x.shape
+    n, c, h, wd = x.shape
     if grad_out.shape != (n, out_c, h, wd):
         raise ShapeError(
             f"conv '{p.w.name}': grad_out shape {grad_out.shape} does not match "
@@ -210,7 +264,7 @@ def conv2d_backward(x, p, grad_out):
     if k == 1:  # one GEMM over all n*h*w pixels
         grad_w = (g_rows @ _rows(_channel_major64(x)).T).reshape(w.shape)
     else:
-        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, _windows(x, k), optimize=True)
+        grad_w = (_take_columns(x, k) @ g_rows.T).reshape(c, k, k, out_c).transpose(3, 0, 1, 2)
     return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
 
 

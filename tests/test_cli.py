@@ -360,6 +360,22 @@ class TestUnwritableOutput:
         assert list((tmp_path / "o").iterdir()) == []
 
 
+class TestOutOfMemory:
+    """A MemoryError that no check caught exits 4 naming the command, where it
+    escaped main as a traceback. The command is replaced: nothing allocates."""
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 10.9 TiB for an array", ""])
+    def test_memory_error_exits_4_naming_the_command(self, tmp_path, capsys, monkeypatch,
+                                                     message):
+        def oversized(args):
+            raise MemoryError(*[message] if message else [])
+        monkeypatch.setitem(hsinet.cli._COMMANDS, "train-scratch", oversized)
+        cfg = write_json(tmp_path / "c.json", {})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        detail = f": {message}" if message else ""
+        assert capsys.readouterr().err == f"out of memory: hsinet train-scratch{detail}\n"
+
+
 class TestMalformedInput:
     def test_fractional_float_label_exits_2_naming_it(self, tmp_path, capsys):
         """Labels were rounded through a float32 cube: 2.5 trained as class 2."""

@@ -171,6 +171,47 @@ class TestForward:
         with pytest.raises(ConfigError, match="training-mode forward"):
             net.backward(grad)
 
+    def test_backward_releases_every_step_cache(self):
+        """What a block kept for its backward is dropped once that backward
+        has read it, so none of it sits beside the bank's patch columns."""
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
+        net.forward(x, training=True, rng=np.random.default_rng(2))
+        layers = [*net.blocks(), *net.modules, net.drop7, net.drop8]
+        caches = ("_x", "_pre_relu", "_pre_add", "_mask")
+
+        def held():
+            return [(layer, name) for layer in layers for name in caches
+                    if getattr(layer, name, None) is not None]
+        assert {name for _, name in held()} == set(caches)
+        net.backward(np.ones((2, 3), dtype=np.float32))
+        assert held() == []
+
+    def test_training_step_builds_three_sets_of_bank_columns(self, monkeypatch):
+        """The 3x3 and 5x5 forwards build their patch columns; backward runs
+        c5x5 first, which reads the kept ones, and c3x3 builds its own again.
+        Every bank gradient keeps the bits of a fresh build."""
+        sizes, calls = [], []
+        columns, backward = ops._columns, ops.conv2d_backward
+        monkeypatch.setattr(ops, "_columns", lambda a, k: sizes.append(k) or columns(a, k))
+        monkeypatch.setattr(ops, "conv2d_backward",
+                            lambda *a: calls.append(a) or backward(*a))
+        monkeypatch.setattr(ops._kept, "columns", [])
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (3, 4, 5, 5)).astype(np.float32)
+        net.forward(x, training=True, rng=np.random.default_rng(2))
+        net.backward(np.ones((3, 3), dtype=np.float32))
+        assert sizes == [3, 5, 3]
+        assert ops._kept.columns == []
+        bank = [(a, blk) for a in calls for blk in net.bank if a[1] is blk.conv]
+        assert [blk.name for _, blk in bank] == ["c5x5", "c3x3", "c1x1"]
+        for (bx, p, g), blk in bank:
+            fresh = backward(bx.copy(), p, g)
+            for got, want in zip((p.w.grad, p.b.grad), fresh, strict=True):
+                assert got.tobytes() == want.tobytes()
+
     def test_training_activations_are_channel_major(self, monkeypatch):
         """A training step holds the trunk's block inputs, every x̂ and every
         gradient reaching a conv or batch norm channel-major, so their rows

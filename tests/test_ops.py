@@ -1,5 +1,6 @@
 import copy
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -461,6 +462,106 @@ class TestFastPathsMatchReferences:
                                              return_stats=True)
         with pytest.raises(ShapeError, match="does not match input shape"):
             ops.batchnorm_backward(xhat, inv, p, np.zeros((2, 1, 1, 1)))
+
+
+class TestKeptColumns:
+    """A k > 1 forward keeps its patch columns, one set at a time, and the
+    weight gradient on the same input bytes reads them instead of building
+    them again. Any other input builds fresh columns, so every gradient keeps
+    the bits of the einsum references."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The kernel size of every patch-column build; each still builds."""
+        sizes = []
+        columns = ops._columns
+        monkeypatch.setattr(ops, "_columns", lambda a, k: sizes.append(k) or columns(a, k))
+        monkeypatch.setattr(ops._kept, "columns", [])
+        return sizes
+
+    @staticmethod
+    def case(k, seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        p = make_conv(3, 4, k, rng, dtype=dtype)
+        x = rng.normal(0, 1, (2, 3, 5, 5)).astype(dtype)
+        g = rng.normal(0, 1, (2, 4, 5, 5)).astype(dtype)
+        return p, x, g
+
+    @staticmethod
+    def assert_reference(x, p, g, grads):
+        _, gw, gb = conv2d_backward_reference(x, p, g)
+        assert_same_bits(grads[0], gw)
+        assert_same_bits(grads[1], gb)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_reads_the_forward_columns(self, builds, dtype):
+        p, x, g = self.case(5, 0, dtype)
+        ops.conv2d_forward(x, p)
+        assert len(ops._kept.columns) == 1
+        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        assert builds == [5]
+        assert ops._kept.columns == []
+
+    def test_input_changed_in_place_builds_fresh_columns(self, builds):
+        p, x, g = self.case(3, 1)
+        ops.conv2d_forward(x, p)
+        x[1, 2, 3, 4] += 1.0
+        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        assert builds == [3, 3]
+
+    def test_same_values_in_another_layout_reuse(self, builds):
+        p, x, g = self.case(3, 2)
+        ops.conv2d_forward(x, p)
+        self.assert_reference(x, p, g, ops.conv2d_backward(channel_major(x), p, g))
+        assert builds == [3]
+
+    def test_kernel_size_mismatch_builds_fresh_columns(self, builds):
+        p3, x, _ = self.case(3, 3)
+        p5, _, g = self.case(5, 4)
+        ops.conv2d_forward(x, p3)
+        self.assert_reference(x, p5, g, ops.conv2d_backward(x, p5, g))
+        assert builds == [3, 5]
+        assert ops._kept.columns == []
+
+    def test_interleaved_forward_keeps_only_the_latest(self, builds):
+        p, x, g = self.case(5, 5)
+        y = x[::-1].copy()
+        ops.conv2d_forward(x, p)
+        ops.conv2d_forward(y, p)
+        assert len(ops._kept.columns) == 1
+        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        self.assert_reference(y, p, g, ops.conv2d_backward(y, p, g))
+        assert builds == [5, 5, 5, 5]
+
+    def test_each_thread_keeps_its_own_columns(self, builds):
+        p, x, g = self.case(5, 8)
+        ops.conv2d_forward(x, p)
+        other = threading.Thread(target=ops.conv2d_forward, args=(x[::-1].copy(), p))
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive()
+        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        assert builds == [5, 5]
+
+    def test_input_gradient_keeps_no_columns(self, builds):
+        p, x, g = self.case(5, 6)
+        ops.conv2d_forward(x, p)
+        kept = ops._kept.columns[0]
+        ops.conv2d_input_grad(p, g)
+        assert len(ops._kept.columns) == 1 and ops._kept.columns[0] is kept
+
+    def test_gradient_check_leaves_no_wrong_columns(self, builds):
+        """The check perturbs x in place and runs forwards: the columns it
+        leaves kept are those of a perturbed x."""
+        p, x, g = self.case(5, 7)
+        y = ops.conv2d_forward(x, p)
+        report = grad_check(lambda: float((ops.conv2d_forward(x, p) ** 2).sum() / 2),
+                            {"input": (x, ops.conv2d_input_grad(p, y))})
+        assert report.passed
+        assert builds[-1] == 5 and len(ops._kept.columns) == 1
+        count = len(builds)
+        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        assert len(builds) == count + 1
 
 
 class TestChannelMajorInputs:
