@@ -43,7 +43,7 @@ def _build_parser():
         p.add_argument("--out", default="out" if needs_out else None,
                        help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (1 is the deterministic reference)")
+                       help="accepted for compatibility; hsinet runs as one process")
         if checkpoint:
             p.add_argument("--checkpoint", required=(name in ("finetune", "eval")),
                            help="checkpoint path")

@@ -1,11 +1,13 @@
 """The config -> dataset -> network pipeline (`_Harness`) behind the CLI
-commands, and the ablation runners built on it: schedule sweep, depth sweep,
-source combinations (source size, sensor ablation, single vs multi source),
-pre-training and fine-tuning, on synthetic domains or user-supplied rasters.
+commands, and the experiments built on it. A transfer experiment is a plan:
+a list of units, each one target run per seed from a checkpoint, from a
+store the plan pre-trains, or from scratch. One executor (`run_plan`) loads
+the checkpoints and the target, pre-trains each distinct store once, then
+trains every unit for every seed. `run_pretrain` writes pre-trained stores.
 
-Every runner emits ReportRows (experiment, seed, condition, iteration, metric,
-value) and can write them as report.csv plus an aggregated summary.json.
-Identical config + seeds reproduce byte-identical CSV output.
+Every experiment emits ReportRows (experiment, seed, condition, iteration,
+metric, value) and can write them as report.csv plus an aggregated
+summary.json. Identical config + seeds reproduce byte-identical CSV output.
 """
 from __future__ import annotations
 
@@ -149,7 +151,7 @@ class _Run:
 
 class _Harness:
     """The config -> dataset -> network pipeline shared by the CLI commands and
-    every experiment runner. Building one checks the whole config for `command`
+    every experiment. Building one checks the whole config for `command`
     (None: the experiment it names); runs read only the values in `built`."""
 
     def __init__(self, cfg, command=None, progress=False):
@@ -157,8 +159,8 @@ class _Harness:
         self.experiment = cfg.get("experiment")
         needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment)[1])
         c = self.built = _object(_SCHEMA, needs)({**_DEFAULTS, **cfg}, "config")
-        self.depth_specs = [_at(f"config 'depths' entry {i}", replace, c["network"],
-                                residual_modules=depth) for i, depth in enumerate(c["depths"])]
+        for i, depth in enumerate(c["depths"]):
+            _at(f"config 'depths' entry {i}", replace, c["network"], residual_modules=depth)
         self.sweep = []
         for i, entry in enumerate(c.get("schedules", [])):
             where = f"config 'schedules' entry {i}"
@@ -195,19 +197,16 @@ class _Harness:
             raise DataError(f"test split of '{ds.name}' is empty")
         return normalize_bands(ds) if c["normalize"] else ds
 
-    @property
-    def pretrain_seed(self):
-        return self.built.get("pretrain_seed", self.seeds[0])
+    def _spec(self, ds, modules=None):
+        network = self.built["network"]
+        return replace(network, bands=ds.cube.bands, classes=ds.classes,
+                       residual_modules=modules or network.residual_modules)
 
-    def _spec(self, ds, network=None):
-        return replace(network or self.built["network"], bands=ds.cube.bands,
-                       classes=ds.classes)
-
-    def pretrain(self, sources, seed, schedule_key="pretrain_schedule", network=None):
+    def pretrain(self, sources, seed, schedule_key="pretrain_schedule", modules=None):
         """Cross-domain pre-training over the given source datasets, on the
         schedule under `schedule_key` or the config's `two_step` pair."""
         rng = np.random.default_rng(seed)
-        cdn = build_cross_domain(CrossDomainSpec([self._spec(ds, network) for ds in sources]),
+        cdn = build_cross_domain(CrossDomainSpec([self._spec(ds, modules) for ds in sources]),
                                  rng)
         if "two_step" in self.built:
             steps = self.built["two_step"]
@@ -218,26 +217,14 @@ class _Harness:
                                           **self.train_kwargs)
         return _Run(cdn, [metrics], rng)
 
-    def target_run(self, schedule, seed, pretrained=None, network=None):
+    def target_run(self, schedule, seed, pretrained=None, modules=None):
         """Train on the target from scratch or from a pre-trained shared store."""
-        spec = self._spec(self.target, network)
+        spec = self._spec(self.target, modules)
         rng = np.random.default_rng(seed)
-        if pretrained is None:
-            net = build_backbone(spec, rng)
-        else:
-            net = transfer_shared(pretrained, spec, rng)
+        net = (build_backbone(spec, rng) if pretrained is None
+               else transfer_shared(pretrained, spec, rng))
         net, metrics = train_single(net, self.target, schedule, rng, **self.train_kwargs)
         return _Run(net, [metrics], rng)
-
-    def compare(self, conditions, schedule, network=None):
-        """Report rows of one target run per seed for each (condition,
-        pre-trained store or None for scratch, extra final metrics)."""
-        rows = []
-        for seed in self.seeds:
-            for condition, pretrained, extra in conditions:
-                run = self.target_run(schedule, seed, pretrained, network)
-                rows += self.curve_rows(seed, condition, run, extra)
-        return rows
 
     def curve_rows(self, seed, condition, run, extra=None):
         """train_loss and test_accuracy at each eval point of a target run, then
@@ -251,53 +238,66 @@ class _Harness:
                 for iteration, values in points for metric, value in values.items()]
 
 
-def _with_scratch(label, pretrained):
-    return [(f"{label}/pretrain", pretrained, None), (f"{label}/scratch", None, None)]
+# --- the run plan ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Unit:
+    """One target run per seed from its store: a checkpoint path, the (source
+    indices, residual modules) key of a store the plan pre-trains, or None for
+    scratch. `source_pixels`: also report the store's labeled source pixels."""
+
+    condition: str
+    schedule: TrainSchedule
+    modules: int
+    store: str | tuple | None
+    source_pixels: bool = False
 
 
-# --- experiment runners ---------------------------------------------------
-
-def run_schedule_sweep(cfg, out_dir=None):
-    """Scratch vs fine-tuned target training across step-size/iteration pairs."""
-    h = _Harness(cfg)
-    if "checkpoint" in cfg:
-        pretrained = load_network(cfg["checkpoint"], "cross")
+def _plan(h):
+    """The target units of the transfer experiment `h` runs."""
+    c, exp = h.built, h.experiment
+    modules, schedule = c["network"].residual_modules, c.get("schedule")
+    if exp == "finetune":
+        return [_Unit("finetune", schedule, modules, c["checkpoint"])]
+    if exp in _COMBINATIONS:
+        units = [_Unit(combo["label"], schedule, modules, (tuple(combo["sources"]), modules),
+                       True) for combo in c[_COMBINATIONS[exp][0]]]
+        if exp == "source_size" and c["include_scratch"]:
+            units.append(_Unit("scratch", schedule, modules, None, True))
+        return units
+    every_source = tuple(range(len(c.get("sources", []))))
+    if exp == "schedule_sweep":
+        runs = [(label, s, modules, c.get("checkpoint", (every_source, modules)))
+                for label, s in h.sweep]
     else:
-        h.target  # a target that cannot be scored fails before pre-training
-        pretrained = h.pretrain(h.sources, h.pretrain_seed).network
-    rows = []
-    for label, schedule in h.sweep:
-        rows += h.compare(_with_scratch(label, pretrained), schedule)
-    return _finish(rows, cfg, out_dir)
+        runs = [(f"{5 + 2 * d}-layer", schedule, d, (every_source, d)) for d in c["depths"]]
+    # each fine-tuned run beside its scratch baseline
+    return [u for label, s, m, store in runs for u in (
+        _Unit(f"{label}/pretrain", s, m, store), _Unit(f"{label}/scratch", s, m, None))]
 
 
-def run_depth_sweep(cfg, out_dir=None):
-    """Scratch vs fine-tuned accuracy as residual modules are added; each
-    depth pre-trains its own cross-domain network."""
+def run_plan(cfg, out_dir=None):
+    """Run a transfer experiment's plan: load its checkpoint stores, then its
+    target (one that cannot be scored fails before pre-training), pre-train
+    each distinct store key once, and train every unit for every seed."""
     h = _Harness(cfg)
-    h.target  # a target that cannot be scored fails before pre-training
+    units = _plan(h)
+    keys = dict.fromkeys(u.store for u in units)  # distinct, in plan order
+    stores = {key: load_network(key, "cross") for key in keys if isinstance(key, str)}
+    h.target  # loaded and checked before any pre-training
+    pixels = {None: 0}  # labeled source pixels per pre-trained store
+    for key in filter(lambda key: isinstance(key, tuple), keys):
+        subset = [h.sources[i] for i in key[0]]
+        pixels[key] = sum(ds.labeled_count for ds in subset)
+        stores[key] = h.pretrain(subset, h.built.get("pretrain_seed", h.seeds[0]),
+                                 modules=key[1]).network
     rows = []
-    for spec in h.depth_specs:
-        pretrained = h.pretrain(h.sources, h.pretrain_seed, network=spec).network
-        rows += h.compare(_with_scratch(f"{5 + 2 * spec.residual_modules}-layer", pretrained),
-                          h.built["schedule"], spec)
+    for seed in h.seeds:
+        for u in units:
+            run = h.target_run(u.schedule, seed, stores.get(u.store), u.modules)
+            rows += h.curve_rows(seed, u.condition, run,
+                                 {"source_pixels": pixels[u.store]} if u.source_pixels else None)
     return _finish(rows, cfg, out_dir)
-
-
-def run_combinations(cfg, out_dir=None):
-    """Fine-tuned target accuracy per source combination, with its labeled
-    pixel count: source_size (plus a scratch baseline unless
-    `include_scratch` is false), sensor_ablation and single_vs_multi."""
-    h = _Harness(cfg)
-    h.target  # a target that cannot be scored fails before pre-training
-    conditions = []
-    for combo in h.built[_COMBINATIONS[h.experiment][0]]:
-        subset = [h.sources[i] for i in combo["sources"]]
-        conditions.append((combo["label"], h.pretrain(subset, h.pretrain_seed).network,
-                           {"source_pixels": sum(ds.labeled_count for ds in subset)}))
-    if h.experiment == "source_size" and h.built["include_scratch"]:
-        conditions.append(("scratch", None, {"source_pixels": 0}))
-    return _finish(h.compare(conditions, h.built["schedule"]), cfg, out_dir)
 
 
 def run_pretrain(cfg, out_dir=None):
@@ -317,23 +317,15 @@ def run_pretrain(cfg, out_dir=None):
     return _finish(rows, cfg, out_dir)
 
 
-def run_finetune(cfg, out_dir=None):
-    """Fine-tune from a required checkpoint as an experiment."""
-    h = _Harness(cfg)
-    pretrained = load_network(cfg["checkpoint"], "cross")
-    return _finish(h.compare([("finetune", pretrained, None)], h.built["schedule"]), cfg,
-                   out_dir)
-
-
 # each experiment's runner and the keys its config requires besides 'seeds'
 _EXPERIMENTS = {
-    "schedule_sweep": (run_schedule_sweep, ("schedules", *_TARGET, "checkpoint|sources",
-                                            "checkpoint|two_step|pretrain_schedule")),
-    "depth_sweep": (run_depth_sweep, ("schedule", *_TARGET, *_PRETRAIN)),
-    **{exp: (run_combinations, (key, "schedule", *_TARGET, *_PRETRAIN))
+    "schedule_sweep": (run_plan, ("schedules", *_TARGET, "checkpoint|sources",
+                                  "checkpoint|two_step|pretrain_schedule")),
+    "depth_sweep": (run_plan, ("schedule", *_TARGET, *_PRETRAIN)),
+    **{exp: (run_plan, (key, "schedule", *_TARGET, *_PRETRAIN))
        for exp, (key, _, _) in _COMBINATIONS.items()},
     "pretrain": (run_pretrain, _PRETRAIN),
-    "finetune": (run_finetune, ("checkpoint", "schedule", *_TARGET)),
+    "finetune": (run_plan, ("checkpoint", "schedule", *_TARGET)),
 }
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 

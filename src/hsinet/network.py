@@ -82,16 +82,17 @@ class ConvBlock:
         self._pre_relu = None
 
     def forward(self, x, training, rng=None):
-        """Training computes every pixel; eval only the center (n, out_c, 1, 1).
-        `rng` is unused: the call form of Dropout.forward."""
-        self._x = x
+        """Training computes every pixel; eval only the center (n, out_c, 1, 1)
+        and keeps nothing for a backward. `rng` is unused: the call form of
+        Dropout.forward."""
+        self._x = x if training else None
         y = ops.conv2d_forward(x, self.conv) if training else ops.conv2d_center(x, self.conv)
         if self.with_bn and training:
             y, *self._bn_stats = ops.batchnorm_forward(y, self.bn, True, return_stats=True)
         elif self.with_bn:
             y = ops.batchnorm_forward(y, self.bn, False)
         if self.with_relu:
-            self._pre_relu = y
+            self._pre_relu = y if training else None
             y = ops.relu(y)
         return y
 
@@ -144,9 +145,9 @@ class ResidualModule:
         self._pre_add = None
 
     def forward(self, x, training, rng=None):
-        y = self.conv2.forward(self.conv1.forward(x, training), training)
-        self._pre_add = x + y
-        return ops.relu(self._pre_add)
+        pre_add = x + self.conv2.forward(self.conv1.forward(x, training), training)
+        self._pre_add = pre_add if training else None
+        return ops.relu(pre_add)
 
     def backward(self, grad_out):
         g = ops.relu_backward(self._pre_add, grad_out)

@@ -382,11 +382,14 @@ def dropout(x, rate, training, rng=None):
     """Inverted dropout; returns (output, keep_mask).
 
     Training zeroes each element with probability `rate` and scales survivors
-    by 1/(1-rate) so eval is the identity. The mask is drawn from `rng`.
+    by 1/(1-rate) so eval is the identity. The mask is drawn from `rng`; eval
+    returns x itself and no mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if not training:
+        return x, None
+    if rate == 0.0:
         return x, np.ones(x.shape, dtype=bool)
     if rng is None:
         raise ConfigError("dropout in training mode requires an rng")

@@ -314,7 +314,7 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_real_data_reference():
     with criterion(10, "paper-scale schedule sweep on user-supplied data matches "
                        "the reference accuracies within 0.02"):
-        from hsinet.experiments import run_schedule_sweep, summarize
+        from hsinet.experiments import run_experiment, summarize
         root = os.environ["HSINET_REAL_DATA"]
         cfg = {
             "experiment": "schedule_sweep",
@@ -331,7 +331,7 @@ def test_criterion_10_real_data_reference():
                           {"label": "10K/11K", "step_size": 10000, "max_iter": 11000}],
             "eval_every": 1000,
         }
-        rows = run_schedule_sweep(cfg)
+        rows = run_experiment(cfg)
         summary = summarize(rows)["conditions"]
         pretrain_4k = summary["4K/5K/pretrain"]["final_accuracy"]["mean"]
         scratch_10k = summary["10K/11K/scratch"]["final_accuracy"]["mean"]

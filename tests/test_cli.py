@@ -288,12 +288,21 @@ class TestEmptyTargetTestSplit:
         return write_json(tmp_path / "c.json", {
             "target": {"manifest": str(write_dataset(ds, tmp_path / "data"))},
             "train_per_class": 3, "network": {"filters": 4}, "seeds": [0],
-            "sources": [synth(51, "a")], "schedule": self.SCHEDULE,
+            "sources": [synth(51, "a"), synth(52, "b")], "schedule": self.SCHEDULE,
             "pretrain_schedule": self.SCHEDULE, "depths": [2], **over})
 
-    @pytest.mark.parametrize("command", [["train-scratch"], ["experiment", "depth_sweep"]])
+    # the keys each experiment needs besides those config() writes
+    CONDITIONS = [{"label": "a", "sources": [0]}, {"label": "ab", "sources": [0, 1]}]
+    EXPERIMENT_KEYS = {"schedule_sweep": {"schedules": [{"label": "A"}]},
+                       "source_size": {"combinations": CONDITIONS},
+                       "sensor_ablation": {"pairs": CONDITIONS},
+                       "single_vs_multi": {"conditions": CONDITIONS}}
+
+    @pytest.mark.parametrize("command", [["train-scratch"], ["experiment", "depth_sweep"],
+                                         *[["experiment", exp] for exp in EXPERIMENT_KEYS]])
     def test_training_exits_2_before_any_step(self, tmp_path, capsys, calls, command):
-        assert main([*command, "--config", self.config(tmp_path),
+        over = self.EXPERIMENT_KEYS.get(command[-1], {})
+        assert main([*command, "--config", self.config(tmp_path, **over),
                      "--out", str(tmp_path / "o")]) == 2
         assert "data error: test split of 't' is empty" in capsys.readouterr().err
         assert "sgd_step" not in calls

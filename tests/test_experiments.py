@@ -7,8 +7,7 @@ import hsinet.experiments
 import hsinet.trainer
 from hsinet.data import SynthConfig, synth_generate
 from hsinet.errors import ConfigError
-from hsinet.experiments import (ReportRow, _Harness, run_depth_sweep, run_experiment,
-                                run_schedule_sweep, summarize, write_report)
+from hsinet.experiments import ReportRow, _Harness, run_experiment, summarize, write_report
 
 
 def synth(seed, name, bands=4, classes=3, side=12):
@@ -43,7 +42,7 @@ class TestScheduleSweep:
             schedules=[{"label": "A", "step_size": 16, "max_iter": 20},
                        {"label": "B", "step_size": 20, "max_iter": 24}],
         )
-        rows = run_schedule_sweep(cfg)
+        rows = run_experiment(cfg)
         assert len(finals(rows)) == 2 * 2 * 2  # conditions x schedules x seeds
         labels = {r.condition for r in rows}
         assert labels == {"A/pretrain", "A/scratch", "B/pretrain", "B/scratch"}
@@ -56,7 +55,7 @@ class TestScheduleSweep:
             checkpoint=str(tmp_path / "nope.ckpt"),
         )
         with pytest.raises(ConfigError, match="does not exist"):
-            run_schedule_sweep(cfg)
+            run_experiment(cfg)
 
     def test_curves_are_emitted(self):
         cfg = base_config(
@@ -64,7 +63,7 @@ class TestScheduleSweep:
             seeds=[0],
             schedules=[{"label": "A", "step_size": 16, "max_iter": 20}],
         )
-        rows = run_schedule_sweep(cfg)
+        rows = run_experiment(cfg)
         acc_rows = [r for r in rows if r.metric == "test_accuracy"]
         assert {r.iteration for r in acc_rows} == {10, 20}
 
@@ -72,7 +71,7 @@ class TestScheduleSweep:
 class TestDepthSweep:
     def test_row_count_and_depth_labels(self):
         cfg = base_config(experiment="depth_sweep", depths=[2, 3], seeds=[0])
-        rows = run_depth_sweep(cfg)
+        rows = run_experiment(cfg)
         assert len(finals(rows)) == 2 * 2 * 1
         labels = {r.condition for r in rows}
         assert labels == {"9-layer/pretrain", "9-layer/scratch",
@@ -81,7 +80,7 @@ class TestDepthSweep:
     def test_thirteen_layer_label_for_four_modules(self):
         cfg = base_config(experiment="depth_sweep", depths=[4], seeds=[0],
                           eval_every=20)
-        rows = run_depth_sweep(cfg)
+        rows = run_experiment(cfg)
         assert {r.condition for r in rows} == {"13-layer/pretrain", "13-layer/scratch"}
 
 
@@ -166,6 +165,50 @@ class TestPretrain:
         assert (out / "report.csv").exists()
 
 
+class TestPlan:
+    """An experiment pre-trains each distinct store once, before any target run."""
+
+    @pytest.fixture
+    def trainings(self, monkeypatch):
+        """The source names of each pre-training and "target" for each target run."""
+        calls = []
+        pretrain, train = hsinet.experiments.train_cross_domain, hsinet.experiments.train_single
+
+        def pretrained(cdn, sources, *args, **kwargs):
+            calls.append([ds.name for ds in sources])
+            return pretrain(cdn, sources, *args, **kwargs)
+
+        def trained(*args, **kwargs):
+            calls.append("target")
+            return train(*args, **kwargs)
+        monkeypatch.setattr(hsinet.experiments, "train_cross_domain", pretrained)
+        monkeypatch.setattr(hsinet.experiments, "train_single", trained)
+        return calls
+
+    def test_schedule_sweep_pretrains_once(self, trainings):
+        run_experiment(base_config(
+            experiment="schedule_sweep",
+            schedules=[{"label": "A", "step_size": 16, "max_iter": 20},
+                       {"label": "B", "step_size": 20, "max_iter": 24}]))
+        assert trainings == [["s1", "s2"]] + ["target"] * 2 * 2 * 2
+
+    def test_depth_sweep_pretrains_every_depth_first(self, trainings):
+        run_experiment(base_config(experiment="depth_sweep", depths=[2, 3], seeds=[0]))
+        assert trainings == [["s1", "s2"]] * 2 + ["target"] * 2 * 2
+
+    def test_repeated_sources_pretrain_once(self, trainings):
+        rows = run_experiment(base_config(
+            experiment="single_vs_multi", seeds=[0, 1],
+            conditions=[{"label": "solo", "sources": [0]},
+                        {"label": "both", "sources": [0, 1]},
+                        {"label": "again", "sources": [0, 1]}]))
+        assert trainings == [["s1"], ["s1", "s2"]] + ["target"] * 3 * 2
+        curves = {}
+        for r in rows:
+            curves.setdefault(r.condition, []).append((r.seed, r.iteration, r.metric, r.value))
+        assert curves["again"] == curves["both"] != curves["solo"]
+
+
 class TestRunKeys:
     """The documented config keys that change how a run trains or loads."""
 
@@ -182,7 +225,7 @@ class TestRunKeys:
 
         monkeypatch.setattr(hsinet.experiments, "transfer_shared", recorded)
         cfg = base_config(**self.SWEEP, pretrain_seed=5)
-        run_schedule_sweep(cfg)
+        run_experiment(cfg)
         h = _Harness(cfg)
         assert stores == [h.pretrain(h.sources, 5).network.shared_bytes(0)]
         assert stores[0] != h.pretrain(h.sources, 0).network.shared_bytes(0)
@@ -197,7 +240,7 @@ class TestRunKeys:
             return augment_d4(patch, k)
 
         monkeypatch.setattr(hsinet.trainer, "augment_d4", recorded)
-        run_schedule_sweep(base_config(**self.SWEEP, augment=augment))
+        run_experiment(base_config(**self.SWEEP, augment=augment))
         assert bool(calls) == augment
 
     @pytest.mark.parametrize("normalize", [True, False])

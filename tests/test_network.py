@@ -5,10 +5,22 @@ import pytest
 
 from hsinet import ops
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
+from hsinet.data import SynthConfig, synth_generate, with_split
 from hsinet.errors import ConfigError, ShapeError
 from hsinet.network import (CrossDomainSpec, Network, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
+from hsinet.trainer import evaluate
 from hsinet.verify import ABS_FLOOR, check_backbone
+
+
+STEP_CACHES = ("_x", "_pre_relu", "_pre_add", "_mask")
+
+
+def held_caches(net):
+    """(layer, name) of each step cache a block, module or dropout layer holds."""
+    layers = [*net.blocks(), *net.modules, net.drop7, net.drop8]
+    return [(layer, name) for layer in layers for name in STEP_CACHES
+            if getattr(layer, name, None) is not None]
 
 
 def expected_param_count(bands, classes, filters, rm):
@@ -178,15 +190,25 @@ class TestForward:
                              np.random.default_rng(0))
         x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
         net.forward(x, training=True, rng=np.random.default_rng(2))
-        layers = [*net.blocks(), *net.modules, net.drop7, net.drop8]
-        caches = ("_x", "_pre_relu", "_pre_add", "_mask")
-
-        def held():
-            return [(layer, name) for layer in layers for name in caches
-                    if getattr(layer, name, None) is not None]
-        assert {name for _, name in held()} == set(caches)
+        assert {name for _, name in held_caches(net)} == set(STEP_CACHES)
         net.backward(np.ones((2, 3), dtype=np.float32))
-        assert held() == []
+        assert held_caches(net) == []
+
+    def test_eval_keeps_nothing_for_a_backward(self):
+        """An eval forward keeps no block input, pre-activation or dropout
+        mask, so trainer.evaluate leaves none behind, not even those of a
+        training forward whose backward never ran; backward still refuses."""
+        ds = with_split(synth_generate(SynthConfig(classes=3, bands=4, height=12, width=12,
+                                                   noise_std=0.25, seed=50, name="t")),
+                        3, np.random.default_rng(0))
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
+        net.forward(x, training=True, rng=np.random.default_rng(2))
+        evaluate(net, ds, "test")
+        assert held_caches(net) == []
+        with pytest.raises(ConfigError, match="training-mode forward"):
+            net.backward(np.ones((2, 3), dtype=np.float32))
 
     def test_training_step_builds_three_sets_of_bank_columns(self, monkeypatch):
         """The 3x3 and 5x5 forwards build their patch columns; backward runs

@@ -91,6 +91,13 @@ EXPERIMENTS = {
     "source_size_no_scratch": {"experiment": "source_size", "include_scratch": False,
                                "combinations": [{"label": "one", "sources": [1]},
                                                 {"label": "two", "sources": [1, 2]}]},
+    "depth_sweep_pretrain_seed": {"experiment": "depth_sweep", "depths": [3],
+                                  "pretrain_seed": 3},
+    # a condition that repeats another's sources under its own label
+    "single_vs_multi_repeat": {"experiment": "single_vs_multi",
+                               "conditions": [{"label": "single", "sources": [0]},
+                                              {"label": "multi", "sources": [0, 2]},
+                                              {"label": "multi_again", "sources": [0, 2]}]},
 }
 
 
