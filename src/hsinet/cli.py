@@ -135,7 +135,7 @@ def cmd_experiment(args):
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     out = Path(args.out)
-    run_experiment(cfg, out)
+    run_experiment(cfg, out, progress=True)
     print(json.dumps({"report": str(out / "report.csv"),
                       "summary": str(out / "summary.json")}))
     return 0

@@ -24,7 +24,7 @@ from .errors import (ConfigError, DataError, _at, _at_least, _build, _list, _obj
                      _valid, write_csv, write_json)
 from .network import (CrossDomainSpec, NetworkSpec, build_backbone,
                       build_cross_domain, transfer_shared)
-from .trainer import TrainSchedule, train_cross_domain, train_single, two_step_train
+from .trainer import TrainSchedule, _progress, train_cross_domain, train_single, two_step_train
 
 CSV_HEADER = ("experiment", "seed", "condition", "iteration", "metric", "value")
 
@@ -276,11 +276,12 @@ def _plan(h):
         _Unit(f"{label}/pretrain", s, m, store), _Unit(f"{label}/scratch", s, m, None))]
 
 
-def run_plan(cfg, out_dir=None):
+def run_plan(cfg, out_dir=None, progress=False):
     """Run a transfer experiment's plan: load its checkpoint stores, then its
     target (one that cannot be scored fails before pre-training), pre-train
-    each distinct store key once, and train every unit for every seed."""
-    h = _Harness(cfg)
+    each distinct store key once, and train every unit for every seed. With
+    `progress`, stderr gets a line naming each run before its eval lines."""
+    h = _Harness(cfg, progress=progress)
     units = _plan(h)
     keys = dict.fromkeys(u.store for u in units)  # distinct, in plan order
     stores = {key: load_network(key, "cross") for key in keys if isinstance(key, str)}
@@ -289,23 +290,26 @@ def run_plan(cfg, out_dir=None):
     for key in filter(lambda key: isinstance(key, tuple), keys):
         subset = [h.sources[i] for i in key[0]]
         pixels[key] = sum(ds.labeled_count for ds in subset)
+        _progress(progress, f"pretrain sources {list(key[0])} with {key[1]} residual modules")
         stores[key] = h.pretrain(subset, h.built.get("pretrain_seed", h.seeds[0]),
                                  modules=key[1]).network
     rows = []
     for seed in h.seeds:
         for u in units:
+            _progress(progress, f"condition {u.condition} seed {seed}")
             run = h.target_run(u.schedule, seed, stores.get(u.store), u.modules)
             rows += h.curve_rows(seed, u.condition, run,
                                  {"source_pixels": pixels[u.store]} if u.source_pixels else None)
     return _finish(rows, cfg, out_dir)
 
 
-def run_pretrain(cfg, out_dir=None):
+def run_pretrain(cfg, out_dir=None, progress=False):
     """Plain cross-domain pre-training as an experiment: emits source loss
     curves and writes one checkpoint per seed when out_dir is given."""
-    h = _Harness(cfg)
+    h = _Harness(cfg, progress=progress)
     rows = []
     for seed in h.seeds:
+        _progress(progress, f"pretrain seed {seed}")
         run = h.pretrain(h.sources, seed)
         for phase, metrics in enumerate(run.metrics, start=1):
             condition = "pretrain" if len(run.metrics) == 1 else f"pretrain/step{phase}"
@@ -336,9 +340,11 @@ def _experiment(exp):
     return _EXPERIMENTS[exp]
 
 
-def run_experiment(cfg, out_dir=None):
+def run_experiment(cfg, out_dir=None, progress=False):
+    """Run the experiment `cfg` names; with `progress`, stderr shows each run
+    and its eval points."""
     runner, _ = _experiment(cfg.get("experiment"))
-    return runner(cfg, out_dir)
+    return runner(cfg, out_dir, progress)
 
 
 # --- reports --------------------------------------------------------------

@@ -255,9 +255,12 @@ class Network:
         p = self.spec.patch
         if x.shape[2] != p or x.shape[3] != p:
             raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
-        # training bank outputs are held channel-major, and np.concatenate keeps
-        # its inputs' common memory order: c2 reads channel-major rows too
-        t = np.concatenate([blk.forward(x, training) for blk in self.bank], axis=1)
+        # c5x5 runs first: in training it keeps the patch columns that c3x3
+        # reads. Training bank outputs are held channel-major, and
+        # np.concatenate keeps its inputs' common memory order: c2 reads
+        # channel-major rows too
+        t = np.concatenate([blk.forward(x, training) for blk in self.bank[::-1]][::-1],
+                           axis=1)
         for layer in self.trunk:
             t = layer.forward(t, training, rng)
         c = t.shape[2] // 2  # 0 in eval, whose trunk computed the center alone
@@ -280,9 +283,9 @@ class Network:
         g[:, :, p // 2, p // 2] = gc[:, :, 0, 0]
         for layer in reversed(self.trunk):
             g = layer.backward(g)
-        # channel-major: each part is contiguous. c5x5, the largest, runs first
-        # and reads the patch columns its forward kept; c3x3 builds its own
-        for blk, part in zip(self.bank[::-1], np.split(g, 3, axis=1)[::-1]):
+        # channel-major: each part is contiguous. c3x3 copies its patch columns
+        # out of those c5x5's forward kept; c5x5 then reads them and releases them
+        for blk, part in zip(self.bank, np.split(g, 3, axis=1)):
             blk.param_backward(part)
 
 

@@ -15,11 +15,12 @@ per-sample NCHW sum.
 
 A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): the
 zero-padded input's k x k taps as a (c*k*k, n*h*w) matrix. conv2d_forward
-keeps the columns it built, one set per thread at a time, and
-conv2d_backward reads them for the weight gradient when its input has the
-same kernel size and bytes; any other input gets fresh columns. Each GEMM
-sees the operands numpy 2.4's einsum matmul path built, so a training step
-gives the einsum's bits.
+keeps the columns it built, one set per thread at a time, in a workspace
+reused from step to step (`_Kept`). A later forward or weight gradient on
+the same input bytes reads them: whole for the same kernel size, its central
+taps copied out for a smaller one. Any other input, and every input
+gradient, gets fresh columns. Each GEMM sees the operands numpy 2.4's einsum
+matmul path built, so a training step gives the einsum's bits.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -149,46 +150,114 @@ def _windows(a, k):
     return sliding_window_view(padded, (k, k), axis=(2, 3))
 
 
+def _flattens(shape, strides):
+    """Whether reshape can flatten these axes without a copy: the non-unit ones
+    step through memory as one strided axis, which numpy's reshape checks."""
+    axes = [(size, step) for size, step in zip(shape, strides) if size != 1]
+    return all(step == size * inner for (_, step), (size, inner) in zip(axes, axes[1:]))
+
+
 def _columns(a, k):
     """The (c*k*k, n*h*w) patch columns of `a` for a k x k kernel: row (c, dy, dx)
     holds the tap at offset (dy, dx) of every output pixel, in (n, y, x) order.
-    Reshaping the transposed window view, rather than copying it contiguous,
-    leaves the columns in the memory order einsum's matmul path gave them, so
-    a GEMM over them gives einsum's bits on every shape a network trains on."""
+    They are the transposed window view reshaped as einsum's matmul path did:
+    a view where the strides allow one (a single-pixel input), else a C-order
+    copy, so a GEMM over them gives einsum's bits on every shape a network
+    trains on. A keeping build writes the copy into this thread's workspace."""
     n, c, h, w = a.shape
-    return _windows(a, k).transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * h * w)
+    taps = _windows(a, k).transpose(1, 4, 5, 0, 2, 3)
+    if all(_flattens(taps.shape[i:i + 3], taps.strides[i:i + 3]) for i in (0, 3)):
+        return taps.reshape(c * k * k, n * h * w)  # a view: a copy would move GEMM bits
+    out = _workspace(taps.size) if _kept.keeping else np.empty(taps.size)
+    out.reshape(taps.shape)[...] = taps
+    return out.reshape(c * k * k, n * h * w)
 
 
 class _Kept(threading.local):
-    """The patch columns of this thread's latest k > 1 conv2d_forward, kept for
-    the weight gradient that reads the same input."""
+    """The patch columns of this thread's latest keeping build, and the
+    workspace they are written into.
+
+    A k > 1 conv2d_forward keeps its columns, one set at a time. The weight
+    gradient on the same input bytes reads them, and so does a smaller kernel
+    on that input: tap (dy, dx) of its columns is tap (dy + o, dx + o) of the
+    kept ones, o = (K - k) // 2, so it copies its rows out of them. The bank
+    runs c5x5 first, so one build per training step serves all three GEMMs
+    of c3x3 and c5x5. `workspace` is a float64 buffer that grows to the
+    largest set and is reused by every later keeping build, so a step maps no
+    fresh pages for its columns; release_columns frees it. It costs
+    c*25*n*p*p*8 bytes per training thread for the default bank.
+    """
 
     def __init__(self):
-        self.columns = []  # at most one (input key, columns) pair
+        self.columns = []  # at most one (input key, kernel size, columns) triple
+        self.workspace = np.empty(0)
+        self.keeping = False  # set while a keeping build writes the workspace
 
 
 _kept = _Kept()
 
 
-def _input_key(a, k):
-    return k, a.shape, a.dtype.str, a.tobytes()
+def _workspace(size):
+    """The first `size` values of this thread's workspace, grown to fit."""
+    if _kept.workspace.size < size:
+        _kept.workspace = np.empty(0)  # free the old before allocating
+        _kept.workspace = np.empty(size)
+    return _kept.workspace[:size]
+
+
+def release_columns():
+    """Drop this thread's kept patch columns and free its workspace."""
+    _kept.columns.clear()
+    _kept.workspace = np.empty(0)
+
+
+def _input_key(a):
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def _kept_columns(key, k):
+    """(columns, whole) for kernel size k from the kept set when it was built
+    from the input bytes `key`: the set itself (whole) when built for k, or its
+    central k x k taps copied out of the workspace when built for a larger
+    kernel. Either has the bytes and strides of a fresh build. None otherwise;
+    a set that is a view is never cut, as a copy of it would move GEMM bits."""
+    if not _kept.columns or _kept.columns[0][0] != key:
+        return None
+    _, big, cols = _kept.columns[0]
+    if big == k:
+        return cols, True
+    if big < k or not np.may_share_memory(cols, _kept.workspace):
+        return None
+    o = (big - k) // 2
+    c = cols.shape[0] // (big * big)
+    return cols.reshape(c, big, big, -1)[:, o:o + k, o:o + k].reshape(c * k * k, -1), False
 
 
 def _keep_columns(a, k):
-    """Fresh patch columns of `a`, kept in place of the ones kept before."""
-    _kept.columns.clear()  # one set at a time: free the old before building
-    cols = _columns(a, k)
-    _kept.columns.append((_input_key(a, k), cols))
+    """The patch columns of `a` for a forward: from the kept set when it covers
+    them, else built into the workspace and kept in place of the old set."""
+    key = _input_key(a)
+    found = _kept_columns(key, k)
+    if found is not None:
+        return found[0]
+    _kept.columns.clear()  # one set at a time: nothing else reads the workspace
+    _kept.keeping = True
+    try:
+        cols = _columns(a, k)
+    finally:
+        _kept.keeping = False
+    _kept.columns.append((key, k, cols))
     return cols
 
 
 def _take_columns(a, k):
-    """The kept patch columns when they were built for kernel size k from these
-    bytes of `a`, else fresh ones; either way nothing stays kept."""
-    if _kept.columns and _kept.columns[0][0] == _input_key(a, k):
-        return _kept.columns.pop()[1]
-    _kept.columns.clear()
-    return _columns(a, k)
+    """The patch columns of `a` for a weight gradient: from the kept set when
+    it covers them, else fresh ones. The kept set is released unless only its
+    central taps were read, which leaves it for the larger kernel's gradient."""
+    found = _kept_columns(_input_key(a), k)
+    if found is None or found[1]:  # read whole, or stale: nothing stays kept
+        _kept.columns.clear()
+    return _columns(a, k) if found is None else found[0]
 
 
 def _correlate(a, w64, keep=False):
@@ -196,8 +265,8 @@ def _correlate(a, w64, keep=False):
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
-    With `keep`, a k > 1 kernel's patch columns replace the kept ones. The
-    result is held channel-major.
+    With `keep`, a k > 1 kernel reads or keeps its patch columns
+    (_keep_columns). The result is held channel-major.
     """
     n, _, h, wd = a.shape
     out_c, _, k, _ = w64.shape
@@ -210,7 +279,7 @@ def _correlate(a, w64, keep=False):
 
 def conv2d_forward(x, p):
     """Zero-padded "same" convolution: the correlation of x with w, plus b.
-    A k > 1 kernel keeps its patch columns for conv2d_backward on the same x."""
+    A k > 1 kernel keeps its patch columns, or reads the kept ones of the same x."""
     _conv_check(p, x, "input")
     out = _correlate(x, _f64(p.w.data), keep=True)
     out += _f64(p.b.data)[None, :, None, None]
@@ -246,7 +315,7 @@ def conv2d_backward(x, p, grad_out):
     """Parameter gradients of conv2d_forward; returns (grad_w, grad_b).
 
     A k > 1 kernel reads the patch columns the forward kept when they were
-    built from these bytes of x, and releases them. The input gradient is
+    built from these bytes of x (_take_columns). The input gradient is
     conv2d_input_grad, which a layer reading the data itself does not need.
     """
     _conv_check(p, x, "input")

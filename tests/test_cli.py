@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,35 @@ class TestEmptyTargetTestSplit:
             assert "data error: test split of 't' is empty" in err
         else:
             assert json.loads(out)["split"] == "train"
+
+
+class TestExperimentProgress:
+    def test_experiment_reports_each_run_and_eval_point_on_stderr(self, tmp_path, capsys):
+        """Each pre-training and each target run is named on stderr before its
+        eval lines; stdout and the report files are those of a silent run."""
+        schedule = {"step_size": 4, "max_iter": 4, "batch": 4}
+        cfg = {"experiment": "depth_sweep", "seeds": [3], "depths": [2], "eval_every": 2,
+               "network": {"filters": 4}, "target": synth(50, "t", side=14),
+               "train_per_class": 3, "sources": [synth(51, "a"), synth(52, "b")],
+               "schedule": schedule, "pretrain_schedule": schedule}
+        assert main(["experiment", "depth_sweep", "--config",
+                     write_json(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]) == 0
+        out, err = capsys.readouterr()
+        pretrain = r"iter [24] a loss \d\.\d{4} acc n/a; b loss \d\.\d{4} acc n/a"
+        target = r"iter [24] t loss \d\.\d{4} acc \d\.\d{4}"
+        expected = ["pretrain sources \\[0, 1\\] with 2 residual modules", pretrain, pretrain,
+                    "condition 9-layer/pretrain seed 3", target, target,
+                    "condition 9-layer/scratch seed 3", target, target]
+        lines = err.splitlines()
+        assert len(lines) == len(expected)
+        assert all(re.fullmatch(want, line) for want, line in zip(expected, lines))
+        assert json.loads(out) == {"report": str(tmp_path / "o" / "report.csv"),
+                                   "summary": str(tmp_path / "o" / "summary.json")}
+        hsinet.experiments.run_experiment(cfg, tmp_path / "silent")
+        assert capsys.readouterr().err == ""
+        for name in ("report.csv", "summary.json", "config.json"):
+            assert ((tmp_path / "o" / name).read_bytes()
+                    == (tmp_path / "silent" / name).read_bytes())
 
 
 class TestAtomicOutputs:

@@ -210,13 +210,16 @@ class TestForward:
         with pytest.raises(ConfigError, match="training-mode forward"):
             net.backward(np.ones((2, 3), dtype=np.float32))
 
-    def test_training_step_builds_three_sets_of_bank_columns(self, monkeypatch):
-        """The 3x3 and 5x5 forwards build their patch columns; backward runs
-        c5x5 first, which reads the kept ones, and c3x3 builds its own again.
+    def test_training_step_builds_one_set_of_bank_columns(self, monkeypatch):
+        """The bank forward runs c5x5 first, which builds and keeps its patch
+        columns; c3x3's forward and backward copy theirs out of them, and
+        c5x5's backward reads them last and releases them: one build per step.
         Every bank gradient keeps the bits of a fresh build."""
-        sizes, calls = [], []
-        columns, backward = ops._columns, ops.conv2d_backward
+        sizes, forwards, calls = [], [], []
+        columns, forward, backward = ops._columns, ops.conv2d_forward, ops.conv2d_backward
         monkeypatch.setattr(ops, "_columns", lambda a, k: sizes.append(k) or columns(a, k))
+        monkeypatch.setattr(ops, "conv2d_forward",
+                            lambda x, p: forwards.append(p.w.name) or forward(x, p))
         monkeypatch.setattr(ops, "conv2d_backward",
                             lambda *a: calls.append(a) or backward(*a))
         monkeypatch.setattr(ops._kept, "columns", [])
@@ -225,10 +228,11 @@ class TestForward:
         x = np.random.default_rng(1).normal(0, 1, (3, 4, 5, 5)).astype(np.float32)
         net.forward(x, training=True, rng=np.random.default_rng(2))
         net.backward(np.ones((3, 3), dtype=np.float32))
-        assert sizes == [3, 5, 3]
+        assert sizes == [5]
+        assert forwards[:3] == ["c5x5.w", "c3x3.w", "c1x1.w"]
         assert ops._kept.columns == []
         bank = [(a, blk) for a in calls for blk in net.bank if a[1] is blk.conv]
-        assert [blk.name for _, blk in bank] == ["c5x5", "c3x3", "c1x1"]
+        assert [blk.name for _, blk in bank] == ["c1x1", "c3x3", "c5x5"]
         for (bx, p, g), blk in bank:
             fresh = backward(bx.copy(), p, g)
             for got, want in zip((p.w.grad, p.b.grad), fresh, strict=True):

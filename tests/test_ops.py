@@ -465,18 +465,22 @@ class TestFastPathsMatchReferences:
 
 
 class TestKeptColumns:
-    """A k > 1 forward keeps its patch columns, one set at a time, and the
-    weight gradient on the same input bytes reads them instead of building
-    them again. Any other input builds fresh columns, so every gradient keeps
-    the bits of the einsum references."""
+    """A k > 1 forward keeps its patch columns, one set at a time, in a
+    per-thread workspace. A forward or weight gradient on the same input bytes
+    reads them instead of building them again: whole for the same kernel
+    size, the central taps copied out for a smaller one. Any other input
+    builds fresh columns, so every result keeps the bits of the einsum
+    references."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The kernel size of every patch-column build; each still builds."""
+        """The kernel size of every patch-column build; each still builds.
+        The test starts with nothing kept and an empty workspace."""
         sizes = []
         columns = ops._columns
         monkeypatch.setattr(ops, "_columns", lambda a, k: sizes.append(k) or columns(a, k))
         monkeypatch.setattr(ops._kept, "columns", [])
+        monkeypatch.setattr(ops._kept, "workspace", np.empty(0))
         return sizes
 
     @staticmethod
@@ -534,14 +538,115 @@ class TestKeptColumns:
         assert builds == [5, 5, 5, 5]
 
     def test_each_thread_keeps_its_own_columns(self, builds):
+        """Each thread writes its columns into its own workspace."""
         p, x, g = self.case(5, 8)
         ops.conv2d_forward(x, p)
-        other = threading.Thread(target=ops.conv2d_forward, args=(x[::-1].copy(), p))
-        other.start()
-        other.join(timeout=60)
-        assert not other.is_alive()
+        mine, theirs = ops._kept.workspace, []
+
+        def other():
+            ops.conv2d_forward(x[::-1].copy(), p)
+            theirs.append(ops._kept.workspace)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert theirs[0].size == mine.size and not np.shares_memory(theirs[0], mine)
+        assert ops._kept.workspace is mine
         self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
         assert builds == [5, 5]
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (3, 2, 1, 1), (1, 1, 3, 1),
+                                       (2, 1, 3, 1), (1, 2, 1, 4)])
+    def test_columns_are_the_reshaped_window_view(self, builds, shape, k):
+        """Fresh or in the workspace, the columns have the bytes and strides of
+        the transposed window view reshaped, a view where numpy gives one."""
+        x = np.random.default_rng(15).normal(0, 1, shape)
+        n, c, h, w = shape
+        taps = windows_reference(x, k).transpose(1, 4, 5, 0, 2, 3)
+        want = taps.reshape(c * k * k, n * h * w)
+        for got in (ops._columns(x, k), ops._keep_columns(x, k)):
+            assert (got.shape, got.strides) == (want.shape, want.strides)
+            assert got.tobytes() == want.tobytes()
+        assert ops._kept.workspace.size == (0 if np.shares_memory(want, taps) else want.size)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5)])
+    def test_smaller_kernel_cuts_the_kept_columns(self, builds, shape):
+        """3x3 columns cut from the kept 5x5 ones are a fresh 3x3 build in bytes
+        and strides, in memory of their own. The 3x3 forward and gradient read
+        them and leave the set kept; the 5x5 gradient reads it and releases it."""
+        rng = np.random.default_rng(9)
+        x = rng.normal(0, 1, shape)
+        g = rng.normal(0, 1, (shape[0], 4, *shape[2:]))
+        p3, p5 = make_conv(shape[1], 4, 3, rng), make_conv(shape[1], 4, 5, rng)
+        ops.conv2d_forward(x, p5)
+        kept = ops._kept.columns[0]
+        assert np.shares_memory(kept[2], ops._kept.workspace)
+        cut, fresh = ops._keep_columns(x, 3), ops._columns(x, 3)
+        assert (cut.shape, cut.strides) == (fresh.shape, fresh.strides)
+        assert cut.tobytes() == fresh.tobytes()
+        assert not np.shares_memory(cut, ops._kept.workspace)
+        assert builds == [5, 3]
+        assert_same_bits(ops.conv2d_forward(x, p3), conv2d_forward_reference(x, p3))
+        self.assert_reference(x, p3, g, ops.conv2d_backward(x, p3, g))
+        assert ops._kept.columns == [kept]
+        self.assert_reference(x, p5, g, ops.conv2d_backward(x, p5, g))
+        assert builds == [5, 3]
+        assert ops._kept.columns == []
+
+    def test_single_pixel_columns_stay_a_view(self, builds):
+        """A single-pixel input's columns are the strided window view einsum
+        read: nothing goes into the workspace, nothing is cut from the kept
+        set, and every result has the einsum reference's bits."""
+        rng = np.random.default_rng(10)
+        x = rng.normal(0, 1, (3, 3, 1, 1))
+        g = rng.normal(0, 1, (3, 4, 1, 1))
+        p3, p5 = make_conv(3, 4, 3, rng), make_conv(3, 4, 5, rng)
+        assert_same_bits(ops.conv2d_forward(x, p5), conv2d_forward_reference(x, p5))
+        assert not ops._kept.columns[0][2].flags.c_contiguous
+        assert_same_bits(ops.conv2d_forward(x, p3), conv2d_forward_reference(x, p3))
+        self.assert_reference(x, p3, g, ops.conv2d_backward(x, p3, g))
+        self.assert_reference(x, p5, g, ops.conv2d_backward(x, p5, g))
+        assert builds == [5, 3, 5]
+        assert ops._kept.workspace.size == 0
+
+    def test_input_changed_before_the_smaller_kernel_builds_fresh(self, builds):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0, 1, (2, 3, 5, 5))
+        p3, p5 = make_conv(3, 4, 3, rng), make_conv(3, 4, 5, rng)
+        ops.conv2d_forward(x, p5)
+        x[1, 2, 3, 4] += 1.0
+        assert_same_bits(ops.conv2d_forward(x, p3), conv2d_forward_reference(x, p3))
+        assert builds == [5, 3]
+
+    def test_other_builds_leave_the_kept_columns_untouched(self, builds):
+        """An input gradient and a weight gradient on other bytes build their
+        columns in fresh memory, though they would fit in the workspace."""
+        rng = np.random.default_rng(12)
+        p = make_conv(4, 3, 5, rng)
+        x = rng.normal(0, 1, (2, 4, 5, 5))
+        g = rng.normal(0, 1, (2, 3, 5, 5))
+        ops.conv2d_forward(x, p)
+        kept = ops._kept.columns[0][2]
+        before = kept.tobytes()
+        ops.conv2d_input_grad(p, g)
+        assert ops._kept.columns[0][2] is kept and kept.tobytes() == before
+        y = x[::-1].copy()
+        self.assert_reference(y, p, g, ops.conv2d_backward(y, p, g))
+        assert kept.tobytes() == before
+        assert builds == [5, 5, 5]
+
+    def test_workspace_is_reused_and_grows(self, builds):
+        p, x, _ = self.case(5, 13)
+        ops.conv2d_forward(x, p)
+        workspace = ops._kept.workspace
+        ops.conv2d_forward(x[::-1].copy(), p)
+        assert ops._kept.workspace is workspace
+        ops.conv2d_forward(np.concatenate([x, x]), p)
+        assert ops._kept.workspace.size == 2 * workspace.size
+        ops.release_columns()
+        assert ops._kept.columns == [] and ops._kept.workspace.size == 0
 
     def test_input_gradient_keeps_no_columns(self, builds):
         p, x, g = self.case(5, 6)

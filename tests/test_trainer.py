@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +304,61 @@ class TestCrossDomain:
             train_cross_domain(cdn, datasets[:1],
                                TrainSchedule(step_size=5, max_iter=5),
                                np.random.default_rng(0))
+
+
+class TestColumnWorkspace:
+    """A training run writes the bank's patch columns into this thread's
+    workspace, reused from step to step, and frees it when the run ends,
+    also when the run fails."""
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """(workspace size, kept sets) at each loss, after the forward built
+        the step's columns. The call whose index is `poison` gets NaN logits.
+        The test starts with nothing kept and an empty workspace."""
+        monkeypatch.setattr(ops._kept, "columns", [])
+        monkeypatch.setattr(ops._kept, "workspace", np.empty(0))
+        record = SimpleNamespace(seen=[], poison=None)
+        loss = ops.softmax_cross_entropy
+
+        def recorded(logits, labels):
+            if len(record.seen) == record.poison:
+                logits = logits * np.nan
+            record.seen.append((ops._kept.workspace.size, len(ops._kept.columns)))
+            return loss(logits, labels)
+
+        monkeypatch.setattr(ops, "softmax_cross_entropy", recorded)
+        return record
+
+    @staticmethod
+    def assert_released():
+        assert ops._kept.workspace.size == 0 and ops._kept.columns == []
+
+    def test_train_single_releases_the_workspace(self, held):
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        train_single(net, target_domain(), TrainSchedule(step_size=3, max_iter=3, batch=4),
+                     np.random.default_rng(1))
+        assert held.seen == [(4 * 25 * 4 * 25, 1)] * 3  # c*k*k x n*p*p, one kept set
+        self.assert_released()
+
+    def test_train_cross_domain_releases_the_workspace(self, held):
+        cdn, datasets = TestCrossDomain()._setup(2)
+        train_cross_domain(cdn, datasets, TrainSchedule(step_size=2, max_iter=2, batch=4),
+                           np.random.default_rng(1))
+        # the workspace grows to the wider branch's columns and is reused
+        assert held.seen == [(4 * 25 * 4 * 25, 1)] + [(6 * 25 * 4 * 25, 1)] * 3
+        self.assert_released()
+
+    def test_failed_run_releases_the_workspace(self, held):
+        held.poison = 2
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        with pytest.raises(NumericError, match="iteration 2"):
+            train_single(net, target_domain(), TrainSchedule(step_size=5, max_iter=5, batch=4),
+                         np.random.default_rng(1))
+        assert held.seen == [(4 * 25 * 4 * 25, 1)] * 3
+        self.assert_released()
 
 
 class TestTwoStep:
