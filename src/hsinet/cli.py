@@ -178,7 +178,8 @@ def cmd_gradcheck(args):
         status = "PASS" if report.passed else "FAIL"
         if not report.passed:
             failed += 1
-        print(f"{status} {name} seed={seed} max_rel={report.worst_rel():.3e}")
+        print(f"{status} {name} seed={seed} max_rel={report.worst_rel():.3e} "
+              f"max_abs={report.worst_abs():.3e}")
     if failed:
         print(f"{failed} gradient checks failed", file=sys.stderr)
         return 3

@@ -463,6 +463,18 @@ class TestGradcheck:
         assert "PASS backbone" in out
         assert "FAIL" not in out
 
+    def test_max_rel_skips_errors_under_the_absolute_floor(self, monkeypatch, capsys):
+        """A gradient that is 0 by structure, computed as 1e-8, is wrong by 100%
+        relative but passes through ABS_FLOOR: it shows in max_abs, not max_rel."""
+        from hsinet.verify import grad_check
+        x = np.array([1.0, 0.0])
+        report = grad_check(lambda: float((x ** 2).sum() / 2), {"x": (x, np.array([1.0, 1e-8]))})
+        monkeypatch.setattr(hsinet.cli, "oracle_suite", lambda seeds: [("quad", 0, report)])
+        assert main(["gradcheck", "--seeds", "1"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"PASS quad seed=0 max_rel=\S+ max_abs=1\.000e-08", line), line
+        assert float(re.search(r"max_rel=(\S+)", line)[1]) < 1e-9
+
     @pytest.mark.parametrize("flags,message", [
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
         (["--seeds", "0"], "--seeds must be >= 1, got 0"),
