@@ -22,6 +22,7 @@ and the number of pairs the change won, ties counting for neither side.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import subprocess
@@ -33,12 +34,9 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text):
-    """'1-10' or '1,3,5' (or a mix) as a list of ints."""
-    seeds = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
+    """'1-10' or '4' as a list of ints."""
+    low, _, high = text.partition("-")
+    return list(range(int(low), int(high or low) + 1))
 
 
 def parse_run(rc, stdout, stderr):
@@ -155,23 +153,20 @@ def main(argv=None):
               "method": "alternating pairs (the side that runs first alternates pair by pair), "
                         "each side run from its own directory, one run at a time",
               "environment": None, "commits": {}, "summary": {}, "runs": []}
-    pair = 0
-    for seed in args.seeds:
-        for workload in workloads:
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                run, report = _run(dirs[side], bench["command"], workload, seed, args.seconds)
-                record["runs"].append({"workload": workload, "seed": seed, "side": side,
-                                       "first": order[0], **run})
-                if report is not None:
-                    env = dict(report["environment"])
-                    record["commits"].setdefault(side, env.pop("git_commit", None))
-                    record["environment"] = record["environment"] or env
-                record["summary"] = summarize(record["runs"], bench["end_to_end"])
-                out.write_text(json.dumps(record, indent=1) + "\n")
-                print(f"{workload} seed={seed} {side}: rc={run['rc']} "
-                      f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
-            pair += 1
+    for pair, (seed, workload) in enumerate(itertools.product(args.seeds, workloads)):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            run, report = _run(dirs[side], bench["command"], workload, seed, args.seconds)
+            record["runs"].append({"workload": workload, "seed": seed, "side": side,
+                                   "first": order[0], **run})
+            if report is not None:
+                env = dict(report["environment"])
+                record["commits"].setdefault(side, env.pop("git_commit", None))
+                record["environment"] = record["environment"] or env
+            record["summary"] = summarize(record["runs"], bench["end_to_end"])
+            out.write_text(json.dumps(record, indent=1) + "\n")
+            print(f"{workload} seed={seed} {side}: rc={run['rc']} "
+                  f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
     return 0
 
 
