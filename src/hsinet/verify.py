@@ -32,10 +32,10 @@ class GradCheckReport:
     failures: list
 
     def worst_rel(self):
-        return max(self.max_rel.values()) if self.max_rel else 0.0
+        return float(np.max(list(self.max_rel.values()), initial=0.0))
 
     def worst_abs(self):
-        return max(self.max_abs.values()) if self.max_abs else 0.0
+        return float(np.max(list(self.max_abs.values()), initial=0.0))
 
 
 def grad_check(loss, tensors, rel_tol=REL_TOL):
@@ -48,7 +48,8 @@ def grad_check(loss, tensors, rel_tol=REL_TOL):
     error is within ABS_FLOOR. The report keeps per-tensor maxima: the
     absolute error over every element, and the relative error over the
     elements outside ABS_FLOOR (0 if there are none), so a tensor fails
-    exactly when its max_rel exceeds rel_tol.
+    exactly when its max_rel exceeds rel_tol. A NaN error is outside every
+    bound: it makes both maxima NaN and fails the tensor.
     """
     max_rel = {}
     max_abs = {}
@@ -73,12 +74,12 @@ def grad_check(loss, tensors, rel_tol=REL_TOL):
             numeric = (lp - lm) / (2.0 * STEP)
             a = analytic[i]
             abs_err = abs(a - numeric)
-            worst_abs = max(worst_abs, abs_err)
-            if abs_err > ABS_FLOOR:
-                worst_rel = max(worst_rel, abs_err / max(abs(a), abs(numeric)))
-        max_rel[name] = worst_rel
-        max_abs[name] = worst_abs
-        if worst_rel > rel_tol:
+            worst_abs = np.maximum(worst_abs, abs_err)
+            if not abs_err <= ABS_FLOOR:
+                worst_rel = np.maximum(worst_rel, abs_err / max(abs(a), abs(numeric)))
+        max_rel[name] = float(worst_rel)
+        max_abs[name] = float(worst_abs)
+        if not worst_rel <= rel_tol:
             failures.append(name)
     return GradCheckReport(max_rel=max_rel, max_abs=max_abs, passed=not failures, failures=failures)
 

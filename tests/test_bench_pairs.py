@@ -43,14 +43,16 @@ def test_a_failed_run_is_kept_and_counted():
     record, report = bench_pairs.parse_run(1, "", "Traceback ...\nMemoryError\n")
     assert report is None
     assert record["rc"] == 1 and record["metrics"] == {} and "MemoryError" in record["error"]
+    unchecked = {**run(3, "change", 99.0, 0.01), "correct": False}  # failed its checks
     runs = [run(1, "parent", 10.0, 0.1), {"workload": "w", "seed": 1, "side": "change",
                                           "first": "parent", **record},
-            run(2, "change", 12.0, 0.2), run(2, "parent", 11.0, 0.1)]
+            run(2, "change", 12.0, 0.2), run(2, "parent", 11.0, 0.1),
+            run(3, "parent", 10.0, 0.1), unchecked]
     summary = bench_pairs.summarize(runs, DECLARED)["w"]
-    assert summary["pairs"] == 2
-    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["pairs"] == 3
+    assert summary["failed"] == {"parent": 0, "change": 2}
     rate = summary["metrics"]["rate"]
-    assert rate["parent_all"] == [10.0, 11.0] and rate["change_all"] == [12.0]
+    assert rate["parent_all"] == [10.0, 11.0, 10.0] and rate["change_all"] == [12.0]
     assert rate["change_wins"] == 1
     assert summary["metrics"]["time_s"]["change_wins"] == 0
 
@@ -70,3 +72,13 @@ def test_parse_run_reads_the_report_and_result_lines():
 @pytest.mark.parametrize("text,seeds", [("1-3", [1, 2, 3]), ("4", [4])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("workloads", [["a"], ["a", "b"], ["a", "b", "c"]])
+def test_first_side_alternates_within_each_workload(workloads):
+    plan = list(bench_pairs.schedule([1, 2, 3, 4], workloads))
+    assert [(seed, w) for seed, w, _ in plan] == [(s, w) for s in [1, 2, 3, 4] for w in workloads]
+    assert all(sorted(order) == sorted(bench_pairs.SIDES) for _, _, order in plan)
+    for workload in workloads:
+        firsts = [order[0] for _, w, order in plan if w == workload]
+        assert firsts == ["parent", "change", "parent", "change"]

@@ -873,6 +873,14 @@ class TestGradCheck:
         assert not report.passed
         assert report.failures == ["x"]
 
+    def test_nan_gradient_fails(self):
+        x = np.array([1.0, -2.0, 3.0])
+        report = grad_check(lambda: float((x ** 2).sum() / 2),
+                            {"x": (x, np.array([np.nan, -2.0, 3.0]))})
+        assert not report.passed
+        assert report.failures == ["x"]
+        assert np.isnan(report.worst_rel())
+
     def test_tensors_restored_after_check(self):
         x = np.array([1.0, -2.0, 3.0])
         before = x.copy()

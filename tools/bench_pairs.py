@@ -2,17 +2,19 @@
 checkout, one run at a time, and write a BENCH_*.json record of every run.
 
     python3 tools/bench_pairs.py --parent ../hsinet-parent --change . --tag row_sums \\
-        [--workloads pretrain_x3 ...] [--seeds 1-10] [--seconds 30]
+        [--workloads pretrain_x3 ...] [--seeds 1-10]
 
 Each (seed, workload) is one pair: the benchmark command of BENCHMARK.json
 (`bench/run.py`) runs in each directory with `--workload W --seed S
---seconds T --trace 0`, and the side that runs first alternates pair by pair.
-Metric names, directions and bounds come from the change's BENCHMARK.json,
+--seconds T --trace 0`, and the side that runs first alternates seed by seed,
+so within each workload it alternates pair by pair. The run length T, the
+metric names, directions and bounds come from the change's BENCHMARK.json,
 which is read, never written. The record goes to BENCH_<tag>.json in the
 working directory and is rewritten after every run, so a stopped campaign
 keeps what it measured. A run that exits non-zero or prints no result line is
-recorded with its exit code and the tail of its stderr, and counts as failed
-in the summary; it is never dropped.
+recorded with its exit code and the tail of its stderr, and a run that fails
+its checks is recorded as it is; both count as failed in the summary, never
+dropped, and their metrics are left out of the medians and the pairs won.
 
 The summary gives, per workload and metric, each side's median and the
 parent's quartiles (linear interpolation), the change's relative loss against
@@ -22,7 +24,6 @@ and the number of pairs the change won, ties counting for neither side.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import statistics
 import subprocess
@@ -71,6 +72,16 @@ def run_failed(record):
     return record["rc"] != 0 or not record["metrics"] or not record["correct"]
 
 
+def schedule(seeds, workloads):
+    """(seed, workload, sides in run order) for every pair. The first side
+    alternates seed by seed, so it alternates within each workload whatever
+    the number of workloads."""
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            yield seed, workload, order
+
+
 def _quartiles(values):
     q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return q[0], q[2]
@@ -89,14 +100,16 @@ def summarize(runs, declared):
         pairs = {}
         for r in mine:
             pairs.setdefault(r["seed"], {})[r["side"]] = r
+        measured = {seed: {side: r["metrics"] for side, r in pair.items() if not run_failed(r)}
+                    for seed, pair in pairs.items()}
         entry = {"pairs": len(pairs), "seeds": sorted(pairs),
                  "failed": {side: sum(run_failed(r) for r in mine if r["side"] == side)
                             for side in SIDES},
                  "metrics": {}}
         for metric in declared:
             name, direction = metric["name"], metric["better"]
-            values = {side: [pairs[s][side]["metrics"][name] for s in sorted(pairs)
-                             if name in pairs[s].get(side, {}).get("metrics", {})]
+            values = {side: [measured[s][side][name] for s in sorted(measured)
+                             if name in measured[s].get(side, {})]
                       for side in SIDES}
             if not values["parent"] or not values["change"]:
                 continue
@@ -106,10 +119,9 @@ def summarize(runs, declared):
             worse = (change_median - parent_median) / parent_median
             if direction == "higher":
                 worse = -worse
-            wins = sum(_better(p["change"]["metrics"][name], p["parent"]["metrics"][name],
-                               direction)
-                       for p in pairs.values()
-                       if all(name in p.get(side, {}).get("metrics", {}) for side in SIDES))
+            wins = sum(_better(m["change"][name], m["parent"][name], direction)
+                       for m in measured.values()
+                       if all(name in m.get(side, {}) for side in SIDES))
             entry["metrics"][name] = {
                 "better": direction, "bound": metric["bound"],
                 "parent_median": round(parent_median, 6),
@@ -140,23 +152,23 @@ def main(argv=None):
     ap.add_argument("--tag", required=True, help="the record is written to BENCH_<tag>.json")
     ap.add_argument("--workloads", nargs="+", help="default: every declared workload")
     ap.add_argument("--seeds", default="1-10", type=parse_seeds)
-    ap.add_argument("--seconds", default=30, type=float)
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     out = Path(f"BENCH_{args.tag}.json")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {"tag": args.tag,
               "command": " ".join(bench["command"]) + f" --workload W --seed S "
-                         f"--seconds {args.seconds:g} --trace 0",
-              "method": "alternating pairs (the side that runs first alternates pair by pair), "
-                        "each side run from its own directory, one run at a time",
+                         f"--seconds {seconds:g} --trace 0",
+              "method": "alternating pairs (the side that runs first alternates seed by seed, "
+                        "so pair by pair within each workload), each side run from its own "
+                        "directory, one run at a time",
               "environment": None, "commits": {}, "summary": {}, "runs": []}
-    for pair, (seed, workload) in enumerate(itertools.product(args.seeds, workloads)):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+    for seed, workload, order in schedule(args.seeds, workloads):
         for side in order:
-            run, report = _run(dirs[side], bench["command"], workload, seed, args.seconds)
+            run, report = _run(dirs[side], bench["command"], workload, seed, seconds)
             record["runs"].append({"workload": workload, "seed": seed, "side": side,
                                    "first": order[0], **run})
             if report is not None:
