@@ -63,9 +63,6 @@ class DomainDataset:
     def labeled_count(self):
         return int((self.labels.labels > 0).sum())
 
-    def labeled_indices(self):
-        return np.flatnonzero(self.labels.labels.ravel() > 0)
-
 
 @dataclass
 class SynthConfig:

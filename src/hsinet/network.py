@@ -219,13 +219,6 @@ class Network:
     def private_params(self):
         return [p for blk in self.private_blocks() for p in blk.params()]
 
-    def weighted_layer_count(self):
-        """Bank counts as one layer: 5 + 2 * residual_modules."""
-        return 2 + 2 * len(self.modules) + 3
-
-    def parameter_count(self):
-        return sum(p.data.size for p in self.params())
-
     def state(self):
         return [pair for blk in self.blocks() for pair in blk.state()]
 
@@ -237,7 +230,7 @@ class Network:
 
     # --- execution ------------------------------------------------------
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, training=False, rng=None, workspace=None):
         """Run the graph; returns center-pixel logits shaped (n, classes).
 
         Only the center logit reaches the loss, and c9 (no batch norm) works
@@ -245,6 +238,8 @@ class Network:
         alone throughout: after the bank every layer is 1x1 and eval batch
         norm uses running statistics, so the center logit depends only on the
         bank's center output. Training batch statistics span all p x p pixels.
+        A training forward writes the bank's patch columns into `workspace`
+        (an ops.Workspace) when one is given, else into fresh memory.
         """
         ops._check_4d(x, "network input")
         if x.shape[1] != self.spec.bands:
@@ -255,12 +250,13 @@ class Network:
         p = self.spec.patch
         if x.shape[2] != p or x.shape[3] != p:
             raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
-        # c5x5 runs first: in training it keeps the patch columns that c3x3
-        # reads. Training bank outputs are held channel-major, and
-        # np.concatenate keeps its inputs' common memory order: c2 reads
-        # channel-major rows too
-        t = np.concatenate([blk.forward(x, training) for blk in self.bank[::-1]][::-1],
-                           axis=1)
+        # a training step builds the 5x5 patch columns once, into `workspace`:
+        # c5x5 reads them whole and c3x3 their central taps. c1x1 and eval read
+        # x. Training bank outputs are held channel-major, and np.concatenate
+        # keeps its inputs' common memory order: c2 reads channel-major rows too
+        cols = ops.PatchColumns(x, 5, workspace) if training else x
+        t = np.concatenate([blk.forward(a, training)
+                            for blk, a in zip(self.bank, (x, cols, cols))], axis=1)
         for layer in self.trunk:
             t = layer.forward(t, training, rng)
         c = t.shape[2] // 2  # 0 in eval, whose trunk computed the center alone
@@ -283,8 +279,8 @@ class Network:
         g[:, :, p // 2, p // 2] = gc[:, :, 0, 0]
         for layer in reversed(self.trunk):
             g = layer.backward(g)
-        # channel-major: each part is contiguous. c3x3 copies its patch columns
-        # out of those c5x5's forward kept; c5x5 then reads them and releases them
+        # channel-major: each part is contiguous. c3x3 and c5x5 read the patch
+        # columns the forward built, and each block then drops its input
         for blk, part in zip(self.bank, np.split(g, 3, axis=1)):
             blk.param_backward(part)
 
@@ -325,18 +321,6 @@ class CrossDomainNetwork:
 
     def shared_params(self):
         return self.branches[0].shared_params()
-
-    def parameter_count(self):
-        """Physical parameter count: shared store once + per-branch private."""
-        shared = sum(p.data.size for p in self.shared_params())
-        private = sum(
-            p.data.size for b in self.branches for p in b.private_params()
-        )
-        return shared + private
-
-    def shared_bytes(self, branch):
-        """Raw bytes of the shared store as read through one branch."""
-        return b"".join(arr.tobytes() for _, arr in self.branches[branch].shared_state())
 
     def state(self):
         """Checkpoint records in file order: the shared store once as

@@ -12,13 +12,13 @@ and the 1x1 weight gradient (one GEMM) run along whole rows, so in float64
 they round differently from a per-sample NCHW sum.
 
 A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): the
-zero-padded input's k x k taps as a (c*k*k, n*h*w) matrix. conv2d_forward
-keeps the columns it built, one set per thread at a time, in a workspace
-reused from step to step (`_Kept`). A later forward or weight gradient on
-the same input bytes reads them: whole for the same kernel size, its central
-taps copied out for a smaller one. Any other input, and every input
-gradient, gets fresh columns. Each GEMM sees the operands numpy 2.4's einsum
-matmul path built, so a training step gives the einsum's bits.
+zero-padded input's k x k taps as a (c*k*k, n*h*w) matrix. An array input
+gets fresh columns on every call. Its `PatchColumns`, handed to
+conv2d_forward and conv2d_backward in its place, are built once, into a
+`Workspace` reused from step to step, and read by every kernel size up to
+theirs: whole for the same size, their central taps copied out for a smaller
+one. Each GEMM sees the operands numpy 2.4's einsum matmul path built, so a
+training step gives the einsum's bits.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -26,7 +26,6 @@ one code path serves both float32 training and float64 gradient checking.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,131 +145,98 @@ def _flattens(shape, strides):
     return all(step == size * inner for (_, step), (size, inner) in zip(axes, axes[1:]))
 
 
-def _columns(a, k):
+def _columns(a, k, workspace=None):
     """The (c*k*k, n*h*w) patch columns of `a` for a k x k kernel: row (c, dy, dx)
     holds the tap at offset (dy, dx) of every output pixel, in (n, y, x) order.
     They are the transposed window view reshaped as einsum's matmul path did:
-    a view where the strides allow one (a single-pixel input), else a C-order
-    copy, so a GEMM over them gives einsum's bits on every shape a network
-    trains on. A keeping build writes the copy into this thread's workspace."""
+    a read-only view where the strides allow one (a single-pixel input), else
+    a C-order copy, written into `workspace` when one is given, so a GEMM over
+    them gives einsum's bits on every shape a network trains on."""
     n, c, h, w = a.shape
     taps = _windows(a, k).transpose(1, 4, 5, 0, 2, 3)
     if all(_flattens(taps.shape[i:i + 3], taps.strides[i:i + 3]) for i in (0, 3)):
         return taps.reshape(c * k * k, n * h * w)  # a view: a copy would move GEMM bits
-    out = _workspace(taps.size) if _kept.keeping else np.empty(taps.size)
+    out = np.empty(taps.size) if workspace is None else workspace.take(taps.size)
     out.reshape(taps.shape)[...] = taps
     return out.reshape(c * k * k, n * h * w)
 
 
-class _Kept(threading.local):
-    """The patch columns of this thread's latest keeping build, and the
-    workspace they are written into.
-
-    A k > 1 conv2d_forward keeps its columns, one set at a time. The weight
-    gradient on the same input bytes reads them, and so does a smaller kernel
-    on that input: tap (dy, dx) of its columns is tap (dy + o, dx + o) of the
-    kept ones, o = (K - k) // 2, so it copies its rows out of them. The bank
-    runs c5x5 first, so one build per training step serves all three GEMMs
-    of c3x3 and c5x5. `workspace` is a float64 buffer that grows to the
-    largest set and is reused by every later keeping build, so a step maps no
-    fresh pages for its columns; release_columns frees it. It costs
-    c*25*n*p*p*8 bytes per training thread for the default bank.
-    """
+class Workspace:
+    """A float64 buffer for patch columns that grows to the largest set and
+    is then reused, so a training step maps no fresh pages for its columns.
+    Each build overwrites the one before it; `builds` counts them, so a set
+    read after a later build raises instead of returning another step's
+    columns. One training run holds one (trainer._train)."""
 
     def __init__(self):
-        self.columns = []  # at most one (input key, kernel size, columns) triple
-        self.workspace = np.empty(0)
-        self.keeping = False  # set while a keeping build writes the workspace
+        self.buffer = np.empty(0)
+        self.builds = 0
+
+    def take(self, size):
+        """The first `size` values of the buffer, grown to fit, for a new build."""
+        if self.buffer.size < size:
+            self.buffer = np.empty(0)  # free the old before allocating
+            self.buffer = np.empty(size)
+        self.builds += 1
+        return self.buffer[:size]
 
 
-_kept = _Kept()
+class PatchColumns:
+    """The k x k patch columns of a conv input x, built once and read by every
+    k > 1 conv handed them in x's place. It reports x's shape, ndim, size and
+    dtype, so shape checks and work counters read the input as before."""
+
+    def __init__(self, x, k, workspace=None):
+        self.x, self.k, self.workspace = x, k, workspace
+        self.shape, self.ndim, self.size, self.dtype = x.shape, x.ndim, x.size, x.dtype
+        self.columns = _columns(x, k, workspace)
+        self.build = None if workspace is None else workspace.builds
+
+    def taps(self, k):
+        """The columns for kernel size k, with the bytes and strides of a fresh
+        _columns(x, k): the whole set for the size it was built for, or a copy
+        of its central taps for a smaller kernel, as tap (dy, dx) of k is tap
+        (dy + o, dx + o) of the set, o = (K - k) // 2. A read-only view set is
+        never cut, as a copy of it would move GEMM bits: it and a larger
+        kernel get fresh columns built from x."""
+        cols, ws = self.columns, self.workspace
+        if ws is not None and cols.flags.writeable and self.build != ws.builds:
+            raise RuntimeError("patch columns read after a later build overwrote them")
+        if k == self.k:
+            return cols
+        if k > self.k or not cols.flags.writeable:
+            return _columns(self.x, k)
+        o, c = (self.k - k) // 2, self.shape[1]
+        return cols.reshape(c, self.k, self.k, -1)[:, o:o + k, o:o + k].reshape(c * k * k, -1)
 
 
-def _workspace(size):
-    """The first `size` values of this thread's workspace, grown to fit."""
-    if _kept.workspace.size < size:
-        _kept.workspace = np.empty(0)  # free the old before allocating
-        _kept.workspace = np.empty(size)
-    return _kept.workspace[:size]
+def _patch_columns(a, k):
+    return a.taps(k) if isinstance(a, PatchColumns) else _columns(a, k)
 
 
-def release_columns():
-    """Drop this thread's kept patch columns and free its workspace."""
-    _kept.columns.clear()
-    _kept.workspace = np.empty(0)
-
-
-def _input_key(a):
-    return a.shape, a.dtype.str, a.tobytes()
-
-
-def _kept_columns(key, k):
-    """(columns, whole) for kernel size k from the kept set when it was built
-    from the input bytes `key`: the set itself (whole) when built for k, or its
-    central k x k taps copied out of the workspace when built for a larger
-    kernel. Either has the bytes and strides of a fresh build. None otherwise;
-    a set that is a view is never cut, as a copy of it would move GEMM bits."""
-    if not _kept.columns or _kept.columns[0][0] != key:
-        return None
-    _, big, cols = _kept.columns[0]
-    if big == k:
-        return cols, True
-    if big < k or not np.may_share_memory(cols, _kept.workspace):
-        return None
-    o = (big - k) // 2
-    c = cols.shape[0] // (big * big)
-    return cols.reshape(c, big, big, -1)[:, o:o + k, o:o + k].reshape(c * k * k, -1), False
-
-
-def _keep_columns(a, k):
-    """The patch columns of `a` for a forward: from the kept set when it covers
-    them, else built into the workspace and kept in place of the old set."""
-    key = _input_key(a)
-    found = _kept_columns(key, k)
-    if found is not None:
-        return found[0]
-    _kept.columns.clear()  # one set at a time: nothing else reads the workspace
-    _kept.keeping = True
-    try:
-        cols = _columns(a, k)
-    finally:
-        _kept.keeping = False
-    _kept.columns.append((key, k, cols))
-    return cols
-
-
-def _take_columns(a, k):
-    """The patch columns of `a` for a weight gradient: from the kept set when
-    it covers them, else fresh ones. The kept set is released unless only its
-    central taps were read, which leaves it for the larger kernel's gradient."""
-    found = _kept_columns(_input_key(a), k)
-    if found is None or found[1]:  # read whole, or stale: nothing stays kept
-        _kept.columns.clear()
-    return _columns(a, k) if found is None else found[0]
-
-
-def _correlate(a, w64, keep=False):
+def _correlate(a, w64):
     """Bias-free same-padded correlation in float64:
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
-    With `keep`, a k > 1 kernel reads or keeps its patch columns
-    (_keep_columns). The result is held channel-major.
+    A k > 1 kernel is one GEMM over the patch columns of `a`, which may be a
+    PatchColumns built for it or a larger kernel; a 1x1 kernel reads an array.
+    The result is held channel-major.
     """
     n, _, h, wd = a.shape
     out_c, _, k, _ = w64.shape
     if k == 1:  # a 1x1 kernel is a per-pixel channel mix: one GEMM over the rows
         out = w64[:, :, 0, 0] @ _rows(_channel_major64(a))
     else:
-        out = w64.reshape(out_c, -1) @ (_keep_columns if keep else _columns)(a, k)
+        out = w64.reshape(out_c, -1) @ _patch_columns(a, k)
     return out.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(x, p):
     """Zero-padded "same" convolution: the correlation of x with w, plus b.
-    A k > 1 kernel keeps its patch columns, or reads the kept ones of the same x."""
+    For a k > 1 kernel, x may be the PatchColumns of the input."""
     _conv_check(p, x, "input")
-    out = _correlate(x, _f64(p.w.data), keep=True)
+    out = _correlate(x, _f64(p.w.data))
     out += _f64(p.b.data)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, p.w.data.dtype), copy=False)
 
@@ -303,9 +269,9 @@ def conv2d_center(x, p):
 def conv2d_backward(x, p, grad_out):
     """Parameter gradients of conv2d_forward; returns (grad_w, grad_b).
 
-    A k > 1 kernel reads the patch columns the forward kept when they were
-    built from these bytes of x (_take_columns). The input gradient is
-    conv2d_input_grad, which a layer reading the data itself does not need.
+    For a k > 1 kernel, x may be the PatchColumns the forward read. The input
+    gradient is conv2d_input_grad, which a layer reading the data itself does
+    not need.
     """
     _conv_check(p, x, "input")
     w = p.w.data
@@ -322,7 +288,7 @@ def conv2d_backward(x, p, grad_out):
     if k == 1:  # one GEMM over all n*h*w pixels
         grad_w = (g_rows @ _rows(_channel_major64(x)).T).reshape(w.shape)
     else:
-        grad_w = (_take_columns(x, k) @ g_rows.T).reshape(c, k, k, out_c).transpose(3, 0, 1, 2)
+        grad_w = (_patch_columns(x, k) @ g_rows.T).reshape(c, k, k, out_c).transpose(3, 0, 1, 2)
     return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
 
 

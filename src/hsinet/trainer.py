@@ -157,35 +157,33 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration, prog
     batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset, _ in entries]
     metrics = TrainMetrics()
     losses = [None] * len(entries)
-    try:
-        for it in range(start_iteration, schedule.max_iter):
-            lr = lr_at(schedule, it)
-            for i, (network, dataset, groups) in enumerate(entries):
-                x, y = _draw_batch(dataset, batchers[i], schedule.batch, rng, augment)
-                logits = network.forward(x, training=True, rng=rng)
-                loss, grad = ops.softmax_cross_entropy(logits, y)
-                if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss for domain '{dataset.name}' at iteration {it}"
-                    )
-                network.backward(grad)
-                for params, scale in groups:
-                    ops.sgd_step(params, lr * scale, schedule.momentum, schedule.weight_decay,
-                                 iteration=it)
-                losses[i] = loss
-            done = it + 1
-            if done % eval_every == 0 or done == schedule.max_iter:
-                shown = []
-                for (network, dataset, _), loss in zip(entries, losses):
-                    acc = None
-                    if dataset.test_idx.size:
-                        acc = evaluate(network, dataset, "test")
-                    metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
-                    shown.append(f"{dataset.name} loss {loss:.4f} acc "
-                                 + ("n/a" if acc is None else f"{acc:.4f}"))
-                _progress(progress, f"iter {done} " + "; ".join(shown))
-    finally:  # the patch-column workspace lives for one training run
-        ops.release_columns()
+    workspace = ops.Workspace()  # the bank's patch columns, reused by every step
+    for it in range(start_iteration, schedule.max_iter):
+        lr = lr_at(schedule, it)
+        for i, (network, dataset, groups) in enumerate(entries):
+            x, y = _draw_batch(dataset, batchers[i], schedule.batch, rng, augment)
+            logits = network.forward(x, training=True, rng=rng, workspace=workspace)
+            loss, grad = ops.softmax_cross_entropy(logits, y)
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss for domain '{dataset.name}' at iteration {it}"
+                )
+            network.backward(grad)
+            for params, scale in groups:
+                ops.sgd_step(params, lr * scale, schedule.momentum, schedule.weight_decay,
+                             iteration=it)
+            losses[i] = loss
+        done = it + 1
+        if done % eval_every == 0 or done == schedule.max_iter:
+            shown = []
+            for (network, dataset, _), loss in zip(entries, losses):
+                acc = None
+                if dataset.test_idx.size:
+                    acc = evaluate(network, dataset, "test")
+                metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
+                shown.append(f"{dataset.name} loss {loss:.4f} acc "
+                             + ("n/a" if acc is None else f"{acc:.4f}"))
+            _progress(progress, f"iter {done} " + "; ".join(shown))
     return metrics
 
 

@@ -22,6 +22,7 @@ from hsinet.network import (CrossDomainSpec, NetworkSpec, build_backbone,
 from hsinet.trainer import (TrainSchedule, evaluate, lr_at, train_cross_domain,
                             train_single, two_step_train)
 from hsinet.verify import oracle_suite
+from test_network import expected_param_count, shared_bytes, weighted_layers
 
 
 @contextmanager
@@ -79,12 +80,11 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_architecture_laws():
     with criterion(2, "depth law 5 + 2*rm and closed-form parameter counts"):
-        from test_network import expected_param_count
         for rm, layers in ((2, 9), (3, 11), (4, 13), (5, 15)):
             spec = NetworkSpec(bands=2, classes=3, filters=4, residual_modules=rm)
             net = build_backbone(spec, np.random.default_rng(0))
-            assert net.weighted_layer_count() == layers == 5 + 2 * rm
-            assert net.parameter_count() == expected_param_count(2, 3, 4, rm)
+            assert weighted_layers(net) == layers == 5 + 2 * rm
+            assert sum(p.data.size for p in net.params()) == expected_param_count(2, 3, 4, rm)
 
 
 def test_criterion_3_sharing_identity(sgd_steps):
@@ -106,8 +106,8 @@ def test_criterion_3_sharing_identity(sgd_steps):
         for it, lr, names in sgd_steps:
             scale = 1 / 3 if names == shared_names else 1.0
             assert lr == pytest.approx(lr_at(schedule, it) * scale, rel=1e-12)
-        ref = cdn.shared_bytes(0)
-        assert cdn.shared_bytes(1) == ref and cdn.shared_bytes(2) == ref
+        ref = shared_bytes(cdn.branches[0])
+        assert shared_bytes(cdn.branches[1]) == ref and shared_bytes(cdn.branches[2]) == ref
 
 
 def test_criterion_4_transfer_contract(pretrained_setup):

@@ -16,6 +16,7 @@ from hsinet.data import SynthConfig, normalize_bands, synth_generate, with_split
 from hsinet.errors import CheckpointError
 from hsinet.network import CrossDomainSpec, NetworkSpec, build_backbone, build_cross_domain
 from hsinet.trainer import TrainSchedule, train_single
+from test_network import shared_bytes
 
 
 def small_net(seed=0):
@@ -57,7 +58,7 @@ class TestRoundTrip:
         cdn = small_cdn()
         save_checkpoint(cdn, tmp_path / "c.ckpt")
         loaded = load_checkpoint(tmp_path / "c.ckpt").network
-        assert loaded.shared_bytes(0) == cdn.shared_bytes(0)
+        assert shared_bytes(loaded.branches[0]) == shared_bytes(cdn.branches[0])
         w0 = loaded.branches[0].modules[0].conv1.conv.w
         w1 = loaded.branches[1].modules[0].conv1.conv.w
         assert w0 is w1

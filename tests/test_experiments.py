@@ -8,6 +8,7 @@ import hsinet.trainer
 from hsinet.data import SynthConfig, synth_generate
 from hsinet.errors import ConfigError
 from hsinet.experiments import ReportRow, _Harness, run_experiment, summarize, write_report
+from test_network import shared_bytes
 
 
 def synth(seed, name, bands=4, classes=3, side=12):
@@ -220,15 +221,15 @@ class TestRunKeys:
         transfer = hsinet.experiments.transfer_shared
 
         def recorded(pretrained, spec, rng):
-            stores.append(pretrained.shared_bytes(0))
+            stores.append(shared_bytes(pretrained.branches[0]))
             return transfer(pretrained, spec, rng)
 
         monkeypatch.setattr(hsinet.experiments, "transfer_shared", recorded)
         cfg = base_config(**self.SWEEP, pretrain_seed=5)
         run_experiment(cfg)
         h = _Harness(cfg)
-        assert stores == [h.pretrain(h.sources, 5).network.shared_bytes(0)]
-        assert stores[0] != h.pretrain(h.sources, 0).network.shared_bytes(0)
+        assert stores == [shared_bytes(h.pretrain(h.sources, 5).network.branches[0])]
+        assert stores[0] != shared_bytes(h.pretrain(h.sources, 0).network.branches[0])
 
     @pytest.mark.parametrize("augment", [True, False])
     def test_augment_false_draws_no_symmetry(self, monkeypatch, augment):

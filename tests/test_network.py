@@ -23,6 +23,16 @@ def held_caches(net):
             if getattr(layer, name, None) is not None]
 
 
+def weighted_layers(net):
+    """The bank's three blocks count as one layer."""
+    return len(net.blocks()) - 2
+
+
+def shared_bytes(net):
+    """Raw bytes of the shared store as one network (or branch) reads it."""
+    return b"".join(arr.tobytes() for _, arr in net.shared_state())
+
+
 def expected_param_count(bands, classes, filters, rm):
     """Closed-form oracle: o*i*k^2 + o per conv, + 2*c batch-norm affine."""
     def conv(i, o, k, bn=True):
@@ -63,23 +73,23 @@ class TestBuildBackbone:
         for rm in (2, 3, 4, 5):
             spec = NetworkSpec(bands=2, classes=3, filters=4, residual_modules=rm)
             net = build_backbone(spec, np.random.default_rng(0))
-            assert net.weighted_layer_count() == 5 + 2 * rm
+            assert weighted_layers(net) == 5 + 2 * rm
 
     def test_parameter_count_against_oracle(self):
         spec = NetworkSpec(bands=2, classes=3, filters=4, residual_modules=2)
         net = build_backbone(spec, np.random.default_rng(0))
-        assert net.parameter_count() == expected_param_count(2, 3, 4, 2)
+        assert sum(p.data.size for p in net.params()) == expected_param_count(2, 3, 4, 2)
 
     @pytest.mark.parametrize("rm", [2, 3, 4, 5])
     def test_parameter_count_other_depths(self, rm):
         spec = NetworkSpec(bands=5, classes=4, filters=6, residual_modules=rm)
         net = build_backbone(spec, np.random.default_rng(1))
-        assert net.parameter_count() == expected_param_count(5, 4, 6, rm)
+        assert sum(p.data.size for p in net.params()) == expected_param_count(5, 4, 6, rm)
 
     def test_table1_like_build(self):
         spec = NetworkSpec(bands=200, classes=8, patch=5, filters=8)
         net = build_backbone(spec, np.random.default_rng(0))
-        assert net.weighted_layer_count() == 9
+        assert weighted_layers(net) == 9
         x = np.zeros((2, 200, 5, 5), dtype=np.float32)
         assert net.forward(x).shape == (2, 8)
 
@@ -211,30 +221,27 @@ class TestForward:
             net.backward(np.ones((2, 3), dtype=np.float32))
 
     def test_training_step_builds_one_set_of_bank_columns(self, monkeypatch):
-        """The bank forward runs c5x5 first, which builds and keeps its patch
-        columns; c3x3's forward and backward copy theirs out of them, and
-        c5x5's backward reads them last and releases them: one build per step.
-        Every bank gradient keeps the bits of a fresh build."""
-        sizes, forwards, calls = [], [], []
-        columns, forward, backward = ops._columns, ops.conv2d_forward, ops.conv2d_backward
-        monkeypatch.setattr(ops, "_columns", lambda a, k: sizes.append(k) or columns(a, k))
-        monkeypatch.setattr(ops, "conv2d_forward",
-                            lambda x, p: forwards.append(p.w.name) or forward(x, p))
-        monkeypatch.setattr(ops, "conv2d_backward",
-                            lambda *a: calls.append(a) or backward(*a))
-        monkeypatch.setattr(ops._kept, "columns", [])
+        """A training forward builds its input's 5x5 patch columns once, into
+        the workspace it is given. c3x3 and c5x5 read them forward and
+        backward, c1x1 reads x, and every bank gradient keeps the bits of
+        conv2d_backward on a plain copy of x."""
+        sizes, calls = [], []
+        columns, backward = ops._columns, ops.conv2d_backward
+        monkeypatch.setattr(ops, "_columns",
+                            lambda a, k, *ws: sizes.append(k) or columns(a, k, *ws))
+        monkeypatch.setattr(ops, "conv2d_backward", lambda *a: calls.append(a) or backward(*a))
         net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
                              np.random.default_rng(0))
         x = np.random.default_rng(1).normal(0, 1, (3, 4, 5, 5)).astype(np.float32)
-        net.forward(x, training=True, rng=np.random.default_rng(2))
+        workspace = ops.Workspace()
+        net.forward(x, training=True, rng=np.random.default_rng(2), workspace=workspace)
         net.backward(np.ones((3, 3), dtype=np.float32))
-        assert sizes == [5]
-        assert forwards[:3] == ["c5x5.w", "c3x3.w", "c1x1.w"]
-        assert ops._kept.columns == []
+        assert sizes == [5] and workspace.builds == 1
         bank = [(a, blk) for a in calls for blk in net.bank if a[1] is blk.conv]
         assert [blk.name for _, blk in bank] == ["c1x1", "c3x3", "c5x5"]
-        for (bx, p, g), blk in bank:
-            fresh = backward(bx.copy(), p, g)
+        assert [type(bx) for (bx, _, _), _ in bank] == [np.ndarray] + [ops.PatchColumns] * 2
+        for (_, p, g), blk in bank:
+            fresh = backward(x.copy(), p, g)
             for got, want in zip((p.w.grad, p.b.grad), fresh, strict=True):
                 assert got.tobytes() == want.tobytes()
 
@@ -454,12 +461,13 @@ class TestCrossDomain:
         total = shared
         for sp in specs.branches:
             total += expected_param_count(sp.bands, sp.classes, filters, rm) - shared
-        assert cdn.parameter_count() == total
+        params = cdn.shared_params() + [p for b in cdn.branches for p in b.private_params()]
+        assert sum(p.data.size for p in params) == total
 
     def test_shared_bytes_identical_across_branches(self):
         cdn = build_cross_domain(self._specs(3), np.random.default_rng(0))
-        ref = cdn.shared_bytes(0)
-        assert all(cdn.shared_bytes(i) == ref for i in range(3))
+        ref = shared_bytes(cdn.branches[0])
+        assert all(shared_bytes(b) == ref for b in cdn.branches)
 
     def test_private_front_layers_differ(self):
         cdn = build_cross_domain(self._specs(2, filters=8), np.random.default_rng(0))

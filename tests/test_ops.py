@@ -1,6 +1,5 @@
 import copy
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -462,22 +461,19 @@ class TestFastPathsMatchReferences:
 
 
 class TestKeptColumns:
-    """A k > 1 forward keeps its patch columns, one set at a time, in a
-    per-thread workspace. A forward or weight gradient on the same input bytes
-    reads them instead of building them again: whole for the same kernel
-    size, the central taps copied out for a smaller one. Any other input
-    builds fresh columns, so every result keeps the bits of the einsum
-    references."""
+    """A training step keeps its bank input's patch columns in a PatchColumns,
+    built once into the run's Workspace and handed to the convs in x's place.
+    A conv reads the whole set for the kernel size it was built for and a copy
+    of its central taps for a smaller one; an array input gets fresh columns
+    on every call. Every result keeps the bits of the einsum references."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The kernel size of every patch-column build; each still builds.
-        The test starts with nothing kept and an empty workspace."""
+        """The kernel size of every patch-column build; each still builds."""
         sizes = []
         columns = ops._columns
-        monkeypatch.setattr(ops, "_columns", lambda a, k: sizes.append(k) or columns(a, k))
-        monkeypatch.setattr(ops._kept, "columns", [])
-        monkeypatch.setattr(ops._kept, "workspace", np.empty(0))
+        monkeypatch.setattr(ops, "_columns",
+                            lambda a, k, *ws: sizes.append(k) or columns(a, k, *ws))
         return sizes
 
     @staticmethod
@@ -497,11 +493,10 @@ class TestKeptColumns:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_reads_the_forward_columns(self, builds, dtype):
         p, x, g = self.case(5, 0, dtype)
-        ops.conv2d_forward(x, p)
-        assert len(ops._kept.columns) == 1
-        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        cols = ops.PatchColumns(x, 5, ops.Workspace())
+        assert_same_bits(ops.conv2d_forward(cols, p), conv2d_forward_reference(x, p))
+        self.assert_reference(x, p, g, ops.conv2d_backward(cols, p, g))
         assert builds == [5]
-        assert ops._kept.columns == []
 
     def test_input_changed_in_place_builds_fresh_columns(self, builds):
         p, x, g = self.case(3, 1)
@@ -510,47 +505,25 @@ class TestKeptColumns:
         self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
         assert builds == [3, 3]
 
-    def test_same_values_in_another_layout_reuse(self, builds):
-        p, x, g = self.case(3, 2)
-        ops.conv2d_forward(x, p)
-        self.assert_reference(x, p, g, ops.conv2d_backward(channel_major(x), p, g))
-        assert builds == [3]
-
     def test_kernel_size_mismatch_builds_fresh_columns(self, builds):
-        p3, x, _ = self.case(3, 3)
-        p5, _, g = self.case(5, 4)
-        ops.conv2d_forward(x, p3)
-        self.assert_reference(x, p5, g, ops.conv2d_backward(x, p5, g))
-        assert builds == [3, 5]
-        assert ops._kept.columns == []
+        """A kernel larger than the set's builds its own columns from x."""
+        p5, x, g = self.case(5, 4)
+        cols = ops.PatchColumns(x, 3, ops.Workspace())
+        assert_same_bits(ops.conv2d_forward(cols, p5), conv2d_forward_reference(x, p5))
+        self.assert_reference(x, p5, g, ops.conv2d_backward(cols, p5, g))
+        assert builds == [3, 5, 5]
 
     def test_interleaved_forward_keeps_only_the_latest(self, builds):
+        """A later build overwrites the workspace, so reading an earlier set
+        raises, whole or cut, instead of returning the later set's columns."""
         p, x, g = self.case(5, 5)
-        y = x[::-1].copy()
-        ops.conv2d_forward(x, p)
-        ops.conv2d_forward(y, p)
-        assert len(ops._kept.columns) == 1
-        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
-        self.assert_reference(y, p, g, ops.conv2d_backward(y, p, g))
-        assert builds == [5, 5, 5, 5]
-
-    def test_each_thread_keeps_its_own_columns(self, builds):
-        """Each thread writes its columns into its own workspace."""
-        p, x, g = self.case(5, 8)
-        ops.conv2d_forward(x, p)
-        mine, theirs = ops._kept.workspace, []
-
-        def other():
-            ops.conv2d_forward(x[::-1].copy(), p)
-            theirs.append(ops._kept.workspace)
-
-        thread = threading.Thread(target=other)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert theirs[0].size == mine.size and not np.shares_memory(theirs[0], mine)
-        assert ops._kept.workspace is mine
-        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
+        workspace = ops.Workspace()
+        first = ops.PatchColumns(x, 5, workspace)
+        latest = ops.PatchColumns(x[::-1].copy(), 5, workspace)
+        for read in (lambda: ops.conv2d_forward(first, p), lambda: first.taps(3)):
+            with pytest.raises(RuntimeError, match="later build"):
+                read()
+        self.assert_reference(latest.x, p, g, ops.conv2d_backward(latest, p, g))
         assert builds == [5, 5]
 
     @pytest.mark.parametrize("k", [3, 5])
@@ -563,107 +536,96 @@ class TestKeptColumns:
         n, c, h, w = shape
         taps = windows_reference(x, k).transpose(1, 4, 5, 0, 2, 3)
         want = taps.reshape(c * k * k, n * h * w)
-        for got in (ops._columns(x, k), ops._keep_columns(x, k)):
+        workspace = ops.Workspace()
+        for got in (ops._columns(x, k), ops.PatchColumns(x, k, workspace).taps(k)):
             assert (got.shape, got.strides) == (want.shape, want.strides)
             assert got.tobytes() == want.tobytes()
-        assert ops._kept.workspace.size == (0 if np.shares_memory(want, taps) else want.size)
+        assert workspace.buffer.size == (0 if np.shares_memory(want, taps) else want.size)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5)])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5), (3, 2, 1, 1),
+                                       (1, 1, 3, 1), (2, 1, 3, 1), (1, 2, 1, 4)])
     def test_smaller_kernel_cuts_the_kept_columns(self, builds, shape):
-        """3x3 columns cut from the kept 5x5 ones are a fresh 3x3 build in bytes
-        and strides, in memory of their own. The 3x3 forward and gradient read
-        them and leave the set kept; the 5x5 gradient reads it and releases it."""
+        """The 3x3 columns of a 5x5 set, in float32 and float64, are a fresh 3x3
+        build in bytes and strides, in memory of their own, and the 3x3 forward
+        and gradient over the set keep the references' bits."""
         rng = np.random.default_rng(9)
-        x = rng.normal(0, 1, shape)
-        g = rng.normal(0, 1, (shape[0], 4, *shape[2:]))
-        p3, p5 = make_conv(shape[1], 4, 3, rng), make_conv(shape[1], 4, 5, rng)
-        ops.conv2d_forward(x, p5)
-        kept = ops._kept.columns[0]
-        assert np.shares_memory(kept[2], ops._kept.workspace)
-        cut, fresh = ops._keep_columns(x, 3), ops._columns(x, 3)
-        assert (cut.shape, cut.strides) == (fresh.shape, fresh.strides)
-        assert cut.tobytes() == fresh.tobytes()
-        assert not np.shares_memory(cut, ops._kept.workspace)
-        assert builds == [5, 3]
-        assert_same_bits(ops.conv2d_forward(x, p3), conv2d_forward_reference(x, p3))
-        self.assert_reference(x, p3, g, ops.conv2d_backward(x, p3, g))
-        assert ops._kept.columns == [kept]
-        self.assert_reference(x, p5, g, ops.conv2d_backward(x, p5, g))
-        assert builds == [5, 3]
-        assert ops._kept.columns == []
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(0, 1, shape).astype(dtype)
+            g = rng.normal(0, 1, (shape[0], 4, *shape[2:])).astype(dtype)
+            p3 = make_conv(shape[1], 4, 3, rng, dtype=dtype)
+            workspace = ops.Workspace()
+            cols = ops.PatchColumns(x, 5, workspace)
+            cut, fresh = cols.taps(3), ops._columns(x, 3)
+            assert (cut.shape, cut.strides) == (fresh.shape, fresh.strides)
+            assert cut.tobytes() == fresh.tobytes()
+            assert not np.shares_memory(cut, workspace.buffer)
+            assert_same_bits(ops.conv2d_forward(cols, p3), conv2d_forward_reference(x, p3))
+            self.assert_reference(x, p3, g, ops.conv2d_backward(cols, p3, g))
 
     def test_single_pixel_columns_stay_a_view(self, builds):
-        """A single-pixel input's columns are the strided window view einsum
-        read: nothing goes into the workspace, nothing is cut from the kept
-        set, and every result has the einsum reference's bits."""
+        """A single-pixel input's columns are the read-only window view einsum
+        read: nothing goes into the workspace, and a 3x3 kernel builds its
+        own columns rather than copy the view's taps."""
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (3, 3, 1, 1))
         g = rng.normal(0, 1, (3, 4, 1, 1))
         p3, p5 = make_conv(3, 4, 3, rng), make_conv(3, 4, 5, rng)
-        assert_same_bits(ops.conv2d_forward(x, p5), conv2d_forward_reference(x, p5))
-        assert not ops._kept.columns[0][2].flags.c_contiguous
-        assert_same_bits(ops.conv2d_forward(x, p3), conv2d_forward_reference(x, p3))
-        self.assert_reference(x, p3, g, ops.conv2d_backward(x, p3, g))
-        self.assert_reference(x, p5, g, ops.conv2d_backward(x, p5, g))
-        assert builds == [5, 3, 5]
-        assert ops._kept.workspace.size == 0
-
-    def test_input_changed_before_the_smaller_kernel_builds_fresh(self, builds):
-        rng = np.random.default_rng(11)
-        x = rng.normal(0, 1, (2, 3, 5, 5))
-        p3, p5 = make_conv(3, 4, 3, rng), make_conv(3, 4, 5, rng)
-        ops.conv2d_forward(x, p5)
-        x[1, 2, 3, 4] += 1.0
-        assert_same_bits(ops.conv2d_forward(x, p3), conv2d_forward_reference(x, p3))
-        assert builds == [5, 3]
+        workspace = ops.Workspace()
+        cols = ops.PatchColumns(x, 5, workspace)
+        assert not cols.columns.flags.writeable
+        assert_same_bits(ops.conv2d_forward(cols, p5), conv2d_forward_reference(x, p5))
+        assert_same_bits(ops.conv2d_forward(cols, p3), conv2d_forward_reference(x, p3))
+        self.assert_reference(x, p3, g, ops.conv2d_backward(cols, p3, g))
+        self.assert_reference(x, p5, g, ops.conv2d_backward(cols, p5, g))
+        assert builds == [5, 3, 3]
+        assert workspace.buffer.size == 0 and workspace.builds == 0
 
     def test_other_builds_leave_the_kept_columns_untouched(self, builds):
-        """An input gradient and a weight gradient on other bytes build their
-        columns in fresh memory, though they would fit in the workspace."""
-        rng = np.random.default_rng(12)
-        p = make_conv(4, 3, 5, rng)
-        x = rng.normal(0, 1, (2, 4, 5, 5))
-        g = rng.normal(0, 1, (2, 3, 5, 5))
-        ops.conv2d_forward(x, p)
-        kept = ops._kept.columns[0][2]
-        before = kept.tobytes()
-        ops.conv2d_input_grad(p, g)
-        assert ops._kept.columns[0][2] is kept and kept.tobytes() == before
+        """A forward and a weight gradient on an array build their columns in
+        fresh memory, though they would fit in the workspace."""
+        p, x, g = self.case(5, 12)
+        cols = ops.PatchColumns(x, 5, ops.Workspace())
+        before = cols.columns.tobytes()
         y = x[::-1].copy()
+        ops.conv2d_forward(y, p)
         self.assert_reference(y, p, g, ops.conv2d_backward(y, p, g))
-        assert kept.tobytes() == before
+        assert cols.columns.tobytes() == before
+        self.assert_reference(x, p, g, ops.conv2d_backward(cols, p, g))
         assert builds == [5, 5, 5]
 
     def test_workspace_is_reused_and_grows(self, builds):
-        p, x, _ = self.case(5, 13)
-        ops.conv2d_forward(x, p)
-        workspace = ops._kept.workspace
-        ops.conv2d_forward(x[::-1].copy(), p)
-        assert ops._kept.workspace is workspace
-        ops.conv2d_forward(np.concatenate([x, x]), p)
-        assert ops._kept.workspace.size == 2 * workspace.size
-        ops.release_columns()
-        assert ops._kept.columns == [] and ops._kept.workspace.size == 0
+        _, x, _ = self.case(5, 13)
+        workspace = ops.Workspace()
+        ops.PatchColumns(x, 5, workspace)
+        buffer = workspace.buffer
+        ops.PatchColumns(x[::-1].copy(), 5, workspace)
+        assert workspace.buffer is buffer
+        ops.PatchColumns(np.concatenate([x, x]), 5, workspace)
+        assert workspace.buffer.size == 2 * buffer.size and workspace.builds == 3
 
     def test_input_gradient_keeps_no_columns(self, builds):
+        """The input gradient builds fresh columns of grad_out: the set stays
+        readable, with its bytes."""
         p, x, g = self.case(5, 6)
-        ops.conv2d_forward(x, p)
-        kept = ops._kept.columns[0]
+        cols = ops.PatchColumns(x, 5, ops.Workspace())
+        before = cols.columns.tobytes()
         ops.conv2d_input_grad(p, g)
-        assert len(ops._kept.columns) == 1 and ops._kept.columns[0] is kept
+        assert cols.taps(5).tobytes() == before
+        assert builds == [5, 5]
 
     def test_gradient_check_leaves_no_wrong_columns(self, builds):
-        """The check perturbs x in place and runs forwards: the columns it
-        leaves kept are those of a perturbed x."""
-        p, x, g = self.case(5, 7)
-        y = ops.conv2d_forward(x, p)
-        report = grad_check(lambda: float((ops.conv2d_forward(x, p) ** 2).sum() / 2),
-                            {"input": (x, ops.conv2d_input_grad(p, y))})
-        assert report.passed
-        assert builds[-1] == 5 and len(ops._kept.columns) == 1
-        count = len(builds)
-        self.assert_reference(x, p, g, ops.conv2d_backward(x, p, g))
-        assert len(builds) == count + 1
+        """The check perturbs x in place; each forward builds the perturbed x's
+        columns into the one workspace, so the check passes."""
+        p, x, _ = self.case(5, 7)
+        grad = ops.conv2d_input_grad(p, ops.conv2d_forward(x, p))
+        workspace = ops.Workspace()
+
+        def loss():
+            y = ops.conv2d_forward(ops.PatchColumns(x, 5, workspace), p)
+            return float((y ** 2).sum() / 2)
+
+        assert grad_check(loss, {"input": (x, grad)}).passed
+        assert workspace.builds == len(builds) - 2 > 0
 
 
 class TestChannelMajorInputs:

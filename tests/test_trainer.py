@@ -1,4 +1,5 @@
 import csv
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hsinet.network import (CrossDomainSpec, NetworkSpec, build_backbone,
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.trainer import (MetricRow, TrainMetrics, TrainSchedule, evaluate, lr_at,
                             train_cross_domain, train_single, two_step_train)
+from test_network import shared_bytes
 
 
 def synth_domain(seed, bands=4, classes=3, side=14, noise=0.2, name=None):
@@ -279,8 +281,8 @@ class TestCrossDomain:
             for ds in datasets:
                 losses = [r.loss for r in metrics.rows if r.domain == ds.name]
                 assert np.mean(losses[-20:]) < np.mean(losses[:20])
-            ref = cdn.shared_bytes(0)
-            assert all(cdn.shared_bytes(i) == ref for i in range(3))
+            ref = shared_bytes(cdn.branches[0])
+            assert all(shared_bytes(b) == ref for b in cdn.branches)
 
     def test_sequential_shared_updates_sum_to_lr_times_grad(self):
         # momentum 0, equal per-domain gradients: N steps at lr/N == one at lr
@@ -307,58 +309,45 @@ class TestCrossDomain:
 
 
 class TestColumnWorkspace:
-    """A training run writes the bank's patch columns into this thread's
-    workspace, reused from step to step, and frees it when the run ends,
-    also when the run fails."""
+    """A training run makes one workspace for the bank's patch columns,
+    reuses it from step to step, and frees it when the run returns."""
 
     @pytest.fixture
     def held(self, monkeypatch):
-        """(workspace size, kept sets) at each loss, after the forward built
-        the step's columns. The call whose index is `poison` gets NaN logits.
-        The test starts with nothing kept and an empty workspace."""
-        monkeypatch.setattr(ops._kept, "columns", [])
-        monkeypatch.setattr(ops._kept, "workspace", np.empty(0))
-        record = SimpleNamespace(seen=[], poison=None)
-        loss = ops.softmax_cross_entropy
+        """(buffer size, builds) of each workspace made, at each loss, after
+        the forward built the step's columns; `made` holds weak references."""
+        record = SimpleNamespace(seen=[], made=[])
+        workspace, loss = ops.Workspace, ops.softmax_cross_entropy
+
+        def made():
+            record.made.append(weakref.ref(ws := workspace()))
+            return ws
 
         def recorded(logits, labels):
-            if len(record.seen) == record.poison:
-                logits = logits * np.nan
-            record.seen.append((ops._kept.workspace.size, len(ops._kept.columns)))
+            record.seen.append([(w().buffer.size, w().builds) for w in record.made])
             return loss(logits, labels)
 
+        monkeypatch.setattr(ops, "Workspace", made)
         monkeypatch.setattr(ops, "softmax_cross_entropy", recorded)
         return record
-
-    @staticmethod
-    def assert_released():
-        assert ops._kept.workspace.size == 0 and ops._kept.columns == []
 
     def test_train_single_releases_the_workspace(self, held):
         net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
                              np.random.default_rng(0))
         train_single(net, target_domain(), TrainSchedule(step_size=3, max_iter=3, batch=4),
                      np.random.default_rng(1))
-        assert held.seen == [(4 * 25 * 4 * 25, 1)] * 3  # c*k*k x n*p*p, one kept set
-        self.assert_released()
+        size = 4 * 25 * 4 * 25  # c*k*k x n*p*p
+        assert held.seen == [[(size, 1)], [(size, 2)], [(size, 3)]]
+        assert [w() for w in held.made] == [None]
 
     def test_train_cross_domain_releases_the_workspace(self, held):
         cdn, datasets = TestCrossDomain()._setup(2)
         train_cross_domain(cdn, datasets, TrainSchedule(step_size=2, max_iter=2, batch=4),
                            np.random.default_rng(1))
         # the workspace grows to the wider branch's columns and is reused
-        assert held.seen == [(4 * 25 * 4 * 25, 1)] + [(6 * 25 * 4 * 25, 1)] * 3
-        self.assert_released()
-
-    def test_failed_run_releases_the_workspace(self, held):
-        held.poison = 2
-        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
-                             np.random.default_rng(0))
-        with pytest.raises(NumericError, match="iteration 2"):
-            train_single(net, target_domain(), TrainSchedule(step_size=5, max_iter=5, batch=4),
-                         np.random.default_rng(1))
-        assert held.seen == [(4 * 25 * 4 * 25, 1)] * 3
-        self.assert_released()
+        wide = 6 * 25 * 4 * 25
+        assert held.seen == [[(4 * 25 * 4 * 25, 1)], [(wide, 2)], [(wide, 3)], [(wide, 4)]]
+        assert [w() for w in held.made] == [None]
 
 
 class TestTwoStep:
