@@ -111,8 +111,8 @@ def _parse_records(data):
             off += 4 * ndim
             (nbytes,) = struct.unpack_from("<Q", data, off)
             off += 8
-        except struct.error as e:
-            raise CheckpointError(f"truncated record header at offset {start}: {e}") from e
+        except (struct.error, UnicodeDecodeError) as e:  # cut short, or a tag not text
+            raise CheckpointError(f"malformed record header at offset {start}: {e}") from e
         if off + nbytes > end:
             raise CheckpointError(
                 f"truncated record '{name}' at offset {start}: needs {nbytes} data bytes"
@@ -136,21 +136,28 @@ def load_checkpoint(path):
         raise CheckpointError("CRC mismatch: checkpoint is corrupt or truncated")
 
     records = {}
-    meta = None
     for name, dtype_str, shape, raw in _parse_records(data):
+        if name in records:
+            raise CheckpointError(f"checkpoint repeats the record '{name}'")
         if name == _META_NAME:
             if dtype_str != _JSON_DTYPE:
                 raise CheckpointError("metadata record has wrong dtype tag")
-            meta = raw
+            records[name] = raw
         else:
             try:
                 records[name] = np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape)
             except (TypeError, ValueError) as e:
                 raise CheckpointError(f"tensor record '{name}' is malformed: {e}") from None
+    meta = records.pop(_META_NAME, None)
     if meta is None:
         raise CheckpointError("checkpoint has no metadata record")
     kind, network, iteration, rng = _parse_meta(meta, records)
-    for name, arr in network.state():
+    state = dict(network.state())
+    unknown = sorted(records.keys() - state.keys())
+    if unknown:
+        raise CheckpointError(f"checkpoint holds tensor '{unknown[0]}', which its {kind} "
+                              f"network does not have")
+    for name, arr in state.items():
         src = _tensor(records, name)
         if src.shape != arr.shape:
             raise CheckpointError(

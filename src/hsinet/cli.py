@@ -49,16 +49,22 @@ def _build_parser():
                            help="checkpoint path")
         return p
 
-    add("pretrain", "cross-domain pre-training on source datasets", needs_out=True)
+    add("pretrain", "cross-domain pre-training on source datasets",
+        needs_out=True).set_defaults(run=cmd_pretrain)
     add("finetune", "fine-tune a target from a pre-trained checkpoint",
-        checkpoint=True, needs_out=True)
-    add("train-scratch", "train a target from random initialization", needs_out=True)
-    add("eval", "evaluate a checkpoint on a dataset split", checkpoint=True)
+        checkpoint=True, needs_out=True).set_defaults(run=cmd_target)
+    add("train-scratch", "train a target from random initialization",
+        needs_out=True).set_defaults(run=cmd_target)
+    add("eval", "evaluate a checkpoint on a dataset split",
+        checkpoint=True).set_defaults(run=cmd_eval)
     exp = add("experiment", "run an ablation experiment", needs_out=True)
     exp.add_argument("id", choices=EXPERIMENT_IDS, help="experiment id")
-    add("synth-gen", "generate synthetic domains as ENVI rasters", needs_out=True)
+    exp.set_defaults(run=cmd_experiment)
+    add("synth-gen", "generate synthetic domains as ENVI rasters",
+        needs_out=True).set_defaults(run=cmd_synth_gen)
     gc = add("gradcheck", "run the finite-difference gradient oracles", config=False)
     gc.add_argument("--seeds", type=int, default=3, help="number of seeds to sweep")
+    gc.set_defaults(run=cmd_gradcheck)
     return parser
 
 
@@ -91,7 +97,7 @@ def cmd_pretrain(args):
     h = _harness(args)
     sources = h.sources  # a run that fails on its data leaves no --out behind
     out = _outdir(args)
-    run = h.pretrain(sources, h.built["seed"], schedule_key="schedule")
+    run = h.pretrain(sources, h.built["seed"])
     names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
     _write_train_outputs(out, run.metrics, names)
     ckpt = out / "pretrained.ckpt"
@@ -186,17 +192,6 @@ def cmd_gradcheck(args):
     return 0
 
 
-_COMMANDS = {
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_target,
-    "train-scratch": cmd_target,
-    "eval": cmd_eval,
-    "experiment": cmd_experiment,
-    "synth-gen": cmd_synth_gen,
-    "gradcheck": cmd_gradcheck,
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -206,7 +201,7 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -39,14 +39,17 @@ class NumericError(HsinetError):
 
 
 def read_file(path, what, error=DataError):
-    """The bytes of the file at `path`. Any OSError (missing file, directory,
-    no permission) becomes `error` naming `what` and the path."""
+    """The bytes of the file at `path`. An OSError (missing file, directory, no
+    permission) or a path no file can have (a NUL or a lone surrogate in it)
+    becomes `error` naming `what` and the path."""
     try:
         return Path(path).read_bytes()
     except FileNotFoundError:
         raise error(f"{what} '{path}' does not exist") from None
     except OSError as e:
         raise error(f"{what} '{path}' cannot be read: {e.strerror or e}") from None
+    except ValueError as e:  # UnicodeEncodeError too
+        raise error(f"{what} {str(path)!r} cannot name a file: {e}") from None
 
 
 def read_json(data, what, error):

@@ -11,6 +11,7 @@ summary.json. Identical config + seeds reproduce byte-identical CSV output.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -92,8 +93,11 @@ _ENVI = {"interleave": _valid("str", INTERLEAVES.__contains__, f"one of {list(IN
          "byte_order": _valid("int", (0, 1).__contains__, "0 or 1")}
 
 
-# a synth-gen domain: the SynthConfig fields (checked by _SYNTH) and the ENVI keys
+# a synth-gen domain: the SynthConfig fields (checked by _SYNTH), a `name` that
+# its files can carry (no NUL, no lone surrogate) and the ENVI keys
 _DOMAIN = _object({**{f.name: lambda value, where: value for f in fields(SynthConfig)},
+                   "name": _valid("str", lambda name: not re.search("[\0\ud800-\udfff]", name),
+                                  "a file name without NUL or surrogate characters"),
                    **_ENVI})
 
 
@@ -202,9 +206,9 @@ class _Harness:
         return replace(network, bands=ds.cube.bands, classes=ds.classes,
                        residual_modules=modules or network.residual_modules)
 
-    def pretrain(self, sources, seed, schedule_key="pretrain_schedule", modules=None):
-        """Cross-domain pre-training over the given source datasets, on the
-        schedule under `schedule_key` or the config's `two_step` pair."""
+    def pretrain(self, sources, seed, modules=None):
+        """Cross-domain pre-training over the given sources, on the config's `two_step`
+        pair, else on `schedule` (hsinet pretrain) or `pretrain_schedule` (experiments)."""
         rng = np.random.default_rng(seed)
         cdn = build_cross_domain(CrossDomainSpec([self._spec(ds, modules) for ds in sources]),
                                  rng)
@@ -213,8 +217,8 @@ class _Harness:
             cdn, *metrics = two_step_train(cdn, sources, steps["step1"], steps["step2"], rng,
                                            **self.train_kwargs)
             return _Run(cdn, metrics, rng)
-        cdn, metrics = train_cross_domain(cdn, sources, self.built[schedule_key], rng,
-                                          **self.train_kwargs)
+        schedule = self.built["schedule" if self.command == "pretrain" else "pretrain_schedule"]
+        cdn, metrics = train_cross_domain(cdn, sources, schedule, rng, **self.train_kwargs)
         return _Run(cdn, [metrics], rng)
 
     def target_run(self, schedule, seed, pretrained=None, modules=None):
@@ -369,7 +373,7 @@ def write_report(rows, cfg, out_dir):
     write_json(out_dir / "config.json", cfg)
 
 
-def summarize(rows, cfg=None):
+def summarize(rows, cfg):
     """Aggregate final metrics (mean/min/max over seeds) per condition."""
     per = {}
     for r in rows:
@@ -386,8 +390,5 @@ def summarize(rows, cfg=None):
         }
         for cond, metrics in per.items()
     }
-    out = {"conditions": conditions}
-    if cfg is not None:
-        out["experiment"] = cfg.get("experiment")
-        out["seeds"] = list(cfg.get("seeds", []))
-    return out
+    return {"conditions": conditions, "experiment": cfg.get("experiment"),
+            "seeds": list(cfg.get("seeds", []))}

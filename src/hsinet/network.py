@@ -254,7 +254,7 @@ class Network:
         # c5x5 reads them whole and c3x3 their central taps. c1x1 and eval read
         # x. Training bank outputs are held channel-major, and np.concatenate
         # keeps its inputs' common memory order: c2 reads channel-major rows too
-        cols = ops.PatchColumns(x, 5, workspace) if training else x
+        cols = ops.PatchColumns(x, workspace) if training else x
         t = np.concatenate([blk.forward(a, training)
                             for blk, a in zip(self.bank, (x, cols, cols))], axis=1)
         for layer in self.trunk:

@@ -13,12 +13,12 @@ they round differently from a per-sample NCHW sum.
 
 A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): the
 zero-padded input's k x k taps as a (c*k*k, n*h*w) matrix. An array input
-gets fresh columns on every call. Its `PatchColumns`, handed to
-conv2d_forward and conv2d_backward in its place, are built once, into a
-`Workspace` reused from step to step, and read by every kernel size up to
-theirs: whole for the same size, their central taps copied out for a smaller
-one. Each GEMM sees the operands numpy 2.4's einsum matmul path built, so a
-training step gives the einsum's bits.
+gets fresh columns on every call. Its `PatchColumns(x, workspace)`, handed
+to conv2d_forward and conv2d_backward in its place, are the columns of the
+bank's largest kernel, built once into a `Workspace` reused from step to step
+and read by every k > 1 kernel: whole for the largest, their central taps
+copied out for a smaller one. Each GEMM sees the operands numpy 2.4's einsum
+matmul path built, so a training step gives the einsum's bits.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -182,32 +182,31 @@ class Workspace:
 
 
 class PatchColumns:
-    """The k x k patch columns of a conv input x, built once and read by every
-    k > 1 conv handed them in x's place. It reports x's shape, ndim, size and
-    dtype, so shape checks and work counters read the input as before."""
+    """Patch columns of a conv input x for the bank's largest kernel K = KERNEL_SIZES[-1],
+    built once and read by every k > 1 conv handed them in x's place. It reports x's
+    shape, ndim, size and dtype, so shape checks and work counters read the input as before."""
 
-    def __init__(self, x, k, workspace=None):
-        self.x, self.k, self.workspace = x, k, workspace
+    def __init__(self, x, workspace=None):
+        self.x, self.workspace = x, workspace
         self.shape, self.ndim, self.size, self.dtype = x.shape, x.ndim, x.size, x.dtype
-        self.columns = _columns(x, k, workspace)
+        self.columns = _columns(x, KERNEL_SIZES[-1], workspace)
         self.build = None if workspace is None else workspace.builds
 
     def taps(self, k):
         """The columns for kernel size k, with the bytes and strides of a fresh
-        _columns(x, k): the whole set for the size it was built for, or a copy
-        of its central taps for a smaller kernel, as tap (dy, dx) of k is tap
-        (dy + o, dx + o) of the set, o = (K - k) // 2. A read-only view set is
-        never cut, as a copy of it would move GEMM bits: it and a larger
-        kernel get fresh columns built from x."""
-        cols, ws = self.columns, self.workspace
+        _columns(x, k): the whole set for K, or a copy of its central taps for
+        a smaller kernel, as tap (dy, dx) of k is tap (dy + o, dx + o) of the
+        set, o = (K - k) // 2. A read-only view set is never cut, as a copy of
+        it would move GEMM bits: a smaller kernel gets fresh columns from x."""
+        cols, ws, big = self.columns, self.workspace, KERNEL_SIZES[-1]
         if ws is not None and cols.flags.writeable and self.build != ws.builds:
             raise RuntimeError("patch columns read after a later build overwrote them")
-        if k == self.k:
+        if k == big:
             return cols
-        if k > self.k or not cols.flags.writeable:
+        if not cols.flags.writeable:
             return _columns(self.x, k)
-        o, c = (self.k - k) // 2, self.shape[1]
-        return cols.reshape(c, self.k, self.k, -1)[:, o:o + k, o:o + k].reshape(c * k * k, -1)
+        o, c = (big - k) // 2, self.shape[1]
+        return cols.reshape(c, big, big, -1)[:, o:o + k, o:o + k].reshape(c * k * k, -1)
 
 
 def _patch_columns(a, k):
@@ -219,8 +218,8 @@ def _correlate(a, w64):
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
-    A k > 1 kernel is one GEMM over the patch columns of `a`, which may be a
-    PatchColumns built for it or a larger kernel; a 1x1 kernel reads an array.
+    A k > 1 kernel is one GEMM over the patch columns of `a`, which may be
+    its PatchColumns; a 1x1 kernel reads an array.
     The result is held channel-major.
     """
     n, _, h, wd = a.shape

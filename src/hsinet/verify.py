@@ -24,12 +24,15 @@ STEP = 1e-3      # central-difference half width
 
 @dataclass
 class GradCheckReport:
-    """Worst-case finite-difference errors per checked tensor."""
+    """Worst-case finite-difference errors per checked tensor; it passes with no failures."""
 
     max_rel: dict
     max_abs: dict
-    passed: bool
     failures: list
+
+    @property
+    def passed(self):
+        return not self.failures
 
     def worst_rel(self):
         return float(np.max(list(self.max_rel.values()), initial=0.0))
@@ -38,17 +41,17 @@ class GradCheckReport:
         return float(np.max(list(self.max_abs.values()), initial=0.0))
 
 
-def grad_check(loss, tensors, rel_tol=REL_TOL):
+def grad_check(loss, tensors):
     """Compare analytic gradients against central finite differences.
 
     `tensors` maps each name to (live array, analytic gradient of `loss()`
     with respect to it); each array element is perturbed in place by +-STEP,
     `loss()` is evaluated at both points, and the element is restored. An
-    element passes if its relative error is within rel_tol or its absolute
+    element passes if its relative error is within REL_TOL or its absolute
     error is within ABS_FLOOR. The report keeps per-tensor maxima: the
     absolute error over every element, and the relative error over the
     elements outside ABS_FLOOR (0 if there are none), so a tensor fails
-    exactly when its max_rel exceeds rel_tol. A NaN error is outside every
+    exactly when its max_rel exceeds REL_TOL. A NaN error is outside every
     bound: it makes both maxima NaN and fails the tensor.
     """
     max_rel = {}
@@ -79,9 +82,9 @@ def grad_check(loss, tensors, rel_tol=REL_TOL):
                 worst_rel = np.maximum(worst_rel, abs_err / max(abs(a), abs(numeric)))
         max_rel[name] = float(worst_rel)
         max_abs[name] = float(worst_abs)
-        if not worst_rel <= rel_tol:
+        if not worst_rel <= REL_TOL:
             failures.append(name)
-    return GradCheckReport(max_rel=max_rel, max_abs=max_abs, passed=not failures, failures=failures)
+    return GradCheckReport(max_rel=max_rel, max_abs=max_abs, failures=failures)
 
 
 def _sq_loss(out):
@@ -140,13 +143,13 @@ def check_dropout(seed):
     return grad_check(lambda: _sq_loss((x * mask) * scale), {"input": (x, grad)})
 
 
-def check_softmax_ce(seed, rel_tol=REL_TOL):
+def check_softmax_ce(seed):
     rng = np.random.default_rng(seed)
     logits = rng.normal(0, 1, (8, 5))
     labels = rng.integers(0, 5, 8)
     _, grad = ops.softmax_cross_entropy(logits, labels)
     return grad_check(lambda: ops.softmax_cross_entropy(logits, labels)[0],
-                      {"logits": (logits, grad)}, rel_tol=rel_tol)
+                      {"logits": (logits, grad)})
 
 
 def _composition_point(net, rng):
@@ -208,7 +211,6 @@ def check_backbone(seed):
     # batch norm removes a per-channel constant: the conv bias before it has gradient 0
     report.failures += [blk.conv.b.name for blk in net.blocks()
                         if blk.with_bn and np.abs(blk.conv.b.grad).max() > ZERO_BOUND]
-    report.passed = not report.failures
     return report
 
 

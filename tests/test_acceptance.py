@@ -11,11 +11,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-import hsinet as hs
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.cli import main as cli_main
-from hsinet.data import SynthConfig, augment_d4, normalize_bands, split_per_class, \
-    synth_generate, with_split
+from hsinet.data import DomainDataset, SynthConfig, augment_d4, normalize_bands, \
+    split_per_class, synth_generate, with_split
 from hsinet.envi import HyperCube, LabelRaster, load_envi, write_envi
 from hsinet.network import (CrossDomainSpec, NetworkSpec, build_backbone,
                             build_cross_domain, transfer_shared)
@@ -227,7 +226,7 @@ def test_criterion_8_data_layer(tmp_path):
         flat = np.zeros(93 * 92, dtype=np.int32)
         for cls in range(8):
             flat[cls * 1063:(cls + 1) * 1063] = cls + 1
-        ds = hs.DomainDataset(
+        ds = DomainDataset(
             cube=HyperCube.from_array(np.zeros((3, 93, 92), dtype=np.float32)),
             labels=LabelRaster.from_array(flat.reshape(93, 92)),
             classes=8,
@@ -332,7 +331,7 @@ def test_criterion_10_real_data_reference():
             "eval_every": 1000,
         }
         rows = run_experiment(cfg)
-        summary = summarize(rows)["conditions"]
+        summary = summarize(rows, cfg)["conditions"]
         pretrain_4k = summary["4K/5K/pretrain"]["final_accuracy"]["mean"]
         scratch_10k = summary["10K/11K/scratch"]["final_accuracy"]["mean"]
         assert pretrain_4k == pytest.approx(0.9508, abs=0.02)

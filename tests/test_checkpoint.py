@@ -214,6 +214,16 @@ def _retag(name, dtype):
                             for n, dt, shape, raw in records]
 
 
+def _repeat(name):
+    """Append a second copy of the `name` record."""
+    return lambda records: [*records, *[r for r in records if r[0] == name]]
+
+
+def _append(name):
+    """Append a one-value float32 record `name`."""
+    return lambda records: [*records, (name, "<f4", (1,), bytes(4))]
+
+
 class TestMalformedRecords:
     @pytest.mark.parametrize("net,edit,message", [
         (small_cdn, _drop("branch1.c9.b"), "checkpoint missing tensor 'branch1.c9.b'"),
@@ -263,6 +273,12 @@ class TestMalformedRecords:
         (small_net, _rng(has_uint32=2), "checkpoint metadata 'rng' is malformed"),
         (small_net, _rng(uinteger=1.0), "checkpoint metadata 'rng' is malformed"),
         (small_net, _rng(bit_generator="MT19937"), "checkpoint metadata 'rng' is malformed"),
+        (small_net, _repeat("c9.b"), "checkpoint repeats the record 'c9.b'"),
+        (small_cdn, _repeat("__meta__"), "checkpoint repeats the record '__meta__'"),
+        (small_net, _append("c10.w"),
+         "checkpoint holds tensor 'c10.w', which its single network does not have"),
+        (small_cdn, _append("branch2.c9.b"),
+         "checkpoint holds tensor 'branch2.c9.b', which its cross network does not have"),
     ], ids=["missing_branch", "missing_shared", "missing_single", "wrong_shape",
             "unknown_kind", "no_meta", "meta_not_object", "no_dtype", "dtype_not_string",
             "dtype_not_float", "no_spec", "spec_not_object", "unknown_spec_key",
@@ -271,7 +287,8 @@ class TestMalformedRecords:
             "half_meta_dtype", "big_endian_meta_dtype", "record_dtype_not_meta_dtype",
             "rng_out_of_range", "float_filters", "float_patch", "bool_patch",
             "rng_float_state", "rng_bool_inc", "rng_has_uint32_2", "rng_float_uinteger",
-            "rng_not_pcg64"])
+            "rng_not_pcg64", "repeated_tensor", "repeated_meta", "unknown_single_tensor",
+            "unknown_branch_tensor"])
     def test_rejected_naming_the_record_and_eval_exits_2(self, tmp_path, capsys, net, edit,
                                                          message):
         save_checkpoint(net(), tmp_path / "ok.ckpt")
@@ -296,6 +313,26 @@ class TestMalformedRecords:
         (tmp_path / "c.json").write_text("{}")
         assert main(["eval", "--config", str(tmp_path / "c.json"),
                      "--checkpoint", str(path)]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at,codec", [(2, "utf-8"), (2 + len("__meta__") + 1, "ascii")],
+                             ids=["name", "dtype"])
+    def test_undecodable_record_header_is_rejected_and_eval_exits_2(self, tmp_path, capsys, at,
+                                                                    codec):
+        """A name or dtype tag byte that does not decode, under a valid CRC,
+        used to escape as UnicodeDecodeError."""
+        save_checkpoint(small_net(), tmp_path / "ok.ckpt")
+        data = bytearray((tmp_path / "ok.ckpt").read_bytes())
+        start = len(MAGIC) + 4  # the metadata record
+        data[start + at] ^= 0x80
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]) & 0xFFFFFFFF)
+        (tmp_path / "bad.ckpt").write_bytes(data)
+        message = f"malformed record header at offset {start}: '{codec}' codec can't decode"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / "bad.ckpt")
+        (tmp_path / "c.json").write_text("{}")
+        assert main(["eval", "--config", str(tmp_path / "c.json"),
+                     "--checkpoint", str(tmp_path / "bad.ckpt")]) == 2
         assert f"data error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("net,edit,message", [

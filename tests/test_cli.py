@@ -159,6 +159,11 @@ class TestConfigErrors:
          "'seed', 'sensor', 'signature_seed', 'width'])"),
         ({"domains": [{**DOMAIN, "noise_std": float("nan")}]},
          "'domains' entry 0: synth 'noise_std' must be a finite number, got nan"),
+        ({"domains": [DOMAIN, {**DOMAIN, "name": "s\0"}]},
+         "'domains' entry 1 'name' must be a file name without NUL or surrogate characters, "
+         "got 's\\x00'"),
+        ({**DOMAIN, "name": "s\ud800"},
+         "'name' must be a file name without NUL or surrogate characters, got 's\\ud800'"),
     ])
     def test_bad_synth_gen_domain_exits_1_naming_it(self, tmp_path, capsys, cfg, message):
         assert main(["synth-gen", "--config", write_json(tmp_path / "c.json", cfg),
@@ -408,7 +413,7 @@ class TestOutOfMemory:
                                                      message):
         def oversized(args):
             raise MemoryError(*[message] if message else [])
-        monkeypatch.setitem(hsinet.cli._COMMANDS, "train-scratch", oversized)
+        monkeypatch.setattr(hsinet.cli, "cmd_target", oversized)
         cfg = write_json(tmp_path / "c.json", {})
         assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         detail = f": {message}" if message else ""
@@ -652,6 +657,29 @@ class TestPipeline:
             "schedule": {"step_size": 4, "max_iter": 4}})
         assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"data error: {what} '{path}' {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("char", ["\0", "\ud800"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("key,name,what", [
+        ("manifest", "m{}.json", "manifest"), ("header", "h{}.hdr", "ENVI header"),
+        ("data", "d{}.img", "ENVI data file"), ("labels", "l{}.txt", "label grid"),
+    ], ids=["manifest", "header", "data", "labels"])
+    def test_data_path_that_cannot_name_a_file_is_data_error_naming_it(
+            self, workdir, tmp_path, capsys, char, key, name, what):
+        """JSON strings may hold a NUL or a lone surrogate; such a path used to
+        escape the read as ValueError or UnicodeEncodeError."""
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header", "data",
+                                                                           "labels")})
+        path = tmp_path / name.format(char)
+        if key != "manifest":
+            write_json(tmp_path / "m.json", {**manifest, key: path.name})
+        cfg = write_json(tmp_path / "c.json", {
+            "target": {"manifest": str(path if key == "manifest" else tmp_path / "m.json")},
+            "train_per_class": 2, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"data error: {what} {str(path)!r} cannot name a file"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m, tmp: 5, "manifest '{m}' must hold a JSON object, got int"),

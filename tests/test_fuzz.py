@@ -1,7 +1,8 @@
 """Property tests: `hsinet eval` over valid input files mutated by byte flips,
 truncations and deleted lines (a deleted ENVI header key, manifest entry, ...),
-and by value edits a byte flip cannot reach: checkpoint metadata values under
-a recomputed CRC, ENVI header values, and the entries of a `.txt` label grid.
+and by edits a plain byte flip cannot reach: a checkpoint byte flip and
+checkpoint metadata values under a recomputed CRC, ENVI header values, and
+the entries of a `.txt` label grid.
 
 Every mutated file either still parses (exit 0) or ends in a typed error
 (exit 1 for config, 2 for data); `cli.main` never raises and never reports a
@@ -170,6 +171,19 @@ def test_edited_checkpoint_metadata_ends_in_typed_error(valid, path, value):
         node = node[key]
     node[path[-1]] = value
     assert eval_edited(valid, {"net.ckpt": with_metadata(ckpt, meta)}) in (0, 1, 2)
+
+
+@FUZZ
+@given(pos=st.integers(0, 2**20), mask=st.integers(1, 255))
+@example(pos=2, mask=0x80)  # the metadata record's name stops decoding
+def test_flipped_checkpoint_byte_under_a_valid_crc_ends_in_typed_error(valid, pos, mask):
+    """A byte flip past the version word with the CRC recomputed, so the flip
+    reaches the record headers and data instead of stopping at the CRC check."""
+    ckpt = bytearray((valid / "net.ckpt").read_bytes())
+    start = len(MAGIC) + 4
+    ckpt[start + pos % (len(ckpt) - start - 4)] ^= mask
+    ckpt[-4:] = struct.pack("<I", zlib.crc32(ckpt[:-4]) & 0xFFFFFFFF)
+    assert eval_edited(valid, {"net.ckpt": bytes(ckpt)}) in (0, 2)
 
 
 @pytest.mark.parametrize("header", ["s1.hdr", "s1_labels.hdr"])
