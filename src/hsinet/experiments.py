@@ -11,6 +11,7 @@ summary.json. Identical config + seeds reproduce byte-identical CSV output.
 """
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -94,11 +95,15 @@ _ENVI = {"interleave": _valid("str", INTERLEAVES.__contains__, f"one of {list(IN
 
 
 # a synth-gen domain: the SynthConfig fields (checked by _SYNTH), a `name` that
-# its files can carry (no NUL, no lone surrogate) and the ENVI keys
+# its files can carry inside --out (no NUL, no lone surrogate, no path
+# separator, not empty, "." or "..") and the ENVI keys
+_NAME = _valid(_valid("str", lambda name: not re.search("[\0\ud800-\udfff]", name),
+                      "a file name without NUL or surrogate characters"),
+               lambda name: name not in ("", ".", "..")
+               and not any(sep and sep in name for sep in (os.sep, os.altsep)),
+               "a file name inside --out: not empty, '.' or '..', and without a path separator")
 _DOMAIN = _object({**{f.name: lambda value, where: value for f in fields(SynthConfig)},
-                   "name": _valid("str", lambda name: not re.search("[\0\ud800-\udfff]", name),
-                                  "a file name without NUL or surrogate characters"),
-                   **_ENVI})
+                   "name": _NAME, **_ENVI})
 
 
 def _domain(value, where):
@@ -114,7 +119,13 @@ def synth_domains(cfg):
     `byte_order` its raster is written with."""
     if "domains" not in cfg:
         return [_domain(cfg, "config")]
-    return _object({"domains": _list(_domain)})(cfg, "config")["domains"]
+    domains = _object({"domains": _list(_domain)})(cfg, "config")["domains"]
+    names = [synth.name for synth, _ in domains]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # their files would overwrite the earlier entry's
+            raise ConfigError(f"config 'domains' entry {i} 'name' {name!r} repeats the "
+                              f"name of entry {names.index(name)}")
+    return domains
 
 
 def _load(dataset):

@@ -251,7 +251,7 @@ class Network:
         if x.shape[2] != p or x.shape[3] != p:
             raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
         # a training step builds the 5x5 patch columns once, into `workspace`:
-        # c5x5 reads them whole and c3x3 their central taps. c1x1 and eval read
+        # c5x5 reads all 25 taps and c3x3 a view of the first 9. c1x1 and eval read
         # x. Training bank outputs are held channel-major, and np.concatenate
         # keeps its inputs' common memory order: c2 reads channel-major rows too
         cols = ops.PatchColumns(x, workspace) if training else x

@@ -11,14 +11,14 @@ results, after one copy into rows where it needs them. Every per-channel sum
 and the 1x1 weight gradient (one GEMM) run along whole rows, so in float64
 they round differently from a per-sample NCHW sum.
 
-A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): the
-zero-padded input's k x k taps as a (c*k*k, n*h*w) matrix. An array input
-gets fresh columns on every call. Its `PatchColumns(x, workspace)`, handed
-to conv2d_forward and conv2d_backward in its place, are the columns of the
-bank's largest kernel, built once into a `Workspace` reused from step to step
-and read by every k > 1 kernel: whole for the largest, their central taps
-copied out for a smaller one. Each GEMM sees the operands numpy 2.4's einsum
-matmul path built, so a training step gives the einsum's bits.
+A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): an
+(n*h*w, k*k*c) matrix, one row per output pixel, holding the zero-padded
+input's k x k taps in ring order (center, 3x3 ring, 5x5 ring) with each tap's
+channels side by side; the kernel is reordered to match. An array input gets
+fresh columns on every call. Its `PatchColumns(x, workspace)`, handed to
+conv2d_forward and conv2d_backward in its place, are the 5x5 columns, built
+once into a `Workspace` reused from step to step. A smaller kernel's taps come
+first in ring order, so every k > 1 kernel reads a prefix view of them.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -27,6 +27,7 @@ one code path serves both float32 training and float64 gradient checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -128,37 +129,41 @@ def _conv_check(p, a, what):
         )
 
 
-def _windows(a, k):
-    """The k x k windows of `a` zero-padded by (k - 1) // 2, shaped (n, c, h, w, k, k),
-    over a float64 copy that is NCHW-contiguous whatever the memory order of `a`."""
-    r = (k - 1) // 2
-    n, c, h, w = a.shape
-    padded = np.zeros((n, c, h + 2 * r, w + 2 * r))
-    padded[:, :, r:r + h, r:r + w] = a
-    return sliding_window_view(padded, (k, k), axis=(2, 3))
+def _ring(k):
+    """The taps (dy, dx) of a k x k kernel in ring order: the center, then by
+    ring distance max(|dy - r|, |dx - r|), r = k // 2, row by row within a
+    ring. The first 9 taps of the 5x5 order are the 3x3 kernel's."""
+    r = k // 2
+    return sorted(np.ndindex(k, k), key=lambda t: (max(abs(t[0] - r), abs(t[1] - r)), t))
 
 
-def _flattens(shape, strides):
-    """Whether reshape can flatten these axes without a copy: the non-unit ones
-    step through memory as one strided axis, which numpy's reshape checks."""
-    axes = [(size, step) for size, step in zip(shape, strides) if size != 1]
-    return all(step == size * inner for (_, step), (size, inner) in zip(axes, axes[1:]))
+# per kernel size: each ring-order tap's index dy * k + dx, each kernel tap's place
+# in ring order, and the build's runs (first tap, dy, dx, length) of taps side by
+# side in a kernel row: along a run, dy and dx minus the tap's place stay fixed
+_RING = {k: np.array([dy * k + dx for dy, dx in _ring(k)]) for k in KERNEL_SIZES}
+_PLACE = {k: np.argsort(ring) for k, ring in _RING.items()}
+_RUNS = {k: [(t, dy, dx, 1 + len(rest)) for _, ((t, (dy, dx)), *rest)
+             in groupby(enumerate(_ring(k)), lambda e: (e[1][0], e[1][1] - e[0]))]
+         for k in KERNEL_SIZES}
 
 
 def _columns(a, k, workspace=None):
-    """The (c*k*k, n*h*w) patch columns of `a` for a k x k kernel: row (c, dy, dx)
-    holds the tap at offset (dy, dx) of every output pixel, in (n, y, x) order.
-    They are the transposed window view reshaped as einsum's matmul path did:
-    a read-only view where the strides allow one (a single-pixel input), else
-    a C-order copy, written into `workspace` when one is given, so a GEMM over
-    them gives einsum's bits on every shape a network trains on."""
+    """The (n*h*w, k*k*c) patch columns of `a` for a k x k kernel: one row per
+    output pixel in (n, y, x) order, holding the taps in ring order (`_ring`),
+    each tap's c channels side by side; a tap off the input reads 0. They are
+    copied from a zero-padded, pixel-major float64 copy of `a`, a run of taps
+    at a time, into `workspace` when one is given, else into fresh memory."""
     n, c, h, w = a.shape
-    taps = _windows(a, k).transpose(1, 4, 5, 0, 2, 3)
-    if all(_flattens(taps.shape[i:i + 3], taps.strides[i:i + 3]) for i in (0, 3)):
-        return taps.reshape(c * k * k, n * h * w)  # a view: a copy would move GEMM bits
-    out = np.empty(taps.size) if workspace is None else workspace.take(taps.size)
-    out.reshape(taps.shape)[...] = taps
-    return out.reshape(c * k * k, n * h * w)
+    r = k // 2
+    padded = np.zeros((n, h + 2 * r, w + 2 * r, c))
+    padded[:, r:r + h, r:r + w] = a.transpose(0, 2, 3, 1)
+    rows = sliding_window_view(padded, k, axis=2)  # (n, y, x, c, dx): a row of k taps
+    size = n * h * w * k * k * c
+    out = np.empty(size) if workspace is None else workspace.take(size)
+    cols = out.reshape(n, h, w, k * k, c)
+    for t, dy, dx, m in _RUNS[k]:
+        cols[:, :, :, t:t + m] = rows[:, dy:dy + h, :, :, dx:dx + m].transpose(0, 1, 2, 4, 3)
+    return out.reshape(n * h * w, k * k * c)
 
 
 class Workspace:
@@ -187,47 +192,40 @@ class PatchColumns:
     shape, ndim, size and dtype, so shape checks and work counters read the input as before."""
 
     def __init__(self, x, workspace=None):
-        self.x, self.workspace = x, workspace
+        self.workspace = workspace
         self.shape, self.ndim, self.size, self.dtype = x.shape, x.ndim, x.size, x.dtype
         self.columns = _columns(x, KERNEL_SIZES[-1], workspace)
         self.build = None if workspace is None else workspace.builds
 
     def taps(self, k):
-        """The columns for kernel size k, with the bytes and strides of a fresh
-        _columns(x, k): the whole set for K, or a copy of its central taps for
-        a smaller kernel, as tap (dy, dx) of k is tap (dy + o, dx + o) of the
-        set, o = (K - k) // 2. A read-only view set is never cut, as a copy of
-        it would move GEMM bits: a smaller kernel gets fresh columns from x."""
-        cols, ws, big = self.columns, self.workspace, KERNEL_SIZES[-1]
-        if ws is not None and cols.flags.writeable and self.build != ws.builds:
+        """The columns for kernel size k: a view of the set's first k*k taps,
+        which in ring order hold the values of a fresh _columns(x, k)."""
+        if self.workspace is not None and self.build != self.workspace.builds:
             raise RuntimeError("patch columns read after a later build overwrote them")
-        if k == big:
-            return cols
-        if not cols.flags.writeable:
-            return _columns(self.x, k)
-        o, c = (big - k) // 2, self.shape[1]
-        return cols.reshape(c, big, big, -1)[:, o:o + k, o:o + k].reshape(c * k * k, -1)
+        return self.columns[:, :k * k * self.shape[1]]
 
 
 def _patch_columns(a, k):
     return a.taps(k) if isinstance(a, PatchColumns) else _columns(a, k)
 
 
-def _correlate(a, w64):
-    """Bias-free same-padded correlation in float64:
+def _correlate(a, w):
+    """Bias-free same-padded correlation with the kernel w, in float64:
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
     A k > 1 kernel is one GEMM over the patch columns of `a`, which may be
-    its PatchColumns; a 1x1 kernel reads an array.
+    its PatchColumns, summing over (tap, channel); a 1x1 kernel reads an array.
     The result is held channel-major.
     """
     n, _, h, wd = a.shape
-    out_c, _, k, _ = w64.shape
+    out_c, c, k, _ = w.shape
     if k == 1:  # a 1x1 kernel is a per-pixel channel mix: one GEMM over the rows
-        out = w64[:, :, 0, 0] @ _rows(_channel_major64(a))
-    else:
-        out = w64.reshape(out_c, -1) @ _patch_columns(a, k)
+        out = _f64(w[:, :, 0, 0]) @ _rows(_channel_major64(a))
+    else:  # np.take copies the kernel into the columns' order, C-contiguous whatever
+        # its memory order, so the GEMM sees the same operands and gives the same bits
+        w_ring = np.take(w.reshape(out_c, c, k * k).transpose(0, 2, 1), _RING[k], axis=1)
+        out = _f64(w_ring).reshape(out_c, -1) @ _patch_columns(a, k).T
     return out.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3)
 
 
@@ -235,7 +233,7 @@ def conv2d_forward(x, p):
     """Zero-padded "same" convolution: the correlation of x with w, plus b.
     For a k > 1 kernel, x may be the PatchColumns of the input."""
     _conv_check(p, x, "input")
-    out = _correlate(x, _f64(p.w.data))
+    out = _correlate(x, p.w.data)
     out += _f64(p.b.data)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, p.w.data.dtype), copy=False)
 
@@ -275,7 +273,7 @@ def conv2d_backward(x, p, grad_out):
     _conv_check(p, x, "input")
     w = p.w.data
     out_c, _, k, _ = w.shape
-    n, c, h, wd = x.shape
+    n, _, h, wd = x.shape
     if grad_out.shape != (n, out_c, h, wd):
         raise ShapeError(
             f"conv '{p.w.name}': grad_out shape {grad_out.shape} does not match "
@@ -286,8 +284,9 @@ def conv2d_backward(x, p, grad_out):
     grad_b = g_rows.sum(axis=1)
     if k == 1:  # one GEMM over all n*h*w pixels
         grad_w = (g_rows @ _rows(_channel_major64(x)).T).reshape(w.shape)
-    else:
-        grad_w = (_patch_columns(x, k) @ g_rows.T).reshape(c, k, k, out_c).transpose(3, 0, 1, 2)
+    else:  # a (tap, channel) gradient, its taps put back in the kernel's order
+        g_ring = (g_rows @ _patch_columns(x, k)).reshape(out_c, k * k, -1)
+        grad_w = np.take(g_ring, _PLACE[k], axis=1).transpose(0, 2, 1).reshape(w.shape)
     return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
 
 
@@ -296,8 +295,8 @@ def conv2d_input_grad(p, grad_out):
     correlation of grad_out with the (out, in)-transposed, spatially flipped kernel.
     """
     _conv_check(p, grad_out, "grad_out")
-    w64 = _f64(p.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    return _correlate(grad_out, w64).astype(grad_out.dtype, copy=False)
+    flipped = p.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return _correlate(grad_out, flipped).astype(grad_out.dtype, copy=False)
 
 
 def _bn_check(x, p):

@@ -130,7 +130,12 @@ def evaluate(network, dataset, split):
     _check_fits(network, dataset)
     if idx.size == 0:
         raise DataError(f"{split} split of '{dataset.name}' is empty")
-    batcher = PatchBatcher(dataset, network.spec.patch)
+    return _accuracy(network, PatchBatcher(dataset, network.spec.patch), idx)
+
+
+def _accuracy(network, batcher, idx):
+    """Overall accuracy of eval-mode argmax predictions on the pixels `idx`,
+    their patches gathered by `batcher`."""
     correct = 0
     for start in range(0, idx.size, EVAL_BATCH):
         x, y = batcher.batch(idx[start:start + EVAL_BATCH])
@@ -176,10 +181,10 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration, prog
         done = it + 1
         if done % eval_every == 0 or done == schedule.max_iter:
             shown = []
-            for (network, dataset, _), loss in zip(entries, losses):
+            for (network, dataset, _), batcher, loss in zip(entries, batchers, losses):
                 acc = None
-                if dataset.test_idx.size:
-                    acc = evaluate(network, dataset, "test")
+                if dataset.test_idx.size:  # scored through the run's batcher, not a new one
+                    acc = _accuracy(network, batcher, dataset.test_idx)
                 metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
                 shown.append(f"{dataset.name} loss {loss:.4f} acc "
                              + ("n/a" if acc is None else f"{acc:.4f}"))

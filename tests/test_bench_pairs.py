@@ -82,3 +82,13 @@ def test_first_side_alternates_within_each_workload(workloads):
     for workload in workloads:
         firsts = [order[0] for _, w, order in plan if w == workload]
         assert firsts == ["parent", "change", "parent", "change"]
+
+
+def test_digests_differ_lists_the_seeds_where_both_sides_passed():
+    runs = []
+    for seed, (parent, change, rc) in enumerate([("a", "a", 0), ("a", "b", 0), ("a", "c", 1),
+                                                 ("d", "e", 0)], start=1):
+        runs += [{**run(seed, "parent", 10.0, 0.1), "digest": parent},
+                 {**run(seed, "change", 11.0, 0.1, rc=rc), "digest": change}]
+    runs.append({**run(5, "parent", 10.0, 0.1), "digest": "f"})  # its change run is missing
+    assert bench_pairs.summarize(runs, DECLARED)["w"]["digests_differ"] == [2, 4]

@@ -143,6 +143,8 @@ class TestConfigErrors:
         assert calls == {}
 
     DOMAIN = {"classes": 3, "bands": 4, "height": 12, "width": 12, "name": "s1"}
+    INSIDE = ("must be a file name inside --out: not empty, '.' or '..', and without a path "
+              "separator")
 
     @pytest.mark.parametrize("cfg,message", [
         ({"domains": [5]}, "'domains' entry 0 must be a JSON object, got int"),
@@ -164,12 +166,22 @@ class TestConfigErrors:
          "got 's\\x00'"),
         ({**DOMAIN, "name": "s\ud800"},
          "'name' must be a file name without NUL or surrogate characters, got 's\\ud800'"),
+        ({"domains": [DOMAIN, {**DOMAIN, "name": "../escaped"}]},
+         f"'domains' entry 1 'name' {INSIDE}, got '../escaped'"),
+        ({**DOMAIN, "name": "a/b"}, f"config 'name' {INSIDE}, got 'a/b'"),
+        ({"domains": [{**DOMAIN, "name": ""}]}, f"'domains' entry 0 'name' {INSIDE}, got ''"),
+        ({"domains": [{**DOMAIN, "name": "."}]}, f"'domains' entry 0 'name' {INSIDE}, got '.'"),
+        ({**DOMAIN, "name": ".."}, f"config 'name' {INSIDE}, got '..'"),
+        ({"domains": [DOMAIN, {**DOMAIN, "name": "s2"}, {**DOMAIN, "seed": 3}]},
+         "config 'domains' entry 2 'name' 's1' repeats the name of entry 0"),
+        ({"domains": [{"classes": 3, "bands": 4, "height": 12, "width": 12}] * 2},
+         "config 'domains' entry 1 'name' 'synth' repeats the name of entry 0"),
     ])
     def test_bad_synth_gen_domain_exits_1_naming_it(self, tmp_path, capsys, cfg, message):
         assert main(["synth-gen", "--config", write_json(tmp_path / "c.json", cfg),
                      "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]  # no out, no escape
 
     def test_combination_entry_must_be_an_object(self, tmp_path, capsys):
         assert self.experiment(tmp_path, "source_size", schedule=self.SCHEDULE,
@@ -255,9 +267,10 @@ class TestWholeConfigCheckedFirst:
 class TestTargetRunRecord:
     def test_eval_points_alone_score_the_run(self, tmp_path, capsys, monkeypatch):
         """eval_every 10 and max_iter 25 score the test split at 10, 20 and 25
-        only; the printed accuracy and the checkpoint read the last row."""
-        splits = []
-        evaluate = hsinet.trainer.evaluate
+        only, through the run's own batcher; the printed accuracy and the
+        checkpoint read the last row."""
+        splits, scored = [], []
+        evaluate, accuracy = hsinet.trainer.evaluate, hsinet.trainer._accuracy
 
         def recorded(network, dataset, split):
             splits.append(split)
@@ -266,12 +279,16 @@ class TestTargetRunRecord:
         for module in (hsinet.trainer, hsinet.experiments, hsinet.cli):
             if hasattr(module, "evaluate"):  # each name a run could call it by
                 monkeypatch.setattr(module, "evaluate", recorded)
+        monkeypatch.setattr(hsinet.trainer, "_accuracy",
+                            lambda network, batcher, idx: scored.append(idx)
+                            or accuracy(network, batcher, idx))
         cfg = write_json(tmp_path / "c.json", {
             "target": synth(50, "target", bands=5, side=14), "train_per_class": 6,
             "eval_every": 10, "network": {"filters": 4},
             "schedule": {"step_size": 20, "max_iter": 25, "batch": 4}})
         assert main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert splits == ["test"] * 3
+        assert splits == [] and len(scored) == 3
+        assert all(idx is scored[0] for idx in scored)  # the test split, at each eval point
         last = (tmp_path / "o" / "metrics.csv").read_text().splitlines()[-1].split(",")
         assert last[0] == "25"
         assert json.loads(capsys.readouterr().out)["test_accuracy"] == float(last[3])

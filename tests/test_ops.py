@@ -42,25 +42,55 @@ def make_conv(in_c, out_c, k, rng=None, dtype=np.float64):
 # Slow references for the fast paths: the conv forward and the conv backward
 # that returned the input gradient with the parameter gradients, each with its
 # own pad, windows and contraction, and the batch norm that built fresh
-# float64 temporaries and recomputed its statistics from `x` in backward. The
-# contractions run on NCHW memory; every per-channel sum (conv bias gradient,
-# batch mean and variance, batch-norm backward sums) runs along the rows of a
-# channel-major copy (`channel_sums`), as in the fast paths; batch norm
-# prescribes no order of summation. The fast paths must match the references
-# bit for bit, except for the float64 gradients bounded by the F64_* constants
-# below.
+# float64 temporaries and recomputed its statistics from `x` in backward. A
+# k > 1 contraction sums over (tap, channel), the taps in ring order, as one
+# GEMM over contiguous operands (`ring_major`); every per-channel sum (conv
+# bias gradient, batch mean and variance, batch-norm backward sums) runs along
+# the rows of a channel-major copy (`channel_rows`), as in the fast paths;
+# batch norm prescribes no order of summation. The fast paths must match the
+# references bit for bit, except for the float64 gradients bounded by the
+# F64_* constants below.
+
+def channel_rows(a):
+    """The (c, n*h*w) rows of an (n, c, h, w) array, as a contiguous float64 copy."""
+    rows = np.ascontiguousarray(np.asarray(a, dtype=np.float64).transpose(1, 0, 2, 3))
+    return rows.reshape(a.shape[1], -1)
+
 
 def channel_sums(a, keepdims=False):
-    """Each channel's sum over (n, h, w), along its row of a (c, n*h*w) copy."""
-    rows = np.ascontiguousarray(np.asarray(a, dtype=np.float64).transpose(1, 0, 2, 3))
-    sums = rows.reshape(a.shape[1], -1).sum(axis=1)
+    """Each channel's sum over (n, h, w), along its row."""
+    sums = channel_rows(a).sum(axis=1)
     return sums.reshape(1, -1, 1, 1) if keepdims else sums
+
+
+def ring_taps(k):
+    """The taps (dy, dx) of a k x k kernel: the center, then ring by ring
+    outwards, row by row within a ring."""
+    r = k // 2
+    return [(dy, dx) for ring in range(r + 1) for dy in range(k) for dx in range(k)
+            if max(abs(dy - r), abs(dx - r)) == ring]
+
+
+def ring_major(a, k):
+    """A kernel (o, c, k, k) as (o, k*k*c), or a window view (n, c, h, w, k, k)
+    as (n*h*w, k*k*c): the taps in ring order, each tap's channels side by
+    side, in a contiguous copy."""
+    taps = np.stack([a[..., dy, dx] for dy, dx in ring_taps(k)], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(taps, 1, -1)).reshape(-1, k * k * a.shape[1])
 
 
 def windows_reference(a64, k):
     pad = (k - 1) // 2
     ap = np.pad(a64, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     return sliding_window_view(ap, (k, k), axis=(2, 3))
+
+
+def correlate_reference(a64, w64):
+    """Same-padded k > 1 correlation in float64, held NCHW."""
+    n, _, h, wd = a64.shape
+    out_c, _, k, _ = w64.shape
+    out = ring_major(w64, k) @ ring_major(windows_reference(a64, k), k).T
+    return out.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def conv2d_forward_reference(x, p):
@@ -72,7 +102,7 @@ def conv2d_forward_reference(x, p):
         out = np.matmul(w64[:, :, 0, 0][None], x64.reshape(n, c, h * wd))
         out = out.reshape(n, out_c, h, wd)
     else:
-        out = np.einsum("ncyxuv,ocuv->noyx", windows_reference(x64, kh), w64, optimize=True)
+        out = correlate_reference(x64, w64)
     out += np.asarray(p.b.data, dtype=np.float64)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, w.dtype))
 
@@ -83,17 +113,19 @@ def conv2d_backward_reference(x, p, grad_out):
     out_c, in_c, kh, kw = w.shape
     n, c, h, wd = x.shape
     x64, w64, g64 = (np.asarray(a, dtype=np.float64) for a in (x, w, grad_out))
+    grad_b = channel_sums(g64)
     if kh == 1:
         g2 = g64.reshape(n, out_c, h * wd)
         x2 = x64.reshape(n, c, h * wd)
-        grad_b = channel_sums(g64)
         grad_w = np.matmul(g2, x2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         gx = np.matmul(w64[:, :, 0, 0].T[None], g2).reshape(n, c, h, wd)
     else:
-        grad_b = channel_sums(g64)
-        grad_w = np.einsum("noyx,ncyxuv->ocuv", g64, windows_reference(x64, kh), optimize=True)
-        gx = np.einsum("noyxuv,oiuv->niyx", windows_reference(g64, kh), w64[:, :, ::-1, ::-1],
-                       optimize=True)
+        ring = channel_rows(g64) @ ring_major(windows_reference(x64, kh), kh)
+        ring = ring.reshape(out_c, kh * kw, c)
+        grad_w = np.zeros(w.shape)
+        for t, (dy, dx) in enumerate(ring_taps(kh)):
+            grad_w[:, :, dy, dx] = ring[:, t]
+        gx = correlate_reference(g64, w64.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return gx.astype(x.dtype), grad_w.astype(w.dtype), grad_b.astype(p.b.data.dtype)
 
 
@@ -463,9 +495,10 @@ class TestFastPathsMatchReferences:
 class TestKeptColumns:
     """A training step keeps its bank input's patch columns in a PatchColumns,
     built once into the run's Workspace and handed to the convs in x's place.
-    The set is built for the bank's largest kernel, 5x5: c5x5 reads it whole
-    and c3x3 a copy of its central taps; an array input gets fresh columns
-    on every call. Every result keeps the bits of the einsum references."""
+    The set is built for the bank's largest kernel, 5x5, its taps in ring
+    order: c5x5 reads all of it and c3x3 a view of its first 9 taps; an array
+    input gets fresh columns on every call. Every result keeps the bits of
+    the ring-order references."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -507,44 +540,47 @@ class TestKeptColumns:
 
     def test_interleaved_forward_keeps_only_the_latest(self, builds):
         """A later build overwrites the workspace, so reading an earlier set
-        raises, whole or cut, instead of returning the later set's columns."""
+        raises, whole or as a prefix, instead of returning the later set's
+        columns."""
         p, x, g = self.case(5, 5)
         workspace = ops.Workspace()
         first = ops.PatchColumns(x, workspace)
-        latest = ops.PatchColumns(x[::-1].copy(), workspace)
+        y = x[::-1].copy()
+        latest = ops.PatchColumns(y, workspace)
         for read in (lambda: ops.conv2d_forward(first, p), lambda: first.taps(3)):
             with pytest.raises(RuntimeError, match="later build"):
                 read()
-        self.assert_reference(latest.x, p, g, ops.conv2d_backward(latest, p, g))
+        self.assert_reference(y, p, g, ops.conv2d_backward(latest, p, g))
         assert builds == [5, 5]
 
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (3, 2, 1, 1), (1, 1, 3, 1),
                                        (2, 1, 3, 1), (1, 2, 1, 4)])
-    def test_columns_are_the_reshaped_window_view(self, builds, shape, k):
-        """Fresh or in the workspace, the columns have the bytes and strides of
-        the transposed window view reshaped, a view where numpy gives one.
-        PatchColumns builds the bank's largest kernel only, k = 5."""
+    def test_columns_are_the_ring_major_windows(self, builds, shape, k):
+        """Fresh or in the workspace, the columns are the window view's taps
+        in ring order, each tap's channels side by side, in a C-contiguous
+        (n*h*w, k*k*c) array. PatchColumns builds the bank's largest kernel
+        only, k = 5."""
         x = np.random.default_rng(15).normal(0, 1, shape)
-        n, c, h, w = shape
-        taps = windows_reference(x, k).transpose(1, 4, 5, 0, 2, 3)
-        want = taps.reshape(c * k * k, n * h * w)
+        want = ring_major(windows_reference(x, k), k)
         workspace = ops.Workspace()
         built = [ops._columns(x, k)]
         if k == 5:
             built.append(ops.PatchColumns(x, workspace).taps(k))
+            assert np.shares_memory(built[-1], workspace.buffer)
         for got in built:
             assert (got.shape, got.strides) == (want.shape, want.strides)
             assert got.tobytes() == want.tobytes()
-        kept = k == 5 and not np.shares_memory(want, taps)
-        assert workspace.buffer.size == (want.size if kept else 0)
+        assert workspace.buffer.size == (want.size if k == 5 else 0)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5), (3, 2, 1, 1),
-                                       (1, 1, 3, 1), (2, 1, 3, 1), (1, 2, 1, 4)])
-    def test_smaller_kernel_cuts_the_kept_columns(self, builds, shape):
-        """The 3x3 columns of a 5x5 set, in float32 and float64, are a fresh 3x3
-        build in bytes and strides, in memory of their own, and the 3x3 forward
-        and gradient over the set keep the references' bits."""
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5), (3, 2, 3, 3),
+                                       (3, 2, 1, 1), (1, 2, 1, 1), (1, 1, 3, 1), (2, 1, 3, 1),
+                                       (1, 2, 1, 4)])
+    def test_smaller_kernel_reads_a_prefix_of_the_kept_columns(self, builds, shape):
+        """The 3x3 columns of a 5x5 set, in float32 and float64, are a view of
+        the workspace holding a fresh 3x3 build's values byte for byte, at
+        patch 5, 3 and 1 and on a single pixel, and the 3x3 forward and
+        gradient over the set keep the references' bits."""
         rng = np.random.default_rng(9)
         for dtype in (np.float32, np.float64):
             x = rng.normal(0, 1, shape).astype(dtype)
@@ -552,30 +588,13 @@ class TestKeptColumns:
             p3 = make_conv(shape[1], 4, 3, rng, dtype=dtype)
             workspace = ops.Workspace()
             cols = ops.PatchColumns(x, workspace)
-            cut, fresh = cols.taps(3), ops._columns(x, 3)
-            assert (cut.shape, cut.strides) == (fresh.shape, fresh.strides)
-            assert cut.tobytes() == fresh.tobytes()
-            assert not np.shares_memory(cut, workspace.buffer)
+            prefix, fresh = cols.taps(3), ops._columns(x, 3)
+            assert np.shares_memory(prefix, workspace.buffer)
+            assert prefix.shape == fresh.shape
+            assert np.ascontiguousarray(prefix).tobytes() == fresh.tobytes()
             assert_same_bits(ops.conv2d_forward(cols, p3), conv2d_forward_reference(x, p3))
             self.assert_reference(x, p3, g, ops.conv2d_backward(cols, p3, g))
-
-    def test_single_pixel_columns_stay_a_view(self, builds):
-        """A single-pixel input's columns are the read-only window view einsum
-        read: nothing goes into the workspace, and a 3x3 kernel builds its
-        own columns rather than copy the view's taps."""
-        rng = np.random.default_rng(10)
-        x = rng.normal(0, 1, (3, 3, 1, 1))
-        g = rng.normal(0, 1, (3, 4, 1, 1))
-        p3, p5 = make_conv(3, 4, 3, rng), make_conv(3, 4, 5, rng)
-        workspace = ops.Workspace()
-        cols = ops.PatchColumns(x, workspace)
-        assert not cols.columns.flags.writeable
-        assert_same_bits(ops.conv2d_forward(cols, p5), conv2d_forward_reference(x, p5))
-        assert_same_bits(ops.conv2d_forward(cols, p3), conv2d_forward_reference(x, p3))
-        self.assert_reference(x, p3, g, ops.conv2d_backward(cols, p3, g))
-        self.assert_reference(x, p5, g, ops.conv2d_backward(cols, p5, g))
-        assert builds == [5, 3, 3]
-        assert workspace.buffer.size == 0 and workspace.builds == 0
+        assert workspace.builds == 1
 
     def test_other_builds_leave_the_kept_columns_untouched(self, builds):
         """A forward and a weight gradient on an array build their columns in

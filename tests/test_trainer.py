@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsinet import ops
+from hsinet import data, ops
 from hsinet.data import SynthConfig, normalize_bands, synth_generate, with_split
 from hsinet.errors import ConfigError, DataError, NumericError, ShapeError
 from hsinet.network import (CrossDomainSpec, NetworkSpec, build_backbone,
@@ -336,7 +336,7 @@ class TestColumnWorkspace:
                              np.random.default_rng(0))
         train_single(net, target_domain(), TrainSchedule(step_size=3, max_iter=3, batch=4),
                      np.random.default_rng(1))
-        size = 4 * 25 * 4 * 25  # c*k*k x n*p*p
+        size = 4 * 25 * 4 * 25  # n*p*p pixels x k*k*c taps
         assert held.seen == [[(size, 1)], [(size, 2)], [(size, 3)]]
         assert [w() for w in held.made] == [None]
 
@@ -348,6 +348,39 @@ class TestColumnWorkspace:
         wide = 6 * 25 * 4 * 25
         assert held.seen == [[(4 * 25 * 4 * 25, 1)], [(wide, 2)], [(wide, 3)], [(wide, 4)]]
         assert [w() for w in held.made] == [None]
+
+
+class TestEvalPoints:
+    """Every eval point scores the test split through the batcher the run
+    already holds, so the cube is reflect-padded once per dataset per run,
+    and the accuracy is what evaluate gives."""
+
+    @pytest.fixture
+    def pads(self, monkeypatch):
+        calls = []
+        reflect_pad = data._reflect_pad
+        monkeypatch.setattr(data, "_reflect_pad",
+                            lambda cube, pad: calls.append(cube.shape) or reflect_pad(cube, pad))
+        return calls
+
+    def test_train_single_pads_once(self, pads):
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
+                             np.random.default_rng(0))
+        ds = target_domain()
+        _, metrics = train_single(net, ds, TrainSchedule(step_size=3, max_iter=3, batch=4),
+                                  np.random.default_rng(1), eval_every=1)
+        assert len(pads) == 1 and [r.iteration for r in metrics.rows] == [1, 2, 3]
+        assert metrics.rows[-1].accuracy == evaluate(net, ds, "test")
+
+    def test_train_cross_domain_pads_once_per_dataset(self, pads):
+        cdn, datasets = TestCrossDomain()._setup(2)
+        datasets = [with_split(ds, 4, np.random.default_rng(5)) for ds in datasets]
+        _, metrics = train_cross_domain(cdn, datasets,
+                                        TrainSchedule(step_size=3, max_iter=3, batch=4),
+                                        np.random.default_rng(1), eval_every=1)
+        assert len(pads) == 2 and len(metrics.rows) == 6
+        for row, net, ds in zip(metrics.rows[-2:], cdn.branches, datasets, strict=True):
+            assert row.accuracy == evaluate(net, ds, "test")
 
 
 class TestTwoStep:

@@ -16,10 +16,12 @@ recorded with its exit code and the tail of its stderr, and a run that fails
 its checks is recorded as it is; both count as failed in the summary, never
 dropped, and their metrics are left out of the medians and the pairs won.
 
-The summary gives, per workload and metric, each side's median and the
-parent's quartiles (linear interpolation), the change's relative loss against
-the parent's median (`change_worse_by`, negative when the change is better)
-and the number of pairs the change won, ties counting for neither side.
+The summary gives, per workload, the seeds whose two runs both passed but
+printed different parameter digests (`digests_differ`), and per metric each
+side's median and the parent's quartiles (linear interpolation), the change's
+relative loss against the parent's median (`change_worse_by`, negative when
+the change is better) and the number of pairs the change won, ties counting
+for neither side.
 """
 from __future__ import annotations
 
@@ -105,6 +107,10 @@ def summarize(runs, declared):
         entry = {"pairs": len(pairs), "seeds": sorted(pairs),
                  "failed": {side: sum(run_failed(r) for r in mine if r["side"] == side)
                             for side in SIDES},
+                 "digests_differ": sorted(
+                     seed for seed, pair in pairs.items()
+                     if len(measured[seed]) == len(SIDES)
+                     and pair["parent"].get("digest") != pair["change"].get("digest")),
                  "metrics": {}}
         for metric in declared:
             name, direction = metric["name"], metric["better"]
