@@ -35,36 +35,34 @@ def _build_parser():
                      description="Cross-domain hyperspectral CNN training harness")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text, config=True, checkpoint=False, needs_out=False):
+    flags = {"config": dict(required=True, help="JSON config file"),
+             "seed": dict(type=int, default=None, help="base RNG seed"),
+             "out": dict(default="out", help="output directory"),
+             "checkpoint": dict(required=True, help="checkpoint path")}
+
+    def add(name, help_text, run, *names):
+        """A subparser with the flags `names` and --threads."""
         p = sub.add_parser(name, help=help_text)
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--out", default="out" if needs_out else None,
-                       help="output directory")
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; hsinet runs as one process")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=(name in ("finetune", "eval")),
-                           help="checkpoint path")
+        p.set_defaults(run=run)
         return p
 
-    add("pretrain", "cross-domain pre-training on source datasets",
-        needs_out=True).set_defaults(run=cmd_pretrain)
-    add("finetune", "fine-tune a target from a pre-trained checkpoint",
-        checkpoint=True, needs_out=True).set_defaults(run=cmd_target)
-    add("train-scratch", "train a target from random initialization",
-        needs_out=True).set_defaults(run=cmd_target)
-    add("eval", "evaluate a checkpoint on a dataset split",
-        checkpoint=True).set_defaults(run=cmd_eval)
-    exp = add("experiment", "run an ablation experiment", needs_out=True)
-    exp.add_argument("id", choices=EXPERIMENT_IDS, help="experiment id")
-    exp.set_defaults(run=cmd_experiment)
-    add("synth-gen", "generate synthetic domains as ENVI rasters",
-        needs_out=True).set_defaults(run=cmd_synth_gen)
-    gc = add("gradcheck", "run the finite-difference gradient oracles", config=False)
-    gc.add_argument("--seeds", type=int, default=3, help="number of seeds to sweep")
-    gc.set_defaults(run=cmd_gradcheck)
+    add("pretrain", "cross-domain pre-training on source datasets", cmd_pretrain,
+        "config", "seed", "out")
+    add("finetune", "fine-tune a target from a pre-trained checkpoint", cmd_target,
+        "config", "seed", "out", "checkpoint")
+    add("train-scratch", "train a target from random initialization", cmd_target,
+        "config", "seed", "out")
+    add("eval", "evaluate a checkpoint on a dataset split", cmd_eval, "config", "checkpoint")
+    add("experiment", "run an ablation experiment", cmd_experiment, "config", "seed",
+        "out").add_argument("id", choices=EXPERIMENT_IDS, help="experiment id")
+    add("synth-gen", "generate synthetic domains as ENVI rasters", cmd_synth_gen,
+        "config", "seed", "out")
+    add("gradcheck", "run the finite-difference gradient oracles", cmd_gradcheck,
+        "seed").add_argument("--seeds", type=int, default=3, help="number of seeds to sweep")
     return parser
 
 
@@ -78,7 +76,7 @@ def _harness(args):
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return _Harness(cfg, args.command, progress=True)
+    return _Harness(cfg, args.command)
 
 
 def _outdir(args):
@@ -123,9 +121,8 @@ def cmd_target(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
+    h = _Harness(_load_config(args.config), "eval")  # checked before the checkpoint is read
     network = load_network(args.checkpoint, "single")
-    h = _Harness(cfg, "eval")
     acc = evaluate(network, h.target, h.built["split"])
     print(json.dumps({"split": h.built["split"], "accuracy": acc}))
     return 0
@@ -141,7 +138,7 @@ def cmd_experiment(args):
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
     out = Path(args.out)
-    run_experiment(cfg, out, progress=True)
+    run_experiment(cfg, out)
     print(json.dumps({"report": str(out / "report.csv"),
                       "summary": str(out / "summary.json")}))
     return 0

@@ -169,7 +169,7 @@ class _Harness:
     every experiment. Building one checks the whole config for `command`
     (None: the experiment it names); runs read only the values in `built`."""
 
-    def __init__(self, cfg, command=None, progress=False):
+    def __init__(self, cfg, command=None):
         self.command = command
         self.experiment = cfg.get("experiment")
         needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment)[1])
@@ -193,8 +193,7 @@ class _Harness:
             if not check([combo["sources"] for combo in c[key]]):
                 raise ConfigError(f"{self.experiment} needs {must}")
         self.seeds = c.get("seeds", [])
-        self.train_kwargs = dict(eval_every=c["eval_every"], augment=c["augment"],
-                                 progress=progress)
+        self.train_kwargs = dict(eval_every=c["eval_every"], augment=c["augment"])
 
     @cached_property
     def sources(self):
@@ -291,12 +290,12 @@ def _plan(h):
         _Unit(f"{label}/pretrain", s, m, store), _Unit(f"{label}/scratch", s, m, None))]
 
 
-def run_plan(cfg, out_dir=None, progress=False):
+def run_plan(cfg, out_dir=None):
     """Run a transfer experiment's plan: load its checkpoint stores, then its
     target (one that cannot be scored fails before pre-training), pre-train
-    each distinct store key once, and train every unit for every seed. With
-    `progress`, stderr gets a line naming each run before its eval lines."""
-    h = _Harness(cfg, progress=progress)
+    each distinct store key once, and train every unit for every seed. stderr
+    gets a line naming each run before its eval lines."""
+    h = _Harness(cfg)
     units = _plan(h)
     keys = dict.fromkeys(u.store for u in units)  # distinct, in plan order
     stores = {key: load_network(key, "cross") for key in keys if isinstance(key, str)}
@@ -305,26 +304,27 @@ def run_plan(cfg, out_dir=None, progress=False):
     for key in filter(lambda key: isinstance(key, tuple), keys):
         subset = [h.sources[i] for i in key[0]]
         pixels[key] = sum(ds.labeled_count for ds in subset)
-        _progress(progress, f"pretrain sources {list(key[0])} with {key[1]} residual modules")
+        _progress(f"pretrain sources {list(key[0])} with {key[1]} residual modules")
         stores[key] = h.pretrain(subset, h.built.get("pretrain_seed", h.seeds[0]),
                                  modules=key[1]).network
     rows = []
     for seed in h.seeds:
         for u in units:
-            _progress(progress, f"condition {u.condition} seed {seed}")
+            _progress(f"condition {u.condition} seed {seed}")
             run = h.target_run(u.schedule, seed, stores.get(u.store), u.modules)
             rows += h.curve_rows(seed, u.condition, run,
                                  {"source_pixels": pixels[u.store]} if u.source_pixels else None)
     return _finish(rows, cfg, out_dir)
 
 
-def run_pretrain(cfg, out_dir=None, progress=False):
+def run_pretrain(cfg, out_dir=None):
     """Plain cross-domain pre-training as an experiment: emits source loss
-    curves and writes one checkpoint per seed when out_dir is given."""
-    h = _Harness(cfg, progress=progress)
+    curves and writes one checkpoint per seed when out_dir is given. stderr
+    gets a line naming each run before its eval lines."""
+    h = _Harness(cfg)
     rows = []
     for seed in h.seeds:
-        _progress(progress, f"pretrain seed {seed}")
+        _progress(f"pretrain seed {seed}")
         run = h.pretrain(h.sources, seed)
         for phase, metrics in enumerate(run.metrics, start=1):
             condition = "pretrain" if len(run.metrics) == 1 else f"pretrain/step{phase}"
@@ -355,11 +355,11 @@ def _experiment(exp):
     return _EXPERIMENTS[exp]
 
 
-def run_experiment(cfg, out_dir=None, progress=False):
-    """Run the experiment `cfg` names; with `progress`, stderr shows each run
-    and its eval points."""
+def run_experiment(cfg, out_dir=None):
+    """Run the experiment `cfg` names; stderr shows each run and its eval
+    points."""
     runner, _ = _experiment(cfg.get("experiment"))
-    return runner(cfg, out_dir, progress)
+    return runner(cfg, out_dir)
 
 
 # --- reports --------------------------------------------------------------

@@ -88,7 +88,7 @@ class ConvBlock:
         self._x = x if training else None
         y = ops.conv2d_forward(x, self.conv) if training else ops.conv2d_center(x, self.conv)
         if self.with_bn and training:
-            y, *self._bn_stats = ops.batchnorm_forward(y, self.bn, True, return_stats=True)
+            y, *self._bn_stats = ops.batchnorm_forward(y, self.bn, True)
         elif self.with_bn:
             y = ops.batchnorm_forward(y, self.bn, False)
         if self.with_relu:

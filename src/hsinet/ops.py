@@ -309,20 +309,16 @@ def _bn_check(x, p):
         )
 
 
-def batchnorm_forward(x, p, training, return_stats=False):
+def batchnorm_forward(x, p, training):
     """Normalize per channel over (n, h, w); train mode updates running stats.
 
     Training uses batch statistics (population variance) and folds them into
-    the running estimates by exponential moving average; eval uses the running
-    estimates. With return_stats (training only) the result is (out, x̂, 1/σ),
-    x̂ (held channel-major) and 1/σ in float64, the statistics
-    batchnorm_backward reads.
+    the running estimates by exponential moving average, and returns
+    (out, x̂, 1/σ): x̂ (held channel-major) and 1/σ in float64 are the
+    statistics batchnorm_backward reads. Eval uses the running estimates and
+    returns out alone.
     """
     _bn_check(x, p)
-    if return_stats and not training:
-        raise ConfigError(
-            f"batchnorm '{p.scale.name}': statistics are returned in training mode only"
-        )
     if training:
         if x.shape[0] * x.shape[2] * x.shape[3] == 1:
             raise DataError(
@@ -354,13 +350,13 @@ def batchnorm_forward(x, p, training, return_stats=False):
     np.multiply(x64, _f64(p.scale.data)[None, :, None, None], out=out)
     out += _f64(p.shift.data)[None, :, None, None]
     out = out.astype(np.result_type(x.dtype, p.scale.data.dtype), copy=False)
-    return (out, x64, inv) if return_stats else out
+    return (out, x64, inv) if training else out
 
 
 def batchnorm_backward(xhat, inv, p, grad_out):
     """Gradient of the training-mode forward; returns (grad_x, grad_scale, grad_shift).
 
-    `xhat` and `inv` are the x̂ and 1/σ of the forward pass (return_stats);
+    `xhat` and `inv` are the x̂ and 1/σ of the training-mode forward pass;
     grad_x is in the dtype of grad_out.
     """
     _bn_check(xhat, p)
@@ -462,20 +458,21 @@ def softmax_cross_entropy(logits, labels):
     return float(loss), grad.astype(logits.dtype, copy=False)
 
 
-def sgd_step(params, lr, momentum, weight_decay, iteration=None):
-    """Momentum SGD update over params carrying a filled `.grad`.
+def sgd_step(params, lr, momentum, weight_decay, iteration):
+    """Momentum SGD update at training iteration `iteration` over params
+    carrying a filled `.grad`.
 
     v <- momentum*v - lr*(g + weight_decay*w); w <- w + v. Weight decay is
-    skipped for params flagged decay=False (biases). Non-finite gradients
-    abort with the parameter name (and iteration when given).
+    skipped for params flagged decay=False (biases). A missing or non-finite
+    gradient aborts with the parameter name and the iteration.
     """
-    where = "" if iteration is None else f" at iteration {iteration}"
     for p in params:
         g = p.grad
         if g is None:
-            raise ConfigError(f"parameter '{p.name}' has no gradient{where}")
+            raise ConfigError(f"parameter '{p.name}' has no gradient at iteration {iteration}")
         if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter '{p.name}'{where}")
+            raise NumericError(f"non-finite gradient for parameter '{p.name}' "
+                               f"at iteration {iteration}")
         if weight_decay and p.decay:
             g = g + weight_decay * p.data
         p.vel *= momentum

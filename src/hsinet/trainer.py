@@ -88,9 +88,8 @@ class TrainMetrics:
         }
 
 
-def _progress(enabled, msg):
-    if enabled:
-        print(msg, file=sys.stderr)
+def _progress(msg):
+    print(msg, file=sys.stderr)
 
 
 def _draw_batch(dataset, batcher, batch_size, rng, augment):
@@ -144,14 +143,15 @@ def _accuracy(network, batcher, idx):
     return correct / idx.size
 
 
-def _train(entries, schedule, rng, *, eval_every, augment, start_iteration, progress):
+def _train(entries, schedule, rng, *, eval_every, augment, start_iteration):
     """The SGD loop behind train_single and train_cross_domain.
 
     `entries` holds one (network, dataset, groups) per domain in update order;
     `groups` lists (params, lr scale) pairs. Per iteration and per entry:
     sample a batch, run forward/backward, then step each group at lr x scale.
     At each eval point, and always at max_iter, every entry gets a MetricRow,
-    with its test accuracy if its dataset has a test split.
+    with its test accuracy if its dataset has a test split, and stderr gets
+    one line with every entry's loss and accuracy.
     """
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
@@ -188,27 +188,28 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration, prog
                 metrics.rows.append(MetricRow(done, dataset.name, loss, acc))
                 shown.append(f"{dataset.name} loss {loss:.4f} acc "
                              + ("n/a" if acc is None else f"{acc:.4f}"))
-            _progress(progress, f"iter {done} " + "; ".join(shown))
+            _progress(f"iter {done} " + "; ".join(shown))
     return metrics
 
 
 def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=True,
-                 start_iteration=0, progress=False):
+                 start_iteration=0):
     """SGD on one domain; returns (network, TrainMetrics).
 
     Each iteration samples `schedule.batch` patches with replacement from the
     train split, applies a uniformly random square symmetry to each patch,
     and takes one momentum-SGD step at the scheduled learning rate. A non-empty
-    test split is evaluated every `eval_every` iterations and at max_iter.
+    test split is evaluated every `eval_every` iterations and at max_iter, and
+    each of those eval points prints one line on stderr.
     """
     metrics = _train([(network, dataset, [(network.params(), 1.0)])], schedule, rng,
                      eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration, progress=progress)
+                     start_iteration=start_iteration)
     return network, metrics
 
 
 def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=True,
-                       active=None, start_iteration=0, progress=False):
+                       active=None, start_iteration=0):
     """Joint SGD over N branches; returns (cdn, TrainMetrics).
 
     Per iteration and per active domain (fixed order): sample a batch, run
@@ -230,7 +231,7 @@ def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=
                 [(cdn.branches[d].private_params(), 1.0), (shared, 1.0 / len(active))])
                for d in active]
     metrics = _train(entries, schedule, rng, eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration, progress=progress)
+                     start_iteration=start_iteration)
     return cdn, metrics
 
 

@@ -38,7 +38,7 @@ def sgd_steps(monkeypatch):
     steps = []
     sgd_step = hsinet.ops.sgd_step
 
-    def recorded(params, lr, *args, iteration=None, **kwargs):
+    def recorded(params, lr, *args, iteration, **kwargs):
         steps.append((iteration, lr, [p.name for p in params]))
         return sgd_step(params, lr, *args, iteration=iteration, **kwargs)
 

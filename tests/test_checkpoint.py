@@ -224,6 +224,15 @@ def _append(name):
     return lambda records: [*records, (name, "<f4", (1,), bytes(4))]
 
 
+def _eval(tmp_path, checkpoint):
+    """Exit code of `hsinet eval` on `checkpoint` under a valid minimal target
+    config, so the config check passes and the checkpoint is what fails."""
+    cfg = {"target": {"synth": {"classes": 3, "bands": 4, "height": 8, "width": 8}},
+           "train_per_class": 2}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    return main(["eval", "--config", str(tmp_path / "c.json"), "--checkpoint", str(checkpoint)])
+
+
 class TestMalformedRecords:
     @pytest.mark.parametrize("net,edit,message", [
         (small_cdn, _drop("branch1.c9.b"), "checkpoint missing tensor 'branch1.c9.b'"),
@@ -296,9 +305,7 @@ class TestMalformedRecords:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert message in str(exc.value)
-        (tmp_path / "c.json").write_text("{}")
-        assert main(["eval", "--config", str(tmp_path / "c.json"),
-                     "--checkpoint", str(path)]) == 2
+        assert _eval(tmp_path, path) == 2
         assert message in capsys.readouterr().err
 
     def test_repeated_metadata_key_is_rejected_and_eval_exits_2(self, tmp_path, capsys):
@@ -310,9 +317,7 @@ class TestMalformedRecords:
         message = "metadata record repeats the key 'iteration'"
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
-        (tmp_path / "c.json").write_text("{}")
-        assert main(["eval", "--config", str(tmp_path / "c.json"),
-                     "--checkpoint", str(path)]) == 2
+        assert _eval(tmp_path, path) == 2
         assert f"data error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("at,codec", [(2, "utf-8"), (2 + len("__meta__") + 1, "ascii")],
@@ -330,9 +335,7 @@ class TestMalformedRecords:
         message = f"malformed record header at offset {start}: '{codec}' codec can't decode"
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path / "bad.ckpt")
-        (tmp_path / "c.json").write_text("{}")
-        assert main(["eval", "--config", str(tmp_path / "c.json"),
-                     "--checkpoint", str(tmp_path / "bad.ckpt")]) == 2
+        assert _eval(tmp_path, tmp_path / "bad.ckpt") == 2
         assert f"data error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("net,edit,message", [
@@ -369,9 +372,7 @@ class TestMalformedRecords:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert message in str(exc.value)
-        (tmp_path / "c.json").write_text("{}")
-        assert main(["eval", "--config", str(tmp_path / "c.json"),
-                     "--checkpoint", str(path)]) == 2
+        assert _eval(tmp_path, path) == 2
         assert message in capsys.readouterr().err
 
     def test_unedited_records_repack_to_the_same_bytes(self, tmp_path):

@@ -43,6 +43,40 @@ class TestUsageErrors:
             main(["gradcheck", "--what"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--config", "c.json", "--checkpoint", "n.ckpt", "--seed", "1"],
+        ["eval", "--config", "c.json", "--checkpoint", "n.ckpt", "--out", "d"],
+        # --seeds 0 is a config error, so a parser that took --out stops short
+        ["gradcheck", "--seeds", "0", "--out", "d"],
+    ], ids=["eval_seed", "eval_out", "gradcheck_out"])
+    def test_flag_the_command_does_not_read_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--config", "c.json", "--seed", "5", "--out", "d"],
+        ["finetune", "--config", "c.json", "--checkpoint", "n.ckpt", "--seed", "5",
+         "--out", "d"],
+        ["train-scratch", "--config", "c.json", "--seed", "5", "--out", "d"],
+        ["experiment", "depth_sweep", "--config", "c.json", "--seed", "5", "--out", "d"],
+        ["synth-gen", "--config", "c.json", "--seed", "5", "--out", "d"],
+        ["gradcheck", "--seed", "5", "--seeds", "2"],
+        ["eval", "--config", "c.json", "--checkpoint", "n.ckpt"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_keeps_the_flags_it_reads(self, argv):
+        """--seed and --out where a command reads them (--out defaulting to
+        'out'), and --threads on every command."""
+        parse = hsinet.cli._build_parser().parse_args
+        args = parse([*argv, "--threads", "2"])
+        assert args.threads == 2
+        assert getattr(args, "seed", 5) == 5 and getattr(args, "out", "d") == "d"
+        assert ("--seed" in argv) == hasattr(args, "seed")
+        assert ("--out" in argv) == hasattr(args, "out")
+        if "--out" in argv:
+            assert parse(argv[:-2]).out == "out"
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["pretrain", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 1
@@ -253,6 +287,19 @@ class TestWholeConfigCheckedFirst:
         assert where in capsys.readouterr().err
         assert calls == {}
 
+    @pytest.mark.parametrize("command", [["eval"], ["finetune", "--out", "o"]],
+                             ids=["eval", "finetune"])
+    def test_config_checked_before_the_checkpoint_is_read(self, tmp_path, capsys, command):
+        """A typo in the config exits 1 naming it; the corrupt checkpoint
+        beside it (a data error, exit 2) is never read."""
+        (tmp_path / "bad.ckpt").write_bytes(b"hsinet ckpt")
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "target"), "train_per_class": 4, "schedule": self.SCHEDULE,
+            "typo_key": 1})
+        assert main([*command, "--config", cfg, "--checkpoint", str(tmp_path / "bad.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config keys: ['typo_key']")
+
     def test_eval_split_exits_1_naming_it(self, tmp_path, capsys, calls):
         spec = NetworkSpec(bands=5, classes=3, filters=4)
         save_checkpoint(build_backbone(spec, np.random.default_rng(0)), tmp_path / "n.ckpt")
@@ -355,7 +402,7 @@ class TestEmptyTargetTestSplit:
 class TestExperimentProgress:
     def test_experiment_reports_each_run_and_eval_point_on_stderr(self, tmp_path, capsys):
         """Each pre-training and each target run is named on stderr before its
-        eval lines; stdout and the report files are those of a silent run."""
+        eval lines; the report files are those of a library run."""
         schedule = {"step_size": 4, "max_iter": 4, "batch": 4}
         cfg = {"experiment": "depth_sweep", "seeds": [3], "depths": [2], "eval_every": 2,
                "network": {"filters": 4}, "target": synth(50, "t", side=14),
@@ -374,11 +421,10 @@ class TestExperimentProgress:
         assert all(re.fullmatch(want, line) for want, line in zip(expected, lines))
         assert json.loads(out) == {"report": str(tmp_path / "o" / "report.csv"),
                                    "summary": str(tmp_path / "o" / "summary.json")}
-        hsinet.experiments.run_experiment(cfg, tmp_path / "silent")
-        assert capsys.readouterr().err == ""
+        hsinet.experiments.run_experiment(cfg, tmp_path / "library")
         for name in ("report.csv", "summary.json", "config.json"):
             assert ((tmp_path / "o" / name).read_bytes()
-                    == (tmp_path / "silent" / name).read_bytes())
+                    == (tmp_path / "library" / name).read_bytes())
 
 
 class TestAtomicOutputs:

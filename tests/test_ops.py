@@ -341,7 +341,7 @@ class TestBatchNorm:
     def test_three_value_channel(self):
         p = ops.make_batchnorm_params("bn", 1, dtype=np.float64)
         x = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1)
-        out = ops.batchnorm_forward(x, p, training=True).ravel()
+        out = ops.batchnorm_forward(x, p, training=True)[0].ravel()
         np.testing.assert_allclose(out, [-1.2247, 0.0, 1.2247], atol=1e-3)
 
     def test_zero_scale_gives_shift(self):
@@ -349,7 +349,7 @@ class TestBatchNorm:
         p.scale.data[...] = 0.0
         p.shift.data[...] = [0.5, -0.5]
         out = ops.batchnorm_forward(np.random.default_rng(0).normal(0, 1, (4, 2, 3, 3)),
-                                    p, training=True)
+                                    p, training=True)[0]
         np.testing.assert_allclose(out[:, 0], 0.5, atol=1e-12)
         np.testing.assert_allclose(out[:, 1], -0.5, atol=1e-12)
 
@@ -367,7 +367,7 @@ class TestBatchNorm:
 
     def test_constant_input_is_finite_via_eps(self):
         p = ops.make_batchnorm_params("bn", 1, dtype=np.float64)
-        out = ops.batchnorm_forward(np.full((2, 1, 2, 2), 5.0), p, training=True)
+        out = ops.batchnorm_forward(np.full((2, 1, 2, 2), 5.0), p, training=True)[0]
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
@@ -389,7 +389,7 @@ class TestBatchNorm:
             rng = np.random.default_rng(seed)
             p = ops.make_batchnorm_params("bn", 3, dtype=np.float64)
             x = rng.normal(2.0, 3.0, (4, 3, 2, 2))
-            out = ops.batchnorm_forward(x, p, training=True)
+            out = ops.batchnorm_forward(x, p, training=True)[0]
             mean = out.mean(axis=(0, 2, 3))
             var = out.var(axis=(0, 2, 3))
             assert np.abs(mean).max() <= 1e-5
@@ -404,7 +404,7 @@ class TestBatchNorm:
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
         xhat = (x - mean) / np.sqrt(var + ops.BN_EPS)
-        _, saved_xhat, inv = ops.batchnorm_forward(x, p, training=True, return_stats=True)
+        _, saved_xhat, inv = ops.batchnorm_forward(x, p, training=True)
         _, g_scale, g_shift = ops.batchnorm_backward(saved_xhat, inv, p, g)
         np.testing.assert_allclose(g_shift, g.sum(axis=(0, 2, 3)), atol=1e-10)
         np.testing.assert_allclose(g_scale, (g * xhat).sum(axis=(0, 2, 3)), atol=1e-10)
@@ -476,18 +476,22 @@ class TestFastPathsMatchReferences:
         before = x.copy()
         for training in (True, False):
             ops.batchnorm_forward(x, p, training)
-        ops.batchnorm_forward(x, p, True, return_stats=True)
         assert_same_bits(x, before)
 
     def test_statistics_only_in_training(self):
+        """Training returns (out, x̂, 1/σ), x̂ and 1/σ in float64; eval returns
+        the output array alone."""
         p = ops.make_batchnorm_params("bn", 1)
-        with pytest.raises(ConfigError, match="training mode only"):
-            ops.batchnorm_forward(np.zeros((2, 1, 1, 1)), p, False, return_stats=True)
+        x = np.arange(4.0, dtype=np.float32).reshape(4, 1, 1, 1)
+        out, xhat, inv = ops.batchnorm_forward(x, p, True)
+        assert out.shape == xhat.shape == x.shape and out.dtype == np.float32
+        assert xhat.dtype == inv.dtype == np.float64 and inv.shape == (1, 1, 1, 1)
+        out = ops.batchnorm_forward(x, p, False)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
 
     def test_backward_checks_grad_out_shape(self):
         p = ops.make_batchnorm_params("bn", 1, dtype=np.float64)
-        _, xhat, inv = ops.batchnorm_forward(np.arange(4.0).reshape(4, 1, 1, 1), p, True,
-                                             return_stats=True)
+        _, xhat, inv = ops.batchnorm_forward(np.arange(4.0).reshape(4, 1, 1, 1), p, True)
         with pytest.raises(ShapeError, match="does not match input shape"):
             ops.batchnorm_backward(xhat, inv, p, np.zeros((2, 1, 1, 1)))
 
@@ -672,7 +676,7 @@ class TestChannelMajorInputs:
             p = ops.make_batchnorm_params("bn", 4, dtype=dtype)
             p.scale.data[...] = np.linspace(0.5, 2.0, 4)
             p.shift.data[...] = np.linspace(-1.0, 1.0, 4)
-            out, xhat, inv = ops.batchnorm_forward(a, p, True, return_stats=True)
+            out, xhat, inv = ops.batchnorm_forward(a, p, True)
             results.append((out, p.running_mean, p.running_var, xhat, inv,
                             *ops.batchnorm_backward(xhat, inv, p, ga),
                             *ops.batchnorm_backward(np.ascontiguousarray(xhat), inv, p, ga),
@@ -788,7 +792,7 @@ class TestSgdStep:
     def test_single_step(self):
         p = self._param(1.0)
         p.grad = np.array([0.5])
-        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0, iteration=0)
         assert p.vel[0] == pytest.approx(-0.05)
         assert p.data[0] == pytest.approx(0.95)
 
@@ -796,27 +800,27 @@ class TestSgdStep:
         p = self._param(1.0)
         for _ in range(2):
             p.grad = np.array([0.5])
-            ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+            ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0, iteration=0)
         assert p.vel[0] == pytest.approx(-0.05 * 1.9)
 
     def test_decay_only_step(self):
         p = self._param(1.0)
         p.grad = np.array([0.0])
-        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0005)
+        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0005, iteration=0)
         assert p.vel[0] == pytest.approx(-0.1 * 0.0005)
 
     def test_decay_flag_exempts_biases(self):
         p = self._param(1.0)
         p.decay = False
         p.grad = np.array([0.0])
-        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0005)
+        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0005, iteration=0)
         assert p.data[0] == 1.0
 
     def test_lr_zero_is_noop(self):
         p = self._param(2.0)
         for _ in range(3):
             p.grad = np.array([1.25])
-            ops.sgd_step([p], lr=0.0, momentum=0.9, weight_decay=0.0005)
+            ops.sgd_step([p], lr=0.0, momentum=0.9, weight_decay=0.0005, iteration=0)
         assert p.data[0] == 2.0
         assert p.vel[0] == 0.0
 
@@ -829,7 +833,7 @@ class TestSgdStep:
     def test_grad_cleared_after_step(self):
         p = self._param(1.0)
         p.grad = np.array([0.5])
-        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+        ops.sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0, iteration=0)
         assert p.grad is None
 
 

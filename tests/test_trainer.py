@@ -291,7 +291,7 @@ class TestCrossDomain:
         n = 4
         for _ in range(n):
             p.grad = g.copy()
-            ops.sgd_step([p], lr=0.01 / n, momentum=0.0, weight_decay=0.0)
+            ops.sgd_step([p], lr=0.01 / n, momentum=0.0, weight_decay=0.0, iteration=0)
         assert p.data[0] == pytest.approx(1.0 - 0.01 * 0.4, rel=1e-12)
 
     def test_bank_computes_no_input_gradient(self, input_grad_calls):
