@@ -141,7 +141,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint repeats the record '{name}'")
         if name == _META_NAME:
             if dtype_str != _JSON_DTYPE:
-                raise CheckpointError("metadata record has wrong dtype tag")
+                raise CheckpointError(f"metadata record has dtype tag '{dtype_str}', "
+                                      f"not '{_JSON_DTYPE}'")
             records[name] = raw
         else:
             try:

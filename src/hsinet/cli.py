@@ -144,24 +144,32 @@ def cmd_experiment(args):
     return 0
 
 
+def _stamp(path):
+    """The inode of the file at `path`, or None: write_atomic gives a file it
+    replaces a new inode, so a changed stamp marks a file this run wrote."""
+    return path.stat().st_ino if path.is_file() else None
+
+
 def cmd_synth_gen(args):
     """Every domain is generated before --out is made; a failed write removes
-    the files of this run and --out if this run made it."""
+    the files this run wrote, and --out if this run made it. A file already
+    in --out that the run did not reach stays as it was."""
     domains = synth_domains(_load_config(args.config))
     datasets = [synth_generate(synth if args.seed is None
                                else replace(synth, seed=args.seed + i))
                 for i, (synth, _) in enumerate(domains)]
     out = Path(args.out)
     made = not out.exists()
-    manifests, written = [], []
+    before = {path: _stamp(path) for ds in datasets for path in dataset_files(out, ds.name)}
+    manifests = []
     try:
         for ds, (_, envi) in zip(datasets, domains):
-            written += dataset_files(out, ds.name)
             manifests.append(str(write_dataset(ds, out, **envi)))
     except BaseException:
         if out.is_dir():  # not when --out names a file, which mkdir rejected
-            for path in written:
-                path.unlink(missing_ok=True)
+            for path, stamp in before.items():
+                if _stamp(path) != stamp:
+                    path.unlink(missing_ok=True)
             if made:
                 out.rmdir()
         raise

@@ -34,10 +34,9 @@ class DomainDataset:
 
     def __post_init__(self):
         if (self.labels.height, self.labels.width) != (self.cube.height, self.cube.width):
-            raise DataError(
-                f"label raster {self.labels.height}x{self.labels.width} does not match "
-                f"cube {self.cube.height}x{self.cube.width}"
-            )
+            raise DataError(f"dataset '{self.name}' label raster {self.labels.height}x"
+                            f"{self.labels.width} does not match its cube "
+                            f"{self.cube.height}x{self.cube.width}")
         pixels = self.labels.labels.size
         if not 2 <= self.classes <= pixels:
             raise DataError(f"dataset '{self.name}' declares {self.classes} classes; its "
@@ -130,12 +129,13 @@ def _check_patch(patch):
         raise ConfigError(f"patch size must be odd and >= 1, got {patch}")
 
 
-def _reflect_pad(data, pad):
+def _reflect_pad(data, pad, what):
+    """`data` reflect-padded by `pad` on both spatial axes; `what` names it in errors."""
     if pad == 0:
         return data
     if pad >= data.shape[1] or pad >= data.shape[2]:
         raise DataError(
-            f"raster {data.shape[1]}x{data.shape[2]} too small for reflect "
+            f"{what} raster {data.shape[1]}x{data.shape[2]} too small for reflect "
             f"padding of {pad}"
         )
     return np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
@@ -148,7 +148,7 @@ def extract_patch(cube, x, y, patch):
     if not (0 <= x < cube.width and 0 <= y < cube.height):
         raise DataError(f"pixel ({x}, {y}) outside raster {cube.width}x{cube.height}")
     pad = patch // 2
-    padded = _reflect_pad(cube.data, pad)
+    padded = _reflect_pad(cube.data, pad, "cube")
     return padded[np.newaxis, :, y:y + patch, x:x + patch].copy()
 
 
@@ -203,7 +203,7 @@ class PatchBatcher:
     def __init__(self, ds, patch):
         _check_patch(patch)
         self.width = ds.cube.width
-        padded = _reflect_pad(ds.cube.data, patch // 2)
+        padded = _reflect_pad(ds.cube.data, patch // 2, f"dataset '{ds.name}'")
         self._windows = sliding_window_view(padded, (patch, patch), axis=(1, 2))
         self._labels = ds.labels.labels.ravel()
 

@@ -231,6 +231,6 @@ def load_label_raster(path):
     if path.suffix.lower() == ".hdr":
         samples = read_envi_samples(path)
         if samples.shape[0] != 1:
-            raise DataError(f"label raster must have exactly 1 band, got {samples.shape[0]}")
+            raise DataError(f"label raster '{path}' must have 1 band, got {samples.shape[0]}")
         return LabelRaster.from_array(samples[0], source=path)
     raise DataError(f"cannot infer label format from '{path}' (need .hdr or .txt)")

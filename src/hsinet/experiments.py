@@ -67,9 +67,8 @@ _SCHEMA = {
     "two_step": _object({"step1": _SCHEDULE, "step2": _SCHEDULE}, ("step1", "step2")),
     **dict.fromkeys(("combinations", "pairs", "conditions"), _CONDITIONS),
 }
-_DEFAULTS = {"seed": 0, "split_seed": 1234, "eval_every": 100, "augment": True,
-             "normalize": True, "include_scratch": True, "split": "test", "network": {},
-             "depths": [2, 3, 4, 5]}
+_DEFAULTS = {"seed": 0, "split_seed": 1234, "normalize": True, "include_scratch": True,
+             "split": "test", "network": {}, "depths": [2, 3, 4, 5]}
 
 # a combination experiment's conditions key, the check on their source-index
 # lists, and what the check requires
@@ -193,7 +192,8 @@ class _Harness:
             if not check([combo["sources"] for combo in c[key]]):
                 raise ConfigError(f"{self.experiment} needs {must}")
         self.seeds = c.get("seeds", [])
-        self.train_kwargs = dict(eval_every=c["eval_every"], augment=c["augment"])
+        # the training keys the config sets; the trainer has the defaults
+        self.train_kwargs = {key: c[key] for key in ("eval_every", "augment") if key in c}
 
     @cached_property
     def sources(self):

@@ -1,9 +1,8 @@
-"""Training: one SGD loop serves single-domain training (scratch or fine-tune)
-and N-domain cross-domain pre-training with the 1/N shared learning-rate rule;
-plus the two-step schedule for imbalanced sources, and evaluation.
-
-Gradients are applied per domain in a fixed order within each iteration; the
-shared store therefore receives N updates per iteration, each at lr/N.
+"""Training: one SGD loop over N (network, dataset) pairs sharing one store of
+residual modules, stepping each network's private parameters at lr and the
+store at lr/N in a fixed domain order; and evaluation. Cross-domain pre-training
+is N branches, single-domain training (scratch or fine-tune) is N = 1, and the
+two-step schedule for imbalanced sources runs the largest source alone, then all.
 """
 from __future__ import annotations
 
@@ -143,29 +142,30 @@ def _accuracy(network, batcher, idx):
     return correct / idx.size
 
 
-def _train(entries, schedule, rng, *, eval_every, augment, start_iteration):
-    """The SGD loop behind train_single and train_cross_domain.
+def _train(runs, schedule, rng, *, eval_every=100, augment=True, start_iteration=0):
+    """The SGD loop behind train_single, train_cross_domain and two_step_train.
 
-    `entries` holds one (network, dataset, groups) per domain in update order;
-    `groups` lists (params, lr scale) pairs. Per iteration and per entry:
-    sample a batch, run forward/backward, then step each group at lr x scale.
-    At each eval point, and always at max_iter, every entry gets a MetricRow,
+    `runs` holds one (network, dataset) pair per domain in update order; the
+    networks share one store of residual modules. Per iteration and per
+    pair: sample a batch, run forward/backward, then step the network's
+    private parameters at lr and the shared store at lr/N, N = len(runs).
+    At each eval point, and always at max_iter, every pair gets a MetricRow,
     with its test accuracy if its dataset has a test split, and stderr gets
-    one line with every entry's loss and accuracy.
+    one line with every pair's loss and accuracy.
     """
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
-    for network, dataset, _ in entries:
+    for network, dataset in runs:
         _check_fits(network, dataset)
         if dataset.train_idx.size == 0:
             raise DataError(f"dataset '{dataset.name}' has an empty train split")
-    batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset, _ in entries]
+    batchers = [PatchBatcher(dataset, network.spec.patch) for network, dataset in runs]
     metrics = TrainMetrics()
-    losses = [None] * len(entries)
+    losses = [None] * len(runs)
     workspace = ops.Workspace()  # the bank's patch columns, reused by every step
     for it in range(start_iteration, schedule.max_iter):
         lr = lr_at(schedule, it)
-        for i, (network, dataset, groups) in enumerate(entries):
+        for i, (network, dataset) in enumerate(runs):
             x, y = _draw_batch(dataset, batchers[i], schedule.batch, rng, augment)
             logits = network.forward(x, training=True, rng=rng, workspace=workspace)
             loss, grad = ops.softmax_cross_entropy(logits, y)
@@ -174,14 +174,15 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration):
                     f"non-finite loss for domain '{dataset.name}' at iteration {it}"
                 )
             network.backward(grad)
-            for params, scale in groups:
-                ops.sgd_step(params, lr * scale, schedule.momentum, schedule.weight_decay,
-                             iteration=it)
+            ops.sgd_step(network.private_params(), lr, schedule.momentum,
+                         schedule.weight_decay, iteration=it)
+            ops.sgd_step(network.shared_params(), lr * (1.0 / len(runs)), schedule.momentum,
+                         schedule.weight_decay, iteration=it)
             losses[i] = loss
         done = it + 1
         if done % eval_every == 0 or done == schedule.max_iter:
             shown = []
-            for (network, dataset, _), batcher, loss in zip(entries, batchers, losses):
+            for (network, dataset), batcher, loss in zip(runs, batchers, losses):
                 acc = None
                 if dataset.test_idx.size:  # scored through the run's batcher, not a new one
                     acc = _accuracy(network, batcher, dataset.test_idx)
@@ -192,9 +193,9 @@ def _train(entries, schedule, rng, *, eval_every, augment, start_iteration):
     return metrics
 
 
-def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=True,
-                 start_iteration=0):
-    """SGD on one domain; returns (network, TrainMetrics).
+def train_single(network, dataset, schedule, rng, **kwargs):
+    """SGD on one domain, the N = 1 case of the loop; returns (network,
+    TrainMetrics).
 
     Each iteration samples `schedule.batch` patches with replacement from the
     train split, applies a uniformly random square symmetry to each patch,
@@ -202,52 +203,37 @@ def train_single(network, dataset, schedule, rng, *, eval_every=100, augment=Tru
     test split is evaluated every `eval_every` iterations and at max_iter, and
     each of those eval points prints one line on stderr.
     """
-    metrics = _train([(network, dataset, [(network.params(), 1.0)])], schedule, rng,
-                     eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration)
-    return network, metrics
+    return network, _train([(network, dataset)], schedule, rng, **kwargs)
 
 
-def train_cross_domain(cdn, datasets, schedule, rng, *, eval_every=100, augment=True,
-                       active=None, start_iteration=0):
+def _pairs(cdn, datasets):
+    """(branch, dataset) pairs, once there is one dataset per branch."""
+    if len(datasets) != len(cdn.branches):
+        raise ConfigError(f"{len(datasets)} datasets supplied for {len(cdn.branches)} branches")
+    return list(zip(cdn.branches, datasets))
+
+
+def train_cross_domain(cdn, datasets, schedule, rng, **kwargs):
     """Joint SGD over N branches; returns (cdn, TrainMetrics).
 
-    Per iteration and per active domain (fixed order): sample a batch, run
-    that branch forward/backward, then update immediately. Branch-private
-    parameters step at the scheduled lr; the shared store steps at lr/N where
-    N is the number of active domains. Sources as loaded have no test split,
-    so their eval points record losses only.
+    Per iteration and per domain (fixed order): sample a batch, run that
+    branch forward/backward, then update immediately. Branch-private
+    parameters step at the scheduled lr; the shared store steps at lr/N.
+    Sources as loaded have no test split, so their eval points record losses
+    only.
     """
-    n_branches = len(cdn.branches)
-    if len(datasets) != n_branches:
-        raise ConfigError(
-            f"{len(datasets)} datasets supplied for {n_branches} branches"
-        )
-    active = list(range(n_branches)) if active is None else list(active)
-    if not active:
-        raise ConfigError("no active branches")
-    shared = cdn.shared_params()
-    entries = [(cdn.branches[d], datasets[d],
-                [(cdn.branches[d].private_params(), 1.0), (shared, 1.0 / len(active))])
-               for d in active]
-    metrics = _train(entries, schedule, rng, eval_every=eval_every, augment=augment,
-                     start_iteration=start_iteration)
-    return cdn, metrics
+    return cdn, _train(_pairs(cdn, datasets), schedule, rng, **kwargs)
 
 
 def two_step_train(cdn, datasets, schedule_step1, schedule_step2, rng, **kwargs):
     """Two-step optimization for imbalanced sources: Step I trains only the
-    branch of the largest dataset (by labeled pixel count, first on ties) at
-    shared multiplier 1; Step II continues jointly on all branches with its
-    own schedule, restarting the iteration counter.
+    branch of the largest dataset (by labeled pixel count, first on ties),
+    so N = 1 and the shared store steps at lr; Step II continues jointly on
+    all branches with its own schedule, restarting the iteration counter.
 
     Returns (cdn, step1_metrics, step2_metrics).
     """
-    if not datasets:
-        raise ConfigError("two_step_train needs at least one dataset")
-    sizes = [ds.labeled_count for ds in datasets]
-    largest = int(np.argmax(sizes))
-    cdn, m1 = train_cross_domain(cdn, datasets, schedule_step1, rng,
-                                 active=[largest], **kwargs)
-    cdn, m2 = train_cross_domain(cdn, datasets, schedule_step2, rng, **kwargs)
-    return cdn, m1, m2
+    runs = _pairs(cdn, datasets)
+    largest = int(np.argmax([ds.labeled_count for ds in datasets]))
+    m1 = _train([runs[largest]], schedule_step1, rng, **kwargs)
+    return cdn, m1, _train(runs, schedule_step2, rng, **kwargs)

@@ -260,6 +260,8 @@ class TestMalformedRecords:
         (small_net, _set(iteration="7"), "checkpoint metadata 'iteration' is malformed"),
         (small_net, _set(rng={"state": 1}), "checkpoint metadata 'rng' is malformed"),
         (small_net, _retag("c9.w", "<zz"), "tensor record 'c9.w' is malformed"),
+        (small_cdn, _retag("__meta__", "<f4"),
+         "metadata record has dtype tag '<f4', not 'json'"),
         (small_net, _set(dtype="<f2"),
          "tensor 'c1x1.w' has dtype <f4, but the checkpoint metadata says <f2"),
         (small_cdn, _set(dtype=">f4"),
@@ -292,7 +294,7 @@ class TestMalformedRecords:
             "unknown_kind", "no_meta", "meta_not_object", "no_dtype", "dtype_not_string",
             "dtype_not_float", "no_spec", "spec_not_object", "unknown_spec_key",
             "spec_out_of_range", "no_branches", "branches_not_list", "no_branch",
-            "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype",
+            "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype", "meta_not_json",
             "half_meta_dtype", "big_endian_meta_dtype", "record_dtype_not_meta_dtype",
             "rng_out_of_range", "float_filters", "float_patch", "bool_patch",
             "rng_float_state", "rng_bool_inc", "rng_has_uint32_2", "rng_float_uinteger",

@@ -12,11 +12,12 @@ import hsinet.ops
 import hsinet.trainer
 from hsinet.checkpoint import load_checkpoint, save_checkpoint
 from hsinet.cli import _write_train_outputs, main
-from hsinet.data import (DomainDataset, SynthConfig, dataset_files, synth_generate,
-                         write_dataset)
+from hsinet.data import (DomainDataset, SynthConfig, dataset_files, load_manifest,
+                         normalize_bands, synth_generate, write_dataset)
 from hsinet.envi import HyperCube, LabelRaster, load_label_raster, write_envi
-from hsinet.network import NetworkSpec, build_backbone
-from hsinet.trainer import MetricRow, TrainMetrics
+from hsinet.network import CrossDomainSpec, NetworkSpec, build_backbone, build_cross_domain
+from hsinet.trainer import MetricRow, TrainMetrics, TrainSchedule, two_step_train
+from hsinet.verify import grad_check
 
 
 def write_json(path, obj):
@@ -543,6 +544,20 @@ class TestGradcheck:
         assert re.fullmatch(r"PASS quad seed=0 max_rel=\S+ max_abs=1\.000e-08", line), line
         assert float(re.search(r"max_rel=(\S+)", line)[1]) < 1e-9
 
+    def test_failed_check_exits_3_with_the_count(self, monkeypatch, capsys):
+        x = np.array([1.0, 2.0])
+
+        def loss():
+            return float((x ** 2).sum() / 2)
+        right, wrong = (grad_check(loss, {"x": (x, g)}) for g in (x.copy(), 2 * x))
+        monkeypatch.setattr(hsinet.cli, "oracle_suite", lambda seeds: [
+            *[("quad", seed, wrong) for seed in seeds], ("quad", 9, right)])
+        assert main(["gradcheck", "--seeds", "2"]) == 3
+        captured = capsys.readouterr()
+        assert [line.split()[:3] for line in captured.out.splitlines()] == [
+            ["FAIL", "quad", "seed=0"], ["FAIL", "quad", "seed=1"], ["PASS", "quad", "seed=9"]]
+        assert captured.err == "2 gradient checks failed\n"
+
     @pytest.mark.parametrize("flags,message", [
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
         (["--seeds", "0"], "--seeds must be >= 1, got 0"),
@@ -552,6 +567,60 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert f"config error: {message}" in captured.err
         assert captured.out == ""
+
+
+class TestNumericFailure:
+    def test_non_finite_loss_exits_3_naming_domain_and_iteration(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        real = hsinet.ops.softmax_cross_entropy
+        steps = []
+
+        def diverging(logits, labels):  # the third training step's loss is NaN
+            loss, grad = real(logits, labels)
+            steps.append(loss)
+            return (float("nan") if len(steps) == 3 else loss), grad
+        monkeypatch.setattr(hsinet.ops, "softmax_cross_entropy", diverging)
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "t"), "train_per_class": 4, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4, "batch": 4}})
+        out = tmp_path / "o"
+        assert main(["train-scratch", "--config", cfg, "--out", str(out)]) == 3
+        assert ("numeric failure: non-finite loss for domain 't' at iteration 2"
+                in capsys.readouterr().err)
+        assert not (out / "scratch.ckpt").exists()
+
+
+class TestSeedFlag:
+    def test_experiment_seed_replaces_the_config_seeds(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "pretrain", "seeds": [0, 1], "sources": [synth(51, "a")],
+            "network": {"filters": 4},
+            "pretrain_schedule": {"step_size": 2, "max_iter": 2, "batch": 4}})
+        out = tmp_path / "o"
+        assert main(["experiment", "pretrain", "--config", cfg, "--seed", "7",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out / "report.csv") as fh:
+            assert {r["seed"] for r in csv.DictReader(fh)} == {"7"}
+        assert json.loads((out / "summary.json").read_text())["seeds"] == [7]
+        assert [p.name for p in out.glob("*.ckpt")] == ["pretrained_seed7.ckpt"]
+
+    def test_synth_gen_seed_gives_domain_i_seed_n_plus_i(self, tmp_path, capsys):
+        domains = [{"classes": 3, "bands": 4, "height": 8, "width": 8, "seed": 100,
+                    "name": "a"},
+                   {"classes": 2, "bands": 3, "height": 9, "width": 7, "seed": 200,
+                    "name": "b"}]
+        cfg = write_json(tmp_path / "g.json", {"domains": domains})
+        assert main(["synth-gen", "--config", cfg, "--seed", "9",
+                     "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        for i, domain in enumerate(domains):
+            got = load_manifest(tmp_path / "o" / f"{domain['name']}.json")
+            want = synth_generate(SynthConfig(**{**domain, "seed": 9 + i}))
+            assert got.cube.data.tobytes() == want.cube.data.tobytes()
+            np.testing.assert_array_equal(got.labels.labels, want.labels.labels)
+            unseeded = synth_generate(SynthConfig(**domain))
+            assert got.cube.data.tobytes() != unseeded.cube.data.tobytes()
 
 
 class TestDeterminism:
@@ -622,6 +691,88 @@ def _zero_bands(manifest, tmp_path):
     (tmp_path / "h.hdr").write_text(header.replace("bands = 4", "bands = 0"))
     (tmp_path / "h.img").write_bytes(b"")
     return {**manifest, "header": "h.hdr", "data": "h.img"}
+
+
+def two_step_config(workdir):
+    """Pre-training on s1 and a larger second source, on a two_step pair."""
+    return {
+        "sources": [{"manifest": str(workdir / "data" / "s1.json")},
+                    synth(60, "big", bands=5, side=16)],
+        "network": {"filters": 4, "dropout_rate": 0.25},
+        "two_step": {"step1": {"step_size": 8, "max_iter": 10, "batch": 8},
+                     "step2": {"step_size": 10, "max_iter": 12, "batch": 8}},
+        "eval_every": 5,
+    }
+
+
+def two_step_direct(workdir, seed):
+    """The cross-domain network and generator of a two_step_train call on
+    two_step_config's sources, made without the harness."""
+    cfg = two_step_config(workdir)
+    sources = [normalize_bands(load_manifest(workdir / "data" / "s1.json")),
+               normalize_bands(synth_generate(SynthConfig(**cfg["sources"][1]["synth"])))]
+    rng = np.random.default_rng(seed)
+    cdn = build_cross_domain(CrossDomainSpec([
+        NetworkSpec(bands=ds.cube.bands, classes=ds.classes, **cfg["network"])
+        for ds in sources]), rng)
+    steps = [TrainSchedule(**cfg["two_step"][key]) for key in ("step1", "step2")]
+    cdn, *_ = two_step_train(cdn, sources, *steps, rng, eval_every=cfg["eval_every"])
+    return cdn, rng
+
+
+def state_bytes(network):
+    return [(name, arr.tobytes()) for name, arr in network.state()]
+
+
+class TestTwoStepPretrain:
+    """The two_step branch of pre-training: Step I on the largest source
+    ('big', 256 labeled pixels against s1's 144), then Step II on both."""
+
+    def test_pretrain_writes_each_step(self, workdir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["pretrain", "--config", write_json(tmp_path / "c.json",
+                                                        two_step_config(workdir)),
+                     "--seed", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics_step1.csv", "metrics_step1_summary.json", "metrics_step2.csv",
+            "metrics_step2_summary.json", "pretrained.ckpt"]
+        for step, points, domains in ((1, ("5", "10"), ("big",)),
+                                      (2, ("5", "10", "12"), ("s1", "big"))):
+            with open(out / f"metrics_step{step}.csv") as fh:
+                rows = [(r["iteration"], r["domain"]) for r in csv.DictReader(fh)]
+            assert rows == [(it, d) for it in points for d in domains]
+            summary = json.loads((out / f"metrics_step{step}_summary.json").read_text())
+            assert summary["iterations"] == int(points[-1])
+            assert sorted(summary["final"]) == sorted(domains)
+
+    def test_pretrain_checkpoint_equals_a_direct_call(self, workdir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["pretrain", "--config", write_json(tmp_path / "c.json",
+                                                        two_step_config(workdir)),
+                     "--seed", "4", "--out", str(out)]) == 0
+        cdn, rng = two_step_direct(workdir, 4)
+        capsys.readouterr()
+        ckpt = load_checkpoint(out / "pretrained.ckpt")
+        assert ckpt.iteration == 12
+        assert state_bytes(ckpt.network) == state_bytes(cdn)
+        assert ckpt.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_experiment_pretrain_labels_each_step(self, workdir, tmp_path, capsys):
+        cfg = {**two_step_config(workdir), "experiment": "pretrain", "seeds": [4]}
+        out = tmp_path / "o"
+        assert main(["experiment", "pretrain", "--config", write_json(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 0
+        cdn, _ = two_step_direct(workdir, 4)
+        capsys.readouterr()
+        with open(out / "report.csv") as fh:
+            rows = [(r["condition"], r["iteration"], r["metric"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            *[("pretrain/step1", it, "loss[big]") for it in ("5", "10")],
+            *[("pretrain/step2", it, f"loss[{d}]") for it in ("5", "10", "12")
+              for d in ("big", "s1")]]
+        assert state_bytes(load_checkpoint(out / "pretrained_seed4.ckpt").network) == (
+            state_bytes(cdn))
 
 
 class TestPipeline:
@@ -823,6 +974,36 @@ class TestPipeline:
         (out / "keep.txt").write_text("x")
         cfg = write_json(tmp_path / "g.json", {"domains": [
             {"classes": 3, "bands": 4, "height": 12, "width": 12, "name": "a"},
+            {"classes": 3, "bands": 4, "height": 16, "width": 16, "noise_std": 1.0,
+             "seed": 5, "name": "u", "data_type": 12}]})
+        assert main(["synth-gen", "--config", cfg, "--out", str(out)]) == 2
+        assert "outside the uint16 range" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    def test_failed_synth_gen_keeps_an_earlier_runs_files(self, tmp_path, capsys):
+        """A second run that failed the uint16 range check on domain s1 used to
+        unlink the five s1 files of the first run, which it never wrote."""
+        domain = {"classes": 3, "bands": 4, "height": 12, "width": 12, "noise_std": 0.25,
+                  "seed": 51, "name": "s1"}
+        out = tmp_path / "out"
+        assert main(["synth-gen", "--config", write_json(tmp_path / "a.json", domain),
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted(p.name for p in dataset_files(out, "s1"))
+        cfg = write_json(tmp_path / "b.json", {**domain, "noise_std": 2.0, "data_type": 12})
+        assert main(["synth-gen", "--config", cfg, "--out", str(out)]) == 2
+        assert "outside the uint16 range" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_synth_gen_removes_the_files_it_wrote_over(self, tmp_path, capsys):
+        """Files a failed run replaced hold its output, so they go too."""
+        a = {"classes": 3, "bands": 4, "height": 12, "width": 12, "name": "a"}
+        out = tmp_path / "o"
+        assert main(["synth-gen", "--config", write_json(tmp_path / "a.json", a),
+                     "--out", str(out)]) == 0
+        (out / "keep.txt").write_text("x")
+        cfg = write_json(tmp_path / "g.json", {"domains": [
+            {**a, "seed": 1},
             {"classes": 3, "bands": 4, "height": 16, "width": 16, "noise_std": 1.0,
              "seed": 5, "name": "u", "data_type": 12}]})
         assert main(["synth-gen", "--config", cfg, "--out", str(out)]) == 2

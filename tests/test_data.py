@@ -205,6 +205,18 @@ class TestEnviRoundTrip:
         labels2 = load_label_raster(tmp_path / "l.hdr")
         np.testing.assert_array_equal(labels2.labels, grid)
 
+    def test_label_raster_of_several_bands_names_the_file(self, tmp_path):
+        write_envi(HyperCube.from_array(np.ones((4, 3, 3))), tmp_path / "l.hdr",
+                   tmp_path / "l.img", data_type=2)
+        with pytest.raises(DataError, match=re.escape(
+                f"label raster '{tmp_path / 'l.hdr'}' must have 1 band, got 4")):
+            load_label_raster(tmp_path / "l.hdr")
+
+    def test_label_file_of_unknown_format_names_it(self, tmp_path):
+        (tmp_path / "l.png").write_bytes(b"\x89PNG")
+        with pytest.raises(DataError, match=re.escape(
+                f"cannot infer label format from '{tmp_path / 'l.png'}' (need .hdr or .txt)")):
+            load_label_raster(tmp_path / "l.png")
 
     @pytest.mark.parametrize("text", ["0 1\n2 x\n", "0 1\n2\n", "", "0 1\n2 2147483648\n"],
                              ids=["non_integer_cell", "ragged_rows", "empty", "past_int32"])
@@ -554,6 +566,24 @@ class TestBatcherAndManifest:
             np.testing.assert_array_equal(
                 x[row], extract_patch(ds.cube, px, py, 5)[0])
             assert y[row] == ds.labels.labels.ravel()[pixel] - 1
+
+    def test_raster_too_small_for_the_patch_names_the_dataset(self):
+        ds = synth_generate(SynthConfig(classes=2, bands=3, height=2, width=2, name="tiny"))
+        with pytest.raises(DataError, match="^dataset 'tiny' raster 2x2 too small for reflect "
+                                            "padding of 2$"):
+            PatchBatcher(ds, 5)
+
+    def test_labels_of_another_raster_name_the_dataset(self, tmp_path):
+        """A manifest whose labels come from a 10x12 raster, under a 12x12 cube."""
+        for name, height in (("a", 12), ("b", 10)):
+            write_dataset(synth_generate(SynthConfig(classes=3, bands=4, height=height,
+                                                     width=12, name=name)), tmp_path)
+        manifest = tmp_path / "a.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "labels": "b_labels.hdr"}))
+        with pytest.raises(DataError, match="^dataset 'a' label raster 10x12 does not match "
+                                            "its cube 12x12$"):
+            load_manifest(manifest)
 
     def test_write_then_load_manifest_round_trip(self, tmp_path):
         ds = synth_generate(SynthConfig(classes=3, bands=4, height=8, width=8,

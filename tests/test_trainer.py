@@ -210,11 +210,16 @@ class TestTrainSingle:
                                   eval_every=10)
         assert [r.iteration for r in metrics.rows] == [10, 20, 25]
         assert metrics.summary()["iterations"] == 25
-        # one step per iteration over every parameter
-        assert [it for it, _, _ in sgd_steps] == list(range(25))
-        assert all(names == [p.name for p in net.params()] for _, _, names in sgd_steps)
+        # every parameter steps once per iteration: the private group, then the
+        # shared store, both at the scheduled lr (the store's lr/N with N = 1)
+        private = [p.name for p in net.private_params()]
+        shared = [p.name for p in net.shared_params()]
+        assert sorted(private + shared) == sorted(p.name for p in net.params())
+        assert [(it, names) for it, _, names in sgd_steps] == [
+            (it, names) for it in range(25) for names in (private, shared)]
+        assert all(lr == lr_at(schedule, it) for it, lr, _ in sgd_steps)
         assert sgd_steps[0][1] == pytest.approx(0.001)
-        assert sgd_steps[24][1] == pytest.approx(0.0001)
+        assert sgd_steps[-1][1] == pytest.approx(0.0001)
 
     def test_bank_computes_no_input_gradient(self, input_grad_calls):
         net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4),
@@ -360,7 +365,8 @@ class TestEvalPoints:
         calls = []
         reflect_pad = data._reflect_pad
         monkeypatch.setattr(data, "_reflect_pad",
-                            lambda cube, pad: calls.append(cube.shape) or reflect_pad(cube, pad))
+                            lambda cube, pad, what: calls.append(cube.shape)
+                            or reflect_pad(cube, pad, what))
         return calls
 
     def test_train_single_pads_once(self, pads):
