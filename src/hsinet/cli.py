@@ -3,17 +3,19 @@
 Subcommands: pretrain, finetune, train-scratch, eval, experiment <id>,
 synth-gen, gradcheck. Exit codes: 0 success, 1 config error, 2 data error
 (also an output that cannot be written), 3 numeric failure, 4 out of memory.
+A command that writes and then fails leaves `--out` as it found it (`_output_dir`).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import save_checkpoint
-from .data import dataset_files, synth_generate, write_dataset
+from .data import synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError, read_file, read_json, write_json
 from .experiments import (EXPERIMENT_IDS, _Harness, load_network, run_experiment,
                           synth_domains)
@@ -79,10 +81,24 @@ def _harness(args):
     return _Harness(cfg, args.command)
 
 
-def _outdir(args):
-    out = Path(args.out)
+@contextmanager
+def _output_dir(path):
+    """--out, made if missing. On any exception, the top-level files that are
+    new or have a new inode (write_atomic gives a file it replaces a new one)
+    are unlinked and the directories made here removed, then it re-raises."""
+    out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    before = {p.name: p.lstat().st_ino for p in out.iterdir()}
+    try:
+        yield out
+    except BaseException:
+        for p in out.iterdir():
+            if p.is_file() and before.get(p.name) != p.lstat().st_ino:
+                p.unlink()
+        for d in made:
+            d.rmdir()
+        raise
 
 
 def _write_train_outputs(out, metrics_list, names):
@@ -93,14 +109,13 @@ def _write_train_outputs(out, metrics_list, names):
 
 def cmd_pretrain(args):
     h = _harness(args)
-    sources = h.sources  # a run that fails on its data leaves no --out behind
-    out = _outdir(args)
-    run = h.pretrain(sources, h.built["seed"])
-    names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
-    _write_train_outputs(out, run.metrics, names)
-    ckpt = out / "pretrained.ckpt"
-    last = run.metrics[-1].rows[-1]   # at max_iter of the last phase
-    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
+    with _output_dir(args.out) as out:
+        run = h.pretrain(h.sources, h.built["seed"])
+        names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
+        _write_train_outputs(out, run.metrics, names)
+        ckpt = out / "pretrained.ckpt"
+        last = run.metrics[-1].rows[-1]   # at max_iter of the last phase
+        save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
     print(json.dumps({"checkpoint": str(ckpt)}))
     return 0
 
@@ -109,13 +124,12 @@ def cmd_target(args):
     """finetune (from --checkpoint) and train-scratch."""
     h = _harness(args)
     pretrained = load_network(args.checkpoint, "cross") if args.command == "finetune" else None
-    target = h.target  # loaded before --out is made, as in cmd_pretrain
-    out = _outdir(args)
-    run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
-    _write_train_outputs(out, run.metrics, ["metrics"])
-    ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
-    last = run.metrics[0].rows[-1]   # scored on the test split at max_iter
-    save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
+    with _output_dir(args.out) as out:
+        run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
+        _write_train_outputs(out, run.metrics, ["metrics"])
+        ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
+        last = run.metrics[0].rows[-1]   # scored on the test split at max_iter
+        save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
     print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": last.accuracy}))
     return 0
 
@@ -137,42 +151,22 @@ def cmd_experiment(args):
         )
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    out = Path(args.out)
-    run_experiment(cfg, out)
+    _Harness(cfg)  # a config error is reported before --out is made
+    with _output_dir(args.out) as out:
+        run_experiment(cfg, out)
     print(json.dumps({"report": str(out / "report.csv"),
                       "summary": str(out / "summary.json")}))
     return 0
 
 
-def _stamp(path):
-    """The inode of the file at `path`, or None: write_atomic gives a file it
-    replaces a new inode, so a changed stamp marks a file this run wrote."""
-    return path.stat().st_ino if path.is_file() else None
-
-
 def cmd_synth_gen(args):
-    """Every domain is generated before --out is made; a failed write removes
-    the files this run wrote, and --out if this run made it. A file already
-    in --out that the run did not reach stays as it was."""
     domains = synth_domains(_load_config(args.config))
-    datasets = [synth_generate(synth if args.seed is None
-                               else replace(synth, seed=args.seed + i))
-                for i, (synth, _) in enumerate(domains)]
-    out = Path(args.out)
-    made = not out.exists()
-    before = {path: _stamp(path) for ds in datasets for path in dataset_files(out, ds.name)}
-    manifests = []
-    try:
-        for ds, (_, envi) in zip(datasets, domains):
-            manifests.append(str(write_dataset(ds, out, **envi)))
-    except BaseException:
-        if out.is_dir():  # not when --out names a file, which mkdir rejected
-            for path, stamp in before.items():
-                if _stamp(path) != stamp:
-                    path.unlink(missing_ok=True)
-            if made:
-                out.rmdir()
-        raise
+    with _output_dir(args.out) as out:
+        manifests = []
+        for i, (synth, envi) in enumerate(domains):
+            if args.seed is not None:
+                synth = replace(synth, seed=args.seed + i)
+            manifests.append(str(write_dataset(synth_generate(synth), out, **envi)))
     print(json.dumps({"manifests": manifests}))
     return 0
 

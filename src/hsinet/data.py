@@ -81,18 +81,17 @@ class SynthConfig:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError(f"synthetic domain needs >= 2 classes, got {self.classes}")
-        if self.bands < 1:
-            raise ConfigError(f"synthetic domain needs >= 1 band, got {self.bands}")
-        if self.height < 1 or self.width < 1:
-            raise ConfigError("synthetic raster dimensions must be positive")
+        for key in ("bands", "height", "width"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.classes > self.height * self.width:
             raise ConfigError(f"synthetic domain 'classes' {self.classes} exceeds the "
                               f"{self.height * self.width} pixels of its {self.height}x"
                               f"{self.width} raster")
         if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.blob_scale < 1:
-            raise ConfigError("blob_scale must be >= 1")
+            raise ConfigError(f"blob_scale must be >= 1, got {self.blob_scale}")
         if min(self.seed, self.signature_seed or 0) < 0:
             raise ConfigError("synthetic domain seeds must be >= 0")
 
@@ -129,16 +128,17 @@ def _check_patch(patch):
         raise ConfigError(f"patch size must be odd and >= 1, got {patch}")
 
 
+def _check_reflect(shape, pad, what):
+    """Reject a (bands, height, width) raster too small to reflect-pad by `pad`."""
+    if not (pad < shape[1] and pad < shape[2]):
+        raise DataError(f"{what} raster {shape[1]}x{shape[2]} too small for reflect "
+                        f"padding of {pad}")
+
+
 def _reflect_pad(data, pad, what):
     """`data` reflect-padded by `pad` on both spatial axes; `what` names it in errors."""
-    if pad == 0:
-        return data
-    if pad >= data.shape[1] or pad >= data.shape[2]:
-        raise DataError(
-            f"{what} raster {data.shape[1]}x{data.shape[2]} too small for reflect "
-            f"padding of {pad}"
-        )
-    return np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    _check_reflect(data.shape, pad, what)
+    return np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect") if pad else data
 
 
 def extract_patch(cube, x, y, patch):

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import SynthConfig, load_manifest, normalize_bands, synth_generate, with_split
+from .data import (SynthConfig, _check_reflect, load_manifest, normalize_bands,
+                   synth_generate, with_split)
 from .envi import DTYPE_CODES, INTERLEAVES
 from .errors import (ConfigError, DataError, _at, _at_least, _build, _list, _object, _record,
                      _valid, write_csv, write_json)
@@ -127,21 +128,6 @@ def synth_domains(cfg):
     return domains
 
 
-def _load(dataset):
-    """The dataset of a config entry, rejected if its cube holds NaN or Inf:
-    normalize_bands would spread the value over its band."""
-    if "synth" in dataset:
-        ds = synth_generate(dataset["synth"])
-    else:
-        ds = load_manifest(dataset["manifest"])
-    bad = ~np.isfinite(ds.cube.data)
-    if bad.any():
-        band, y, x = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DataError(f"dataset '{ds.name}' band {band} holds the non-finite value "
-                        f"{ds.cube.data[band, y, x]} at pixel (x={x}, y={y})")
-    return ds
-
-
 def load_network(path, kind):
     """The network of an existing checkpoint of `kind` ("cross" or "single")."""
     path = Path(path)
@@ -195,17 +181,35 @@ class _Harness:
         # the training keys the config sets; the trainer has the defaults
         self.train_kwargs = {key: c[key] for key in ("eval_every", "augment") if key in c}
 
+    def _load(self, dataset):
+        """The dataset of a config entry, rejected if its cube holds NaN or Inf
+        (normalize_bands would spread the value over its band) or is too small
+        to reflect-pad for the config's patch, which eval does not use."""
+        if "synth" in dataset:
+            ds = synth_generate(dataset["synth"])
+        else:
+            ds = load_manifest(dataset["manifest"])
+        bad = ~np.isfinite(ds.cube.data)
+        if bad.any():
+            band, y, x = np.unravel_index(np.argmax(bad), bad.shape)
+            raise DataError(f"dataset '{ds.name}' band {band} holds the non-finite value "
+                            f"{ds.cube.data[band, y, x]} at pixel (x={x}, y={y})")
+        if self.command != "eval":
+            _check_reflect(ds.cube.data.shape, self.built["network"].patch // 2,
+                           f"dataset '{ds.name}'")
+        return ds
+
     @cached_property
     def sources(self):
         return [normalize_bands(ds) if self.built["normalize"] else ds
-                for ds in map(_load, self.built["sources"])]
+                for ds in map(self._load, self.built["sources"])]
 
     @cached_property
     def target(self):
         """The split target; training runs are scored on its test split, so
         an empty one fails as it loads, before anything trains."""
         c = self.built
-        ds = with_split(_load(c["target"]), c["train_per_class"],
+        ds = with_split(self._load(c["target"]), c["train_per_class"],
                         np.random.default_rng(c["split_seed"]))
         if self.command != "eval" and ds.test_idx.size == 0:
             raise DataError(f"test split of '{ds.name}' is empty")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hsinet.cli
+import hsinet.errors
 import hsinet.experiments
 import hsinet.ops
 import hsinet.trainer
@@ -166,8 +167,20 @@ class TestConfigErrors:
          "config 'schedule': momentum must be in [0, 1), got -1.0"),
         ("pretrain", {"schedule": {**SCHEDULE, "weight_decay": -5.0}},
          "config 'schedule': weight_decay must be >= 0, got -5.0"),
+        ("train-scratch", {"schedule": {**SCHEDULE, "step_size": 0}},
+         "config 'schedule': step_size must be >= 1, got 0"),
+        ("train-scratch", {"schedule": {**SCHEDULE, "base_lr": 0.0}},
+         "config 'schedule': base_lr must be positive, got 0.0"),
+        ("pretrain", {"network": {"filters": 0}},
+         "config 'network': filters must be positive, got 0"),
+        *[("pretrain", {"sources": [{"synth": {**synth(51, "a")["synth"], key: value}}]},
+           f"config 'sources' entry 0 'synth': {key} must be {bound}, got {value}")
+          for key, value, bound in (("bands", 0, ">= 1"), ("height", 0, ">= 1"),
+                                    ("width", 0, ">= 1"), ("noise_std", -0.1, ">= 0"),
+                                    ("blob_scale", 0, ">= 1"))],
     ], ids=["nan_lr", "inf_momentum", "-inf_dropout", "lr_past_float", "momentum_1.5",
-            "momentum_-1", "weight_decay_-5"])
+            "momentum_-1", "weight_decay_-5", "step_size_0", "base_lr_0", "filters_0",
+            "bands_0", "height_0", "width_0", "noise_std_-0.1", "blob_scale_0"])
     def test_bad_number_exits_1_naming_it(self, tmp_path, capsys, calls, command, cfg, message):
         """JSON admits NaN and +-Infinity; the schema does not."""
         cfg = write_json(tmp_path / "c.json", {
@@ -400,6 +413,32 @@ class TestEmptyTargetTestSplit:
             assert json.loads(out)["split"] == "train"
 
 
+class TestRasterTooSmallForPatch:
+    """A raster that the patch's reflect padding cannot pad fails as it loads,
+    before any run trains and with no --out left behind."""
+
+    SCHEDULE = {"step_size": 4, "max_iter": 4, "batch": 4}
+    TINY = synth(53, "tiny", classes=2, side=2)
+
+    @pytest.mark.parametrize("command,cfg", [
+        (["train-scratch"], {"target": TINY}),
+        (["experiment", "depth_sweep"], {"target": TINY}),
+        (["experiment", "source_size"],
+         {"target": synth(50, "t"), "sources": [synth(51, "a"), TINY],
+          "combinations": [{"label": "a", "sources": [0]}, {"label": "ab", "sources": [0, 1]}]}),
+    ])
+    def test_exits_2_before_any_step(self, tmp_path, capsys, sgd_steps, command, cfg):
+        cfg = write_json(tmp_path / "c.json", {
+            "network": {"filters": 4}, "seeds": [0], "depths": [2], "train_per_class": 1,
+            "sources": [synth(51, "a"), synth(52, "b")], "schedule": self.SCHEDULE,
+            "pretrain_schedule": self.SCHEDULE, **cfg})
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert ("data error: dataset 'tiny' raster 2x2 too small for reflect padding of 2"
+                in capsys.readouterr().err)
+        assert sgd_steps == []
+        assert not (tmp_path / "o").exists()
+
+
 class TestExperimentProgress:
     def test_experiment_reports_each_run_and_eval_point_on_stderr(self, tmp_path, capsys):
         """Each pre-training and each target run is named on stderr before its
@@ -465,7 +504,31 @@ class TestUnwritableOutput:
         assert (f"data error: cannot write '{tmp_path / 'o' / 'metrics.csv'}': No space left "
                 "on device") in err
         assert "Traceback" not in err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["pretrain"], ["experiment", "pretrain"],
+                                         ["synth-gen"]])
+    def test_config_error_comes_before_the_out_error(self, tmp_path, capsys, command):
+        out = tmp_path / "f"
+        out.write_text("keep")
+        cfg = write_json(tmp_path / "c.json", {"sources": [synth(51, "a")], "typo": 1})
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+        assert "'typo'" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
+    def test_experiment_out_naming_a_file_exits_2_before_any_step(self, tmp_path, capsys,
+                                                                 sgd_steps):
+        out = tmp_path / "f"
+        out.write_text("keep")
+        schedule = {"step_size": 4, "max_iter": 4, "batch": 4}
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "depth_sweep", "seeds": [0], "depths": [2], "network": {"filters": 4},
+            "target": synth(50, "t"), "train_per_class": 4, "sources": [synth(51, "a")],
+            "schedule": schedule, "pretrain_schedule": schedule})
+        assert main(["experiment", "depth_sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"data error: cannot write '{out}': File exists" in capsys.readouterr().err
+        assert sgd_steps == []
+        assert out.read_text() == "keep"
 
 
 class TestOutOfMemory:
@@ -570,6 +633,8 @@ class TestGradcheck:
 
 
 class TestNumericFailure:
+    SCHEDULE = {"step_size": 2, "max_iter": 2, "batch": 4}
+
     def test_non_finite_loss_exits_3_naming_domain_and_iteration(self, tmp_path, capsys,
                                                                   monkeypatch):
         real = hsinet.ops.softmax_cross_entropy
@@ -587,7 +652,57 @@ class TestNumericFailure:
         assert main(["train-scratch", "--config", cfg, "--out", str(out)]) == 3
         assert ("numeric failure: non-finite loss for domain 't' at iteration 2"
                 in capsys.readouterr().err)
-        assert not (out / "scratch.ckpt").exists()
+        assert not out.exists()
+
+    def test_failed_rerun_keeps_the_earlier_runs_files(self, tmp_path, capsys, monkeypatch):
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [synth(51, "a")], "network": {"filters": 4}, "schedule": self.SCHEDULE})
+        out = tmp_path / "o"
+        assert main(["pretrain", "--config", cfg, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"metrics.csv", "pretrained.ckpt"} <= set(before)
+        real = hsinet.ops.softmax_cross_entropy
+        monkeypatch.setattr(hsinet.ops, "softmax_cross_entropy",
+                            lambda logits, labels: (float("nan"), real(logits, labels)[1]))
+        assert main(["pretrain", "--config", cfg, "--out", str(out), "--seed", "1"]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_experiment_failed_at_its_second_seed_leaves_out_as_found(
+            self, tmp_path, capsys, monkeypatch, keep):
+        """The first seed's checkpoint used to stay, with no report beside it."""
+        real = hsinet.experiments._Harness.pretrain
+
+        def second_seed_diverges(h, sources, seed, modules=None):
+            if seed == 1:
+                raise hsinet.errors.NumericError("non-finite loss at seed 1")
+            return real(h, sources, seed, modules)
+        monkeypatch.setattr(hsinet.experiments._Harness, "pretrain", second_seed_diverges)
+        out = tmp_path / "o"
+        if keep:
+            out.mkdir()
+            (out / "keep.txt").write_text("x")
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "pretrain", "seeds": [0, 1], "sources": [synth(51, "a")],
+            "network": {"filters": 4}, "pretrain_schedule": self.SCHEDULE})
+        assert main(["experiment", "pretrain", "--config", cfg, "--out", str(out)]) == 3
+        assert "non-finite loss at seed 1" in capsys.readouterr().err
+        if keep:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:
+            assert not out.exists()
+
+    def test_interrupt_mid_training_leaves_no_out(self, tmp_path, monkeypatch):
+        """Nor the missing parent directories of --out that the run made."""
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(hsinet.ops, "sgd_step", interrupted)
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "t"), "train_per_class": 4, "network": {"filters": 4},
+            "schedule": self.SCHEDULE})
+        with pytest.raises(KeyboardInterrupt):
+            main(["train-scratch", "--config", cfg, "--out", str(tmp_path / "o" / "run")])
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestSeedFlag:
