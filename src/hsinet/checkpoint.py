@@ -26,21 +26,21 @@ _META_NAME = "__meta__"
 _JSON_DTYPE = "json"
 
 
-def _pack_record(buf, name, dtype_str, shape, raw):
+def _pack_record(name, dtype_str, shape, raw):
+    """One record as its (header, payload) parts; `raw` is bytes-like."""
     name_b = name.encode("utf-8")
     dt_b = dtype_str.encode("ascii")
-    buf += struct.pack("<H", len(name_b)) + name_b
-    buf += struct.pack("<B", len(dt_b)) + dt_b
-    buf += struct.pack("<B", len(shape))
-    for dim in shape:
-        buf += struct.pack("<I", dim)
-    buf += struct.pack("<Q", len(raw)) + raw
+    header = struct.pack(f"<H{len(name_b)}sB{len(dt_b)}sB{len(shape)}IQ", len(name_b), name_b,
+                         len(dt_b), dt_b, len(shape), *shape, memoryview(raw).nbytes)
+    return header, raw
 
 
-def _pack_tensor(buf, name, arr):
+def _pack_tensor(name, arr):
+    """The record parts of an array: its payload is the little-endian array
+    itself, which the file is joined from without a copy of its own."""
     a = np.ascontiguousarray(arr)
     dt = a.dtype.newbyteorder("<")
-    _pack_record(buf, name, dt.str, a.shape, a.astype(dt, copy=False).tobytes())
+    return _pack_record(name, dt.str, a.shape, a.astype(dt, copy=False))
 
 
 # a saved PCG64 state; numpy would truncate a float in it and take a bool as an integer
@@ -80,13 +80,16 @@ def save_checkpoint(network, path, rng=None, iteration=0):
         raise CheckpointError(f"cannot checkpoint object of type {type(network).__name__}")
     meta.update(dtype=np.dtype(network.dtype).newbyteorder("<").str, iteration=iteration,
                 rng=None if rng is None else rng.bit_generator.state)
-    buf = bytearray(MAGIC + struct.pack("<I", VERSION))
-    _pack_record(buf, _META_NAME, _JSON_DTYPE, (),
-                 json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    parts = [MAGIC, struct.pack("<I", VERSION),
+             *_pack_record(_META_NAME, _JSON_DTYPE, (),
+                           json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())]
     for name, arr in network.state():
-        _pack_tensor(buf, name, arr)
-    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
-    write_atomic(path, buf)
+        parts += _pack_tensor(name, arr)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc & 0xFFFFFFFF))
+    write_atomic(path, b"".join(parts))
 
 
 def _parse_records(data):

@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .envi import HyperCube, LabelRaster, load_envi, load_label_raster, write_envi
 from .errors import ConfigError, DataError, ShapeError, _build, read_file, read_json, write_json
+from .ops import KERNEL_SIZES, _ring
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 # squared distances synth_generate holds at once (int64, 8 MB)
@@ -135,10 +136,21 @@ def _check_reflect(shape, pad, what):
                         f"padding of {pad}")
 
 
+def _reflected(n, pad):
+    """The indices -pad .. n + pad - 1 of an axis of length n > pad, each
+    reflected into the axis (-1 to 1, n to n - 2)."""
+    i = np.abs(np.arange(-pad, n + pad))
+    return np.minimum(i, 2 * (n - 1) - i)
+
+
 def _reflect_pad(data, pad, what):
-    """`data` reflect-padded by `pad` on both spatial axes; `what` names it in errors."""
+    """A (bands, height, width) raster reflect-padded by `pad` on both spatial
+    axes (index -1 mirrors index 1) and held pixel-major, as (height + 2 pad,
+    width + 2 pad, bands); `what` names it in errors. The padded copy is one
+    gather at the reflected indices."""
     _check_reflect(data.shape, pad, what)
-    return np.pad(data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect") if pad else data
+    _, h, w = data.shape
+    return data.transpose(1, 2, 0)[_reflected(h, pad)[:, None], _reflected(w, pad)]
 
 
 def extract_patch(cube, x, y, patch):
@@ -147,9 +159,8 @@ def extract_patch(cube, x, y, patch):
     _check_patch(patch)
     if not (0 <= x < cube.width and 0 <= y < cube.height):
         raise DataError(f"pixel ({x}, {y}) outside raster {cube.width}x{cube.height}")
-    pad = patch // 2
-    padded = _reflect_pad(cube.data, pad, "cube")
-    return padded[np.newaxis, :, y:y + patch, x:x + patch].copy()
+    padded = _reflect_pad(cube.data, patch // 2, "cube")
+    return padded[np.newaxis, y:y + patch, x:x + patch].transpose(0, 3, 1, 2).copy()
 
 
 _D4_TURNS = (0, 1, 2, 3, 3, 1, 0, 2)
@@ -194,27 +205,48 @@ def normalize_bands(ds):
 
 
 class PatchBatcher:
-    """Assembles centered patches for batches of flat pixel indices.
-
-    The cube is reflect-padded once; `batch` gathers windows and returns
+    """Assembles centered patches for batches of flat pixel indices, with
     0-based class targets alongside.
+
+    The cube is reflect-padded once and held pixel-major, as (height + 2r,
+    width + 2r, bands), r = patch // 2, so a pixel's bands sit side by side.
+    `batch` gathers (n, bands, patch, patch) patches for training; `centers`
+    gathers the rows an eval forward reads (Network.forward), one per pixel.
     """
 
     def __init__(self, ds, patch):
         _check_patch(patch)
         self.width = ds.cube.width
-        padded = _reflect_pad(ds.cube.data, patch // 2, f"dataset '{ds.name}'")
-        self._windows = sliding_window_view(padded, (patch, patch), axis=(1, 2))
+        r = patch // 2
+        self._padded = _reflect_pad(ds.cube.data, r, f"dataset '{ds.name}'")
+        # (y, x, bands, patch, patch): the window whose top left is (y, x)
+        self._windows = sliding_window_view(self._padded, (patch, patch), axis=(0, 1))
+        # the padded offsets of the taps an eval row reads: those in the patch, in ring order
+        taps = _ring(KERNEL_SIZES[-1])[:min(patch, KERNEL_SIZES[-1]) ** 2]
+        self._taps = np.array(taps).T + r - KERNEL_SIZES[-1] // 2
         self._labels = ds.labels.labels.ravel()
 
-    def batch(self, pixel_idx):
-        ys, xs = np.divmod(pixel_idx, self.width)
-        x = self._windows[:, ys, xs]  # (bands, n, patch, patch)
-        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    def _targets(self, pixel_idx):
         labels = self._labels[pixel_idx]
         if (labels == 0).any():
             raise DataError("batch contains unlabeled pixels")
-        return x, (labels - 1).astype(np.int64)
+        return (labels - 1).astype(np.int64)
+
+    def batch(self, pixel_idx):
+        """(patches, targets): the (n, bands, patch, patch) patches centered
+        on the pixels."""
+        ys, xs = np.divmod(pixel_idx, self.width)
+        return self._windows[ys, xs], self._targets(pixel_idx)
+
+    def centers(self, pixel_idx):
+        """(rows, targets) for an eval forward: per pixel, one float64 row of
+        the first min(patch, 5)**2 taps of its patch in ring order (ops._ring),
+        each tap's bands side by side. That is the center row of
+        ops._columns(patch, 5) without the taps off the patch, which read 0."""
+        ys, xs = np.divmod(pixel_idx, self.width)
+        dy, dx = self._taps
+        rows = self._padded[ys[:, None] + dy, xs[:, None] + dx]  # (n, taps, bands)
+        return rows.reshape(len(pixel_idx), -1).astype(np.float64), self._targets(pixel_idx)
 
 
 def _nearest_center(cy, cx, h, w):

@@ -82,11 +82,11 @@ class ConvBlock:
         self._pre_relu = None
 
     def forward(self, x, training, rng=None):
-        """Training computes every pixel; eval only the center (n, out_c, 1, 1)
-        and keeps nothing for a backward. `rng` is unused: the call form of
-        Dropout.forward."""
+        """Run the block on x, which may be the PatchColumns or CenterColumns
+        of the input; eval keeps nothing for a backward. `rng` is unused: the
+        call form of Dropout.forward."""
         self._x = x if training else None
-        y = ops.conv2d_forward(x, self.conv) if training else ops.conv2d_center(x, self.conv)
+        y = ops.conv2d_forward(x, self.conv)
         if self.with_bn and training:
             y, *self._bn_stats = ops.batchnorm_forward(y, self.bn, True)
         elif self.with_bn:
@@ -233,30 +233,44 @@ class Network:
     def forward(self, x, training=False, rng=None, workspace=None):
         """Run the graph; returns center-pixel logits shaped (n, classes).
 
-        Only the center logit reaches the loss, and c9 (no batch norm) works
-        per pixel, so c9 computes it alone. Eval computes the patch center
-        alone throughout: after the bank every layer is 1x1 and eval batch
-        norm uses running statistics, so the center logit depends only on the
-        bank's center output. Training batch statistics span all p x p pixels.
+        Training reads an (n, bands, p, p) batch of patches. Only the center
+        logit reaches the loss, and c9 (no batch norm) works per pixel, so c9
+        computes it alone. Training batch statistics span all p x p pixels.
         A training forward writes the bank's patch columns into `workspace`
         (an ops.Workspace) when one is given, else into fresh memory.
+
+        Eval computes the patch center alone throughout: after the bank every
+        layer is 1x1 and eval batch norm uses running statistics, so the center
+        logit depends only on the bank's center output. Eval therefore reads,
+        in place of the patches, their center rows (PatchBatcher.centers): an
+        (n, t * bands) float64 matrix, t = min(p, 5)**2, holding each patch's
+        first t taps in ring order (ops._ring), each tap's bands side by side.
         """
-        ops._check_4d(x, "network input")
-        if x.shape[1] != self.spec.bands:
-            raise ShapeError(
-                f"input has {x.shape[1]} bands but the network front expects "
-                f"{self.spec.bands} (shape {x.shape})"
-            )
-        p = self.spec.patch
-        if x.shape[2] != p or x.shape[3] != p:
-            raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
-        # a training step builds the 5x5 patch columns once, into `workspace`:
-        # c5x5 reads all 25 taps and c3x3 a view of the first 9. c1x1 and eval read
-        # x. Training bank outputs are held channel-major, and np.concatenate
-        # keeps its inputs' common memory order: c2 reads channel-major rows too
-        cols = ops.PatchColumns(x, workspace) if training else x
+        bands, p = self.spec.bands, self.spec.patch
+        if training:
+            ops._check_4d(x, "network input")
+            if x.shape[1] != bands:
+                raise ShapeError(f"input has {x.shape[1]} bands but the network front expects "
+                                 f"{bands} (shape {x.shape})")
+            if x.shape[2] != p or x.shape[3] != p:
+                raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
+            # the 5x5 patch columns, built once into `workspace`: c5x5 reads all 25
+            # taps and c3x3 a view of the first 9. c1x1 reads x
+            cols = ops.PatchColumns(x, workspace)
+            inputs = (x, cols, cols)
+        else:
+            taps = min(p, ops.KERNEL_SIZES[-1]) ** 2
+            if x.ndim != 2 or x.shape[1] != taps * bands:
+                raise ShapeError(f"eval input shape {x.shape} is not (n, {taps} taps x {bands} "
+                                 f"bands): the center rows of {p}x{p} patches the network "
+                                 f"front expects")
+            # every bank conv reads a prefix of the rows, and the outputs keep the
+            # network's dtype, as they would on its patches
+            inputs = (ops.CenterColumns(x, bands, self.dtype),) * 3
+        # bank outputs are held channel-major, and np.concatenate keeps its inputs'
+        # common memory order: c2 reads channel-major rows too
         t = np.concatenate([blk.forward(a, training)
-                            for blk, a in zip(self.bank, (x, cols, cols))], axis=1)
+                            for blk, a in zip(self.bank, inputs)], axis=1)
         for layer in self.trunk:
             t = layer.forward(t, training, rng)
         c = t.shape[2] // 2  # 0 in eval, whose trunk computed the center alone

@@ -20,6 +20,13 @@ conv2d_forward and conv2d_backward in its place, are the 5x5 columns, built
 once into a `Workspace` reused from step to step. A smaller kernel's taps come
 first in ring order, so every k > 1 kernel reads a prefix view of them.
 
+An eval forward needs each patch's center output alone. Its `CenterColumns`
+hold one row per patch, the center row of the 5x5 columns cut to the taps
+inside the patch (PatchBatcher.centers gathers them from the cube), and report
+the (n, c, 1, 1) shape of that output. Every bank conv, the 1x1 one included,
+reads the prefix of its own taps and the matching head of its ring-ordered
+kernel: a tap outside the patch would read 0.
+
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
 one code path serves both float32 training and float64 gradient checking.
@@ -199,10 +206,26 @@ class PatchColumns:
 
     def taps(self, k):
         """The columns for kernel size k: a view of the set's first k*k taps,
-        which in ring order hold the values of a fresh _columns(x, k)."""
+        which in ring order hold the values of a fresh _columns(x, k); all of
+        them when the set holds fewer."""
         if self.workspace is not None and self.build != self.workspace.builds:
             raise RuntimeError("patch columns read after a later build overwrote them")
         return self.columns[:, :k * k * self.shape[1]]
+
+
+class CenterColumns(PatchColumns):
+    """The center rows of a batch of (n, c, p, p) patches for an eval forward:
+    an (n, t*c) float64 matrix, t = min(p, K)**2, holding the first t taps in
+    ring order, each tap's c channels side by side; that is the center row of
+    _columns(patch, K) without the taps off the patch, which read 0. It reports
+    the (n, c, 1, 1) shape of the center output and `dtype`, the patches' dtype,
+    which the conv outputs take. It is read only, so it has no workspace."""
+
+    def __init__(self, rows, c, dtype):
+        n = rows.shape[0]
+        self.workspace = self.build = None
+        self.shape, self.ndim, self.size, self.dtype = (n, c, 1, 1), 4, n * c, np.dtype(dtype)
+        self.columns = rows
 
 
 def _patch_columns(a, k):
@@ -214,53 +237,32 @@ def _correlate(a, w):
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
-    A k > 1 kernel is one GEMM over the patch columns of `a`, which may be
-    its PatchColumns, summing over (tap, channel); a 1x1 kernel reads an array.
-    The result is held channel-major.
+    A k > 1 kernel, or any kernel on CenterColumns, is one GEMM over the patch
+    columns of `a`, which may be its PatchColumns, summing over (tap, channel):
+    the kernel's first taps in ring order, as many as the columns hold. A 1x1
+    kernel on an array reads its rows. The result is held channel-major.
     """
     n, _, h, wd = a.shape
     out_c, c, k, _ = w.shape
-    if k == 1:  # a 1x1 kernel is a per-pixel channel mix: one GEMM over the rows
+    if k == 1 and not isinstance(a, PatchColumns):  # a per-pixel channel mix: one GEMM
         out = _f64(w[:, :, 0, 0]) @ _rows(_channel_major64(a))
     else:  # np.take copies the kernel into the columns' order, C-contiguous whatever
         # its memory order, so the GEMM sees the same operands and gives the same bits
-        w_ring = np.take(w.reshape(out_c, c, k * k).transpose(0, 2, 1), _RING[k], axis=1)
-        out = _f64(w_ring).reshape(out_c, -1) @ _patch_columns(a, k).T
+        cols = _patch_columns(a, k)
+        taps = _RING[k][:cols.shape[1] // c]
+        w_ring = np.take(w.reshape(out_c, c, k * k).transpose(0, 2, 1), taps, axis=1)
+        out = _f64(w_ring).reshape(out_c, -1) @ cols.T
     return out.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def conv2d_forward(x, p):
     """Zero-padded "same" convolution: the correlation of x with w, plus b.
-    For a k > 1 kernel, x may be the PatchColumns of the input."""
+    For a k > 1 kernel, x may be the PatchColumns of the input; for any
+    kernel, the CenterColumns of an eval batch, whose center output it is."""
     _conv_check(p, x, "input")
     out = _correlate(x, p.w.data)
     out += _f64(p.b.data)[None, :, None, None]
     return out.astype(np.result_type(x.dtype, p.w.data.dtype), copy=False)
-
-
-def conv2d_center(x, p):
-    """Center pixel of conv2d_forward on an odd square input, shaped (n, out_c, 1, 1).
-
-    The center reads the k x k window around it. Where the input side is
-    smaller than k, the taps outside it fall on the zero padding, so input
-    and kernel are both cropped to r = min(k, side) about their centers and
-    the output is one GEMM over the (channel, r, r) window.
-    """
-    _conv_check(p, x, "input")
-    w = p.w.data
-    out_c, _, k, _ = w.shape
-    n, c, h, wd = x.shape
-    if h != wd or h % 2 == 0:
-        raise ShapeError(
-            f"conv '{p.w.name}': center output needs an odd square input, got shape {x.shape}"
-        )
-    r = min(k, h)
-    xo, ko = (h - r) // 2, (k - r) // 2
-    x64 = _f64(x[:, :, xo:xo + r, xo:xo + r]).reshape(n, c * r * r)
-    w64 = _f64(w[:, :, ko:ko + r, ko:ko + r]).reshape(out_c, c * r * r)
-    out = x64 @ w64.T
-    out += _f64(p.b.data)[None, :]
-    return out.reshape(n, out_c, 1, 1).astype(np.result_type(x.dtype, w.dtype), copy=False)
 
 
 def conv2d_backward(x, p, grad_out):

@@ -133,10 +133,10 @@ def evaluate(network, dataset, split):
 
 def _accuracy(network, batcher, idx):
     """Overall accuracy of eval-mode argmax predictions on the pixels `idx`,
-    their patches gathered by `batcher`."""
+    the center rows of their patches gathered by `batcher`."""
     correct = 0
     for start in range(0, idx.size, EVAL_BATCH):
-        x, y = batcher.batch(idx[start:start + EVAL_BATCH])
+        x, y = batcher.centers(idx[start:start + EVAL_BATCH])
         logits = network.forward(x, training=False)
         correct += int((np.argmax(logits, axis=1) == y).sum())
     return correct / idx.size

@@ -31,3 +31,20 @@ def test_bank_conv_counts_read_the_input_shape():
     keys = [f"ops.conv.{b}.{d}.{m}" for b in ("c3x3", "c5x5") for d in ("fwd", "bwd")
             for m in ("mac", "bytes")]
     assert all(step.counts[k] == plain.counts[k] > 0 for k in keys)
+
+
+def test_eval_bank_conv_counts_read_the_center_shape():
+    """An eval forward hands every bank conv the CenterColumns of its batch,
+    which report the (n, bands, 1, 1) shape of the center output, so each
+    counts n * out * bands * k * k MACs."""
+    rng = np.random.default_rng(1)
+    n, bands, filters = 3, 4, 6
+    net = build_backbone(NetworkSpec(bands=bands, classes=3, filters=filters), rng)
+    x = rng.normal(0, 1, (n, bands, 5, 5))
+    rows = ops._columns(x, 5).reshape(n, 5, 5, -1)[:, 2, 2]
+    tracer = hsibench_trace.Tracer()
+    with tracer.installed():
+        net.forward(rows, training=False)
+    for blk in net.bank:
+        k = blk.conv.w.data.shape[-1]
+        assert tracer.counts[f"ops.conv.{blk.name}.fwd.mac"] == n * filters * bands * k * k

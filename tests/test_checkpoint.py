@@ -160,7 +160,7 @@ def _repack(path, records):
     """Write records as a checkpoint with a valid CRC."""
     buf = bytearray(MAGIC + struct.pack("<I", VERSION))
     for record in records:
-        _pack_record(buf, *record)
+        buf += b"".join(_pack_record(*record))
     buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     path.write_bytes(bytes(buf))
     return path

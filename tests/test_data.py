@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hsinet.envi
-from hsinet import data
+from hsinet import data, ops
 from hsinet.data import (DomainDataset, PatchBatcher, SynthConfig, augment_d4,
                          extract_patch, load_manifest, normalize_bands,
                          split_per_class, synth_generate, with_split, write_dataset)
@@ -566,6 +566,43 @@ class TestBatcherAndManifest:
             np.testing.assert_array_equal(
                 x[row], extract_patch(ds.cube, px, py, 5)[0])
             assert y[row] == ds.labels.labels.ravel()[pixel] - 1
+
+    @pytest.mark.parametrize("patch", [1, 3, 5, 7])
+    def test_batch_gathers_the_reflect_padded_windows(self, patch):
+        """Against np.pad on the band-major cube, at the four corners too."""
+        ds = synth_generate(SynthConfig(classes=3, bands=3, height=9, width=11, seed=4))
+        r = patch // 2
+        padded = np.pad(ds.cube.data, ((0, 0), (r, r), (r, r)), mode="reflect")
+        idx = np.array([0, 10, 88, 98, 49], dtype=np.int64)
+        x, _ = PatchBatcher(ds, patch).batch(idx)
+        assert x.shape == (5, 3, patch, patch) and x.dtype == np.float32
+        for row, pixel in enumerate(idx):
+            py, px = divmod(int(pixel), 11)
+            np.testing.assert_array_equal(x[row], padded[:, py:py + patch, px:px + patch])
+
+    @pytest.mark.parametrize("bands", [1, 7])
+    @pytest.mark.parametrize("patch", [1, 3, 5, 7])
+    def test_centers_are_the_center_rows_of_the_patch_columns(self, bands, patch):
+        """Bit for bit the first min(patch, 5)**2 taps of the center row of
+        the batch's 5x5 patch columns; the taps past them fall off the patch
+        and read 0. The four corner pixels read the reflect padding."""
+        ds = synth_generate(SynthConfig(classes=3, bands=bands, height=9, width=11, seed=bands))
+        batcher = PatchBatcher(ds, patch)
+        idx = np.array([0, 10, 88, 98, 49], dtype=np.int64)
+        x, y = batcher.batch(idx)
+        rows, targets = batcher.centers(idx)
+        c, t = patch // 2, min(patch, 5) ** 2
+        full = ops._columns(x, 5).reshape(len(idx), patch, patch, -1)[:, c, c]
+        assert rows.dtype == np.float64 and rows.shape == (5, t * bands)
+        assert rows.tobytes() == np.ascontiguousarray(full[:, :t * bands]).tobytes()
+        assert not full[:, t * bands:].any()
+        np.testing.assert_array_equal(targets, y)
+
+    def test_centers_reject_unlabeled_pixels(self):
+        ds = synth_generate(SynthConfig(classes=3, bands=2, height=6, width=6, seed=1))
+        ds.labels.labels[0, 0] = 0
+        with pytest.raises(DataError, match="unlabeled"):
+            PatchBatcher(ds, 3).centers(np.array([0, 1]))
 
     def test_raster_too_small_for_the_patch_names_the_dataset(self):
         ds = synth_generate(SynthConfig(classes=2, bands=3, height=2, width=2, name="tiny"))

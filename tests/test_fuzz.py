@@ -144,9 +144,9 @@ def with_metadata(ckpt, meta):
     """The checkpoint bytes with its metadata record replaced and the CRC recomputed."""
     (_, dt, shape, _), *rest = _parse_records(ckpt)
     buf = bytearray(MAGIC + struct.pack("<I", VERSION))
-    _pack_record(buf, "__meta__", dt, shape, json.dumps(meta).encode())
+    buf += b"".join(_pack_record("__meta__", dt, shape, json.dumps(meta).encode()))
     for name, dtype, dims, raw in rest:
-        _pack_record(buf, name, dtype, dims, bytes(raw))
+        buf += b"".join(_pack_record(name, dtype, dims, raw))
     buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     return bytes(buf)
 

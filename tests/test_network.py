@@ -23,6 +23,13 @@ def held_caches(net):
             if getattr(layer, name, None) is not None]
 
 
+def center_rows(x):
+    """The eval input of an (n, bands, p, p) batch of patches: the center row
+    of its 5x5 patch columns, cut to the taps inside the patch."""
+    n, c, p, _ = x.shape
+    return ops._columns(x, 5).reshape(n, p, p, -1)[:, p // 2, p // 2, :min(p, 5) ** 2 * c]
+
+
 def weighted_layers(net):
     """The bank's three blocks count as one layer."""
     return len(net.blocks()) - 2
@@ -91,7 +98,7 @@ class TestBuildBackbone:
         net = build_backbone(spec, np.random.default_rng(0))
         assert weighted_layers(net) == 9
         x = np.zeros((2, 200, 5, 5), dtype=np.float32)
-        assert net.forward(x).shape == (2, 8)
+        assert net.forward(center_rows(x)).shape == (2, 8)
 
 
 class TestInitWeights:
@@ -128,28 +135,33 @@ class TestForward:
         spec = NetworkSpec(bands=4, classes=3, filters=4)
         net = build_backbone(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(0, 1, (3, 4, 5, 5)).astype(np.float32)
-        a = net.forward(x, training=False)
-        b = net.forward(x, training=False)
+        a = net.forward(center_rows(x), training=False)
+        b = net.forward(center_rows(x), training=False)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_init_gives_uniform_softmax(self):
         spec = NetworkSpec(bands=4, classes=5, filters=4)
         net = Network(spec)  # zero weights, fresh batch-norm state
-        logits = net.forward(np.zeros((2, 4, 5, 5), dtype=np.float32))
+        logits = net.forward(center_rows(np.zeros((2, 4, 5, 5), dtype=np.float32)))
         assert (logits == logits[:, :1]).all()
 
     def test_band_mismatch_names_expected_and_actual(self):
         spec = NetworkSpec(bands=4, classes=3, filters=4)
         net = build_backbone(spec, np.random.default_rng(0))
+        x = np.zeros((1, 6, 5, 5), dtype=np.float32)
         with pytest.raises(ShapeError, match="6 bands.*expects.*4"):
-            net.forward(np.zeros((1, 6, 5, 5), dtype=np.float32))
+            net.forward(x, training=True, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=r"\(1, 150\).*25 taps x 4 bands.*expects"):
+            net.forward(center_rows(x))
+        with pytest.raises(ShapeError, match=r"\(1, 4, 5, 5\).*center rows"):
+            net.forward(x[:, :4])
 
     def test_logits_shape_independent_of_bands(self):
         for bands in (3, 9, 17):
             spec = NetworkSpec(bands=bands, classes=4, filters=4)
             net = build_backbone(spec, np.random.default_rng(0))
             x = np.zeros((2, bands, 5, 5), dtype=np.float32)
-            assert net.forward(x).shape == (2, 4)
+            assert net.forward(center_rows(x)).shape == (2, 4)
 
     def test_training_forward_requires_rng_for_dropout(self):
         spec = NetworkSpec(bands=4, classes=3, filters=4)
@@ -268,12 +280,12 @@ class TestForward:
         net = build_backbone(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
         grad = np.ones((2, 3), dtype=np.float32)
-        net.forward(x, training=False)
+        net.forward(center_rows(x), training=False)
         with pytest.raises(ConfigError, match="training-mode forward"):
             net.backward(grad)
         # an eval forward also retires the caches of an earlier training one
         net.forward(x, training=True, rng=np.random.default_rng(2))
-        net.forward(x, training=False)
+        net.forward(center_rows(x), training=False)
         with pytest.raises(ConfigError, match="training-mode forward"):
             net.backward(grad)
 
@@ -307,7 +319,7 @@ def test_center_only_eval_matches_full_patch_reference(patch):
                     training=True, rng=rng)
     assert np.abs(net.c2.bn.running_mean).max() > 1e-3
     x = rng.normal(0.5, 2.0, (64, 6, patch, patch)).astype(np.float32)
-    logits = net.forward(x, training=False)
+    logits = net.forward(center_rows(x), training=False)
     ref = full_patch_logits(net, x)
     assert logits.shape == ref.shape == (64, 5)
     assert np.abs(logits.astype(np.float64) - ref).max() <= 1e-5
@@ -427,7 +439,7 @@ class TestResidualStructure:
                         0, 0.005, blk.conv.w.data.shape)
                 blk.bn.scale.data[...] = 1.0
         x = np.random.default_rng(5).normal(0, 1, (2, 3, 5, 5)).astype(np.float32)
-        np.testing.assert_array_equal(a.forward(x), b.forward(x))
+        np.testing.assert_array_equal(a.forward(center_rows(x)), b.forward(center_rows(x)))
 
 
 class TestCrossDomain:

@@ -171,7 +171,7 @@ def batchnorm_backward_reference(x, p, grad_out):
 def block_reference(blk, x, training, grad_out):
     """A ConvBlock's output and, in training, (input, w, b, scale, shift)
     gradients, all through the references."""
-    y = conv2d_forward_reference(x, blk.conv) if training else ops.conv2d_center(x, blk.conv)
+    y = conv2d_forward_reference(x, blk.conv)
     z = batchnorm_forward_reference(y, blk.bn, training)
     out = ops.relu(z)
     if not training:
@@ -252,7 +252,7 @@ class TestConvForward:
     def test_every_entry_checks_rank_and_channels(self, shape):
         p, bad, good = make_conv(3, 2, 3), np.zeros(shape), np.zeros((1, 3, 3, 3))
         message = rf"conv 'c.w': input shape {re.escape(str(shape))} does not match weight"
-        for call in (lambda: ops.conv2d_forward(bad, p), lambda: ops.conv2d_center(bad, p),
+        for call in (lambda: ops.conv2d_forward(bad, p),
                      lambda: ops.conv2d_backward(bad, p, np.zeros((1, 2, 3, 3)))):
             with pytest.raises(ShapeError, match=message):
                 call()
@@ -268,8 +268,17 @@ class TestConvForward:
             ops.make_conv_params("c", 1, 1, 7)
 
 
-class TestConvCenter:
-    """conv2d_center against the full same-padded output's center pixel."""
+class TestCenterColumns:
+    """conv2d_forward on the CenterColumns of a batch against the center pixel
+    of the full same-padded output."""
+
+    @staticmethod
+    def center_columns(x):
+        """The CenterColumns of x: the center row of its 5x5 patch columns, cut
+        to the taps inside the patch."""
+        n, c, side, _ = x.shape
+        rows = ops._columns(x, 5).reshape(n, side, side, -1)[:, side // 2, side // 2]
+        return ops.CenterColumns(rows[:, :min(side, 5) ** 2 * c], c, x.dtype)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("side", [1, 3, 5, 7])
@@ -278,7 +287,9 @@ class TestConvCenter:
         p = make_conv(4, 3, k, rng)
         x = rng.normal(0, 1, (5, 4, side, side))
         c = side // 2
-        center = ops.conv2d_center(x, p)
+        cols = self.center_columns(x)
+        assert cols.shape == (5, 4, 1, 1)
+        center = ops.conv2d_forward(cols, p)
         assert center.shape == (5, 3, 1, 1)
         np.testing.assert_allclose(center[:, :, 0, 0], ops.conv2d_forward(x, p)[:, :, c, c],
                                    rtol=1e-12)
@@ -286,19 +297,23 @@ class TestConvCenter:
         p32.w.data = p.w.data.astype(np.float32)
         p32.b.data = p.b.data.astype(np.float32)
         x32 = x.astype(np.float32)
-        center32 = ops.conv2d_center(x32, p32)
+        center32 = ops.conv2d_forward(self.center_columns(x32), p32)
         assert center32.dtype == np.float32
         np.testing.assert_array_max_ulp(center32[:, :, 0, 0],
                                         ops.conv2d_forward(x32, p32)[:, :, c, c], maxulp=1)
 
-    @pytest.mark.parametrize("shape", [(1, 2, 4, 4), (1, 2, 3, 5), (1, 2, 5, 3)])
-    def test_even_or_non_square_input_rejected(self, shape):
-        with pytest.raises(ShapeError, match="odd square"):
-            ops.conv2d_center(np.zeros(shape), make_conv(2, 1, 3))
+    def test_each_kernel_reads_a_prefix_of_one_set(self):
+        """The bank's three convs read views of the same rows, no copy."""
+        x = np.random.default_rng(3).normal(0, 1, (2, 4, 5, 5))
+        cols = self.center_columns(x)
+        for k in (1, 3, 5):
+            assert np.shares_memory(cols.taps(k), cols.columns)
+            assert cols.taps(k).shape == (2, k * k * 4)
 
     def test_channel_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(1, 4, 3, 3\).*\(2, 3, 1, 1\)"):
-            ops.conv2d_center(np.zeros((1, 4, 3, 3)), make_conv(3, 2, 1))
+        cols = self.center_columns(np.zeros((1, 4, 3, 3)))
+        with pytest.raises(ShapeError, match=r"\(1, 4, 1, 1\).*\(2, 3, 1, 1\)"):
+            ops.conv2d_forward(cols, make_conv(3, 2, 1))
 
 
 class TestConvBackward:
@@ -660,8 +675,8 @@ class TestChannelMajorInputs:
         for side in (5, 1):  # at side 1 a channel-major array is also F-contiguous
             x = rng.normal(0, 1, (6, 3, side, side)).astype(dtype)
             g = rng.normal(0, 1, (6, 4, side, side)).astype(dtype)
-            results = [(ops.conv2d_forward(a, p), ops.conv2d_center(a, p),
-                        ops.conv2d_input_grad(p, ga), *ops.conv2d_backward(a, p, ga))
+            results = [(ops.conv2d_forward(a, p), ops.conv2d_input_grad(p, ga),
+                        *ops.conv2d_backward(a, p, ga))
                        for a, ga in ((x, g), (channel_major(x), channel_major(g)))]
             for nchw, cm in zip(*results, strict=True):
                 assert_same_bits(nchw, cm)

@@ -141,7 +141,7 @@ class TestEvaluate:
         batcher = PatchBatcher(ds, 5)
         correct = 0
         for pixel in ds.test_idx:  # brute-force per-pixel loop
-            x, y = batcher.batch(np.array([pixel]))
+            x, y = batcher.centers(np.array([pixel]))
             correct += int(np.argmax(net.forward(x)[0]) == y[0])
         assert acc == pytest.approx(correct / ds.test_idx.size)
 
