@@ -178,13 +178,10 @@ def cmd_gradcheck(args):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     results = oracle_suite(list(range(first, first + args.seeds)))
-    failed = 0
     for name, seed, report in results:
-        status = "PASS" if report.passed else "FAIL"
-        if not report.passed:
-            failed += 1
-        print(f"{status} {name} seed={seed} max_rel={report.worst_rel():.3e} "
-              f"max_abs={report.worst_abs():.3e}")
+        print(f"{'PASS' if report.passed else 'FAIL'} {name} seed={seed} "
+              f"max_rel={report.worst_rel():.3e} max_abs={report.worst_abs():.3e}")
+    failed = sum(not report.passed for _, _, report in results)
     if failed:
         print(f"{failed} gradient checks failed", file=sys.stderr)
         return 3

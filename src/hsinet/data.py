@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .envi import HyperCube, LabelRaster, load_envi, load_label_raster, write_envi
 from .errors import ConfigError, DataError, ShapeError, _build, read_file, read_json, write_json
-from .ops import KERNEL_SIZES, _ring
+from .ops import center_taps
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 # squared distances synth_generate holds at once (int64, 8 MB)
@@ -43,10 +43,8 @@ class DomainDataset:
             raise DataError(f"dataset '{self.name}' declares {self.classes} classes; its "
                             f"{pixels} pixels can hold 2 to {pixels}")
         if self.labels.labels.max(initial=0) > self.classes:
-            raise DataError(
-                f"label {int(self.labels.labels.max())} exceeds declared class count "
-                f"{self.classes}"
-            )
+            raise DataError(f"dataset '{self.name}' label {int(self.labels.labels.max())} "
+                            f"exceeds declared class count {self.classes}")
         flat = self.labels.labels.ravel()
         for what, idx in (("train", self.train_idx), ("test", self.test_idx)):
             if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
@@ -108,9 +106,8 @@ def split_per_class(ds, n_per_class, rng):
     for cls in range(1, ds.classes + 1):
         idx = np.flatnonzero(flat == cls)
         if idx.size < n_per_class:
-            raise DataError(
-                f"class {cls} has only {idx.size} labeled pixels, need {n_per_class}"
-            )
+            raise DataError(f"dataset '{ds.name}' class {cls} has only {idx.size} labeled "
+                            f"pixels, need {n_per_class}")
         perm = rng.permutation(idx.size)
         train_parts.append(idx[perm[:n_per_class]])
         test_parts.append(idx[perm[n_per_class:]])
@@ -185,7 +182,7 @@ def normalize_bands(ds):
     from the train pixels only; zero-variance bands are centered with a
     warning and left at scale 1."""
     if ds.train_idx.size == 0:
-        raise DataError("normalize_bands needs a non-empty train split")
+        raise DataError(f"dataset '{ds.name}': normalize_bands needs a non-empty train split")
     w = ds.cube.width
     ys, xs = np.divmod(ds.train_idx, w)
     vals = ds.cube.data[:, ys, xs].astype(np.float64)
@@ -211,7 +208,7 @@ class PatchBatcher:
     The cube is reflect-padded once and held pixel-major, as (height + 2r,
     width + 2r, bands), r = patch // 2, so a pixel's bands sit side by side.
     `batch` gathers (n, bands, patch, patch) patches for training; `centers`
-    gathers the rows an eval forward reads (Network.forward), one per pixel.
+    gathers the rows an eval forward wraps in ops.Columns, one per pixel.
     """
 
     def __init__(self, ds, patch):
@@ -221,9 +218,8 @@ class PatchBatcher:
         self._padded = _reflect_pad(ds.cube.data, r, f"dataset '{ds.name}'")
         # (y, x, bands, patch, patch): the window whose top left is (y, x)
         self._windows = sliding_window_view(self._padded, (patch, patch), axis=(0, 1))
-        # the padded offsets of the taps an eval row reads: those in the patch, in ring order
-        taps = _ring(KERNEL_SIZES[-1])[:min(patch, KERNEL_SIZES[-1]) ** 2]
-        self._taps = np.array(taps).T + r - KERNEL_SIZES[-1] // 2
+        # the padded offsets from a window's top left of the taps an eval row reads
+        self._taps = (center_taps(patch) + r).T
         self._labels = ds.labels.labels.ravel()
 
     def _targets(self, pixel_idx):
@@ -240,9 +236,9 @@ class PatchBatcher:
 
     def centers(self, pixel_idx):
         """(rows, targets) for an eval forward: per pixel, one float64 row of
-        the first min(patch, 5)**2 taps of its patch in ring order (ops._ring),
-        each tap's bands side by side. That is the center row of
-        ops._columns(patch, 5) without the taps off the patch, which read 0."""
+        its patch's taps at ops.center_taps(patch), each tap's bands side by
+        side. That is the center row of ops.patch_columns(patch) without the
+        taps off the patch, which read 0."""
         ys, xs = np.divmod(pixel_idx, self.width)
         dy, dx = self._taps
         rows = self._padded[ys[:, None] + dy, xs[:, None] + dx]  # (n, taps, bands)

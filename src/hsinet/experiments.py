@@ -106,6 +106,14 @@ _DOMAIN = _object({**{f.name: lambda value, where: value for f in fields(SynthCo
                    "name": _NAME, **_ENVI})
 
 
+def _distinct(items, what):
+    """Reject a value that repeats among (value, config entry) pairs, naming both entries."""
+    first = {}
+    for value, entry in items:
+        if first.setdefault(value, entry) != entry:
+            raise ConfigError(f"{entry} repeats the {what} {value!r} of {first[value]}")
+
+
 def _domain(value, where):
     """(SynthConfig, write_dataset keywords) of one synth-gen domain."""
     synth = _DOMAIN(value, where)
@@ -120,11 +128,8 @@ def synth_domains(cfg):
     if "domains" not in cfg:
         return [_domain(cfg, "config")]
     domains = _object({"domains": _list(_domain)})(cfg, "config")["domains"]
-    names = [synth.name for synth, _ in domains]
-    for i, name in enumerate(names):
-        if name in names[:i]:  # their files would overwrite the earlier entry's
-            raise ConfigError(f"config 'domains' entry {i} 'name' {name!r} repeats the "
-                              f"name of entry {names.index(name)}")
+    # the files of a repeated name would overwrite the earlier entry's
+    _distinct([(s.name, f"config 'domains' entry {i}") for i, (s, _) in enumerate(domains)], "name")
     return domains
 
 
@@ -178,6 +183,11 @@ class _Harness:
             if not check([combo["sources"] for combo in c[key]]):
                 raise ConfigError(f"{self.experiment} needs {must}")
         self.seeds = c.get("seeds", [])
+        # repeated seeds or condition names would merge their runs in the report
+        _distinct([(s, f"config 'seeds' entry {i}") for i, s in enumerate(self.seeds)], "seed")
+        if command is None and self.experiment != "pretrain":  # a transfer experiment
+            self.units = _plan(self)
+            _distinct([(u.condition, u.entry) for u in self.units], "condition")
         # the training keys the config sets; the trainer has the defaults
         self.train_kwargs = {key: c[key] for key in ("eval_every", "augment") if key in c}
 
@@ -262,13 +272,13 @@ class _Harness:
 class _Unit:
     """One target run per seed from its store: a checkpoint path, the (source
     indices, residual modules) key of a store the plan pre-trains, or None for
-    scratch. `source_pixels`: also report the store's labeled source pixels."""
+    scratch. `entry` names the config entry it comes from."""
 
     condition: str
+    entry: str
     schedule: TrainSchedule
     modules: int
     store: str | tuple | None
-    source_pixels: bool = False
 
 
 def _plan(h):
@@ -276,22 +286,25 @@ def _plan(h):
     c, exp = h.built, h.experiment
     modules, schedule = c["network"].residual_modules, c.get("schedule")
     if exp == "finetune":
-        return [_Unit("finetune", schedule, modules, c["checkpoint"])]
+        return [_Unit("finetune", "config 'checkpoint'", schedule, modules, c["checkpoint"])]
     if exp in _COMBINATIONS:
-        units = [_Unit(combo["label"], schedule, modules, (tuple(combo["sources"]), modules),
-                       True) for combo in c[_COMBINATIONS[exp][0]]]
+        key = _COMBINATIONS[exp][0]
+        units = [_Unit(combo["label"], f"config '{key}' entry {i}", schedule, modules,
+                       (tuple(combo["sources"]), modules)) for i, combo in enumerate(c[key])]
         if exp == "source_size" and c["include_scratch"]:
-            units.append(_Unit("scratch", schedule, modules, None, True))
+            units.append(_Unit("scratch", "config 'include_scratch'", schedule, modules, None))
         return units
     every_source = tuple(range(len(c.get("sources", []))))
     if exp == "schedule_sweep":
-        runs = [(label, s, modules, c.get("checkpoint", (every_source, modules)))
-                for label, s in h.sweep]
+        key, runs = "schedules", [(label, s, modules, c.get("checkpoint", (every_source, modules)))
+                                  for label, s in h.sweep]
     else:
-        runs = [(f"{5 + 2 * d}-layer", schedule, d, (every_source, d)) for d in c["depths"]]
+        key, runs = "depths", [(f"{5 + 2 * d}-layer", schedule, d, (every_source, d))
+                               for d in c["depths"]]
     # each fine-tuned run beside its scratch baseline
-    return [u for label, s, m, store in runs for u in (
-        _Unit(f"{label}/pretrain", s, m, store), _Unit(f"{label}/scratch", s, m, None))]
+    return [_Unit(f"{label}/{kind}", f"config '{key}' entry {i}", s, m,
+                  store if kind == "pretrain" else None)
+            for i, (label, s, m, store) in enumerate(runs) for kind in ("pretrain", "scratch")]
 
 
 def run_plan(cfg, out_dir=None):
@@ -300,8 +313,7 @@ def run_plan(cfg, out_dir=None):
     each distinct store key once, and train every unit for every seed. stderr
     gets a line naming each run before its eval lines."""
     h = _Harness(cfg)
-    units = _plan(h)
-    keys = dict.fromkeys(u.store for u in units)  # distinct, in plan order
+    keys = dict.fromkeys(u.store for u in h.units)  # distinct, in plan order
     stores = {key: load_network(key, "cross") for key in keys if isinstance(key, str)}
     h.target  # loaded and checked before any pre-training
     pixels = {None: 0}  # labeled source pixels per pre-trained store
@@ -313,11 +325,12 @@ def run_plan(cfg, out_dir=None):
                                  modules=key[1]).network
     rows = []
     for seed in h.seeds:
-        for u in units:
+        for u in h.units:
             _progress(f"condition {u.condition} seed {seed}")
             run = h.target_run(u.schedule, seed, stores.get(u.store), u.modules)
-            rows += h.curve_rows(seed, u.condition, run,
-                                 {"source_pixels": pixels[u.store]} if u.source_pixels else None)
+            # a combination experiment also reports the store's labeled source pixels
+            rows += h.curve_rows(seed, u.condition, run, {"source_pixels": pixels[u.store]}
+                                 if h.experiment in _COMBINATIONS else None)
     return _finish(rows, cfg, out_dir)
 
 

@@ -82,9 +82,9 @@ class ConvBlock:
         self._pre_relu = None
 
     def forward(self, x, training, rng=None):
-        """Run the block on x, which may be the PatchColumns or CenterColumns
-        of the input; eval keeps nothing for a backward. `rng` is unused: the
-        call form of Dropout.forward."""
+        """Run the block on x, which may be the ops.Columns of the input; eval
+        keeps nothing for a backward. `rng` is unused: the call form of
+        Dropout.forward."""
         self._x = x if training else None
         y = ops.conv2d_forward(x, self.conv)
         if self.with_bn and training:
@@ -236,15 +236,16 @@ class Network:
         Training reads an (n, bands, p, p) batch of patches. Only the center
         logit reaches the loss, and c9 (no batch norm) works per pixel, so c9
         computes it alone. Training batch statistics span all p x p pixels.
-        A training forward writes the bank's patch columns into `workspace`
-        (an ops.Workspace) when one is given, else into fresh memory.
+        A training forward writes the bank's patch columns (ops.patch_columns)
+        into `workspace` (an ops.Workspace) when one is given, else into fresh
+        memory. Every bank conv reads them in x's place.
 
         Eval computes the patch center alone throughout: after the bank every
         layer is 1x1 and eval batch norm uses running statistics, so the center
         logit depends only on the bank's center output. Eval therefore reads,
-        in place of the patches, their center rows (PatchBatcher.centers): an
-        (n, t * bands) float64 matrix, t = min(p, 5)**2, holding each patch's
-        first t taps in ring order (ops._ring), each tap's bands side by side.
+        in place of the patches, their center rows (PatchBatcher.centers), which
+        every bank conv reads as ops.Columns: an (n, t * bands) float64 matrix of
+        each patch's t taps at ops.center_taps(p), each tap's bands side by side.
         """
         bands, p = self.spec.bands, self.spec.patch
         if training:
@@ -255,22 +256,20 @@ class Network:
             if x.shape[2] != p or x.shape[3] != p:
                 raise ShapeError(f"input spatial size {x.shape[2:]} != patch {p}x{p}")
             # the 5x5 patch columns, built once into `workspace`: c5x5 reads all 25
-            # taps and c3x3 a view of the first 9. c1x1 reads x
-            cols = ops.PatchColumns(x, workspace)
-            inputs = (x, cols, cols)
+            # taps, c3x3 a view of the first 9 and c1x1 of the first
+            cols = ops.patch_columns(x, workspace)
         else:
-            taps = min(p, ops.KERNEL_SIZES[-1]) ** 2
+            taps = len(ops.center_taps(p))
             if x.ndim != 2 or x.shape[1] != taps * bands:
                 raise ShapeError(f"eval input shape {x.shape} is not (n, {taps} taps x {bands} "
                                  f"bands): the center rows of {p}x{p} patches the network "
                                  f"front expects")
             # every bank conv reads a prefix of the rows, and the outputs keep the
             # network's dtype, as they would on its patches
-            inputs = (ops.CenterColumns(x, bands, self.dtype),) * 3
+            cols = ops.Columns(x, (len(x), bands, 1, 1), self.dtype)
         # bank outputs are held channel-major, and np.concatenate keeps its inputs'
         # common memory order: c2 reads channel-major rows too
-        t = np.concatenate([blk.forward(a, training)
-                            for blk, a in zip(self.bank, inputs)], axis=1)
+        t = np.concatenate([blk.forward(cols, training) for blk in self.bank], axis=1)
         for layer in self.trunk:
             t = layer.forward(t, training, rng)
         c = t.shape[2] // 2  # 0 in eval, whose trunk computed the center alone
@@ -293,8 +292,8 @@ class Network:
         g[:, :, p // 2, p // 2] = gc[:, :, 0, 0]
         for layer in reversed(self.trunk):
             g = layer.backward(g)
-        # channel-major: each part is contiguous. c3x3 and c5x5 read the patch
-        # columns the forward built, and each block then drops its input
+        # channel-major: each part is contiguous. Every bank block reads the patch
+        # columns the forward built, and then drops them
         for blk, part in zip(self.bank, np.split(g, 3, axis=1)):
             blk.param_backward(part)
 

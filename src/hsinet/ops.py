@@ -15,17 +15,16 @@ A k > 1 convolution is one GEMM over patch columns (`_columns`, im2col): an
 (n*h*w, k*k*c) matrix, one row per output pixel, holding the zero-padded
 input's k x k taps in ring order (center, 3x3 ring, 5x5 ring) with each tap's
 channels side by side; the kernel is reordered to match. An array input gets
-fresh columns on every call. Its `PatchColumns(x, workspace)`, handed to
-conv2d_forward and conv2d_backward in its place, are the 5x5 columns, built
-once into a `Workspace` reused from step to step. A smaller kernel's taps come
-first in ring order, so every k > 1 kernel reads a prefix view of them.
-
-An eval forward needs each patch's center output alone. Its `CenterColumns`
-hold one row per patch, the center row of the 5x5 columns cut to the taps
-inside the patch (PatchBatcher.centers gathers them from the cube), and report
-the (n, c, 1, 1) shape of that output. Every bank conv, the 1x1 one included,
-reads the prefix of its own taps and the matching head of its ring-ordered
-kernel: a tap outside the patch would read 0.
+fresh columns on every call. A `Columns` handed to conv2d_forward and
+conv2d_backward in the input's place holds a set of them for the bank's
+largest kernel, and every bank conv, the 1x1 one included, reads a prefix
+view of its own taps, which come first in ring order, with the matching head
+of its ring-ordered kernel. Training builds the 5x5 columns of its patches
+(`patch_columns`) once, into a `Workspace` reused from step to step. An eval
+forward needs each patch's center output alone: its Columns hold one row per
+patch, the center row of the 5x5 columns cut to the taps inside the patch
+(`center_taps`; PatchBatcher.centers gathers them from the cube), and report
+the (n, c, 1, 1) shape of that output. A tap outside the patch would read 0.
 
 Parameters live in the training dtype (float32 by default). Every reduction
 accumulates in float64 and the result is cast back to the storage dtype, so
@@ -152,6 +151,8 @@ _PLACE = {k: np.argsort(ring) for k, ring in _RING.items()}
 _RUNS = {k: [(t, dy, dx, 1 + len(rest)) for _, ((t, (dy, dx)), *rest)
              in groupby(enumerate(_ring(k)), lambda e: (e[1][0], e[1][1] - e[0]))]
          for k in KERNEL_SIZES}
+# the largest kernel's taps in ring order, as (dy, dx) offsets from its center
+_CENTER_TAPS = np.array(_ring(KERNEL_SIZES[-1])) - KERNEL_SIZES[-1] // 2
 
 
 def _columns(a, k, workspace=None):
@@ -193,43 +194,39 @@ class Workspace:
         return self.buffer[:size]
 
 
-class PatchColumns:
-    """Patch columns of a conv input x for the bank's largest kernel K = KERNEL_SIZES[-1],
-    built once and read by every k > 1 conv handed them in x's place. It reports x's
-    shape, ndim, size and dtype, so shape checks and work counters read the input as before."""
+class Columns:
+    """Patch columns handed to a conv in its input's place: an (m, t*c) float64
+    matrix, one row per output pixel, of t taps in ring order, each tap's c
+    channels side by side. It reports `shape`, the (n, c, h, w) shape of the
+    input whose output pixels the rows are, with its ndim and size, and `dtype`,
+    which the conv outputs take, so shape checks and work counters read it as
+    that input. Built into a `workspace`, it raises if read after a later build."""
 
-    def __init__(self, x, workspace=None):
-        self.workspace = workspace
-        self.shape, self.ndim, self.size, self.dtype = x.shape, x.ndim, x.size, x.dtype
-        self.columns = _columns(x, KERNEL_SIZES[-1], workspace)
-        self.build = None if workspace is None else workspace.builds
+    def __init__(self, columns, shape, dtype, workspace=None):
+        self.columns, self.shape, self.dtype = columns, tuple(shape), np.dtype(dtype)
+        self.ndim, self.size = len(self.shape), len(columns) * self.shape[1]  # c per output pixel
+        self.workspace, self.build = workspace, None if workspace is None else workspace.builds
 
     def taps(self, k):
-        """The columns for kernel size k: a view of the set's first k*k taps,
-        which in ring order hold the values of a fresh _columns(x, k); all of
-        them when the set holds fewer."""
+        """The columns for kernel size k: a view of the set's first k*k taps, all
+        of them when the set holds fewer."""
         if self.workspace is not None and self.build != self.workspace.builds:
             raise RuntimeError("patch columns read after a later build overwrote them")
         return self.columns[:, :k * k * self.shape[1]]
 
 
-class CenterColumns(PatchColumns):
-    """The center rows of a batch of (n, c, p, p) patches for an eval forward:
-    an (n, t*c) float64 matrix, t = min(p, K)**2, holding the first t taps in
-    ring order, each tap's c channels side by side; that is the center row of
-    _columns(patch, K) without the taps off the patch, which read 0. It reports
-    the (n, c, 1, 1) shape of the center output and `dtype`, the patches' dtype,
-    which the conv outputs take. It is read only, so it has no workspace."""
-
-    def __init__(self, rows, c, dtype):
-        n = rows.shape[0]
-        self.workspace = self.build = None
-        self.shape, self.ndim, self.size, self.dtype = (n, c, 1, 1), 4, n * c, np.dtype(dtype)
-        self.columns = rows
+def patch_columns(x, workspace=None):
+    """The Columns of a conv input x for the bank's largest kernel K =
+    KERNEL_SIZES[-1], built once (into `workspace` when one is given) for every
+    bank conv: in ring order, a k x k kernel's taps are the set's first k*k."""
+    return Columns(_columns(x, KERNEL_SIZES[-1], workspace), x.shape, x.dtype, workspace)
 
 
-def _patch_columns(a, k):
-    return a.taps(k) if isinstance(a, PatchColumns) else _columns(a, k)
+def center_taps(patch):
+    """The (dy, dx) offsets from a patch's center of the taps an eval row holds,
+    as a (t, 2) array: the first t = min(patch, K)**2 taps of the bank's largest
+    kernel K in ring order, those inside the patch."""
+    return _CENTER_TAPS[:min(patch, KERNEL_SIZES[-1]) ** 2].copy()
 
 
 def _correlate(a, w):
@@ -237,18 +234,18 @@ def _correlate(a, w):
 
     out[n,o,y,x] = sum_{c,dy,dx} w[o,c,dy,dx] * a_pad[n,c,y+dy,x+dx]
 
-    A k > 1 kernel, or any kernel on CenterColumns, is one GEMM over the patch
-    columns of `a`, which may be its PatchColumns, summing over (tap, channel):
-    the kernel's first taps in ring order, as many as the columns hold. A 1x1
+    A k > 1 kernel, or any kernel on Columns, is one GEMM over the patch
+    columns of `a`, which may be its Columns, summing over (tap, channel): the
+    kernel's first taps in ring order, as many as the columns hold. A 1x1
     kernel on an array reads its rows. The result is held channel-major.
     """
     n, _, h, wd = a.shape
     out_c, c, k, _ = w.shape
-    if k == 1 and not isinstance(a, PatchColumns):  # a per-pixel channel mix: one GEMM
+    if k == 1 and not isinstance(a, Columns):  # a per-pixel channel mix: one GEMM
         out = _f64(w[:, :, 0, 0]) @ _rows(_channel_major64(a))
     else:  # np.take copies the kernel into the columns' order, C-contiguous whatever
         # its memory order, so the GEMM sees the same operands and gives the same bits
-        cols = _patch_columns(a, k)
+        cols = a.taps(k) if isinstance(a, Columns) else _columns(a, k)
         taps = _RING[k][:cols.shape[1] // c]
         w_ring = np.take(w.reshape(out_c, c, k * k).transpose(0, 2, 1), taps, axis=1)
         out = _f64(w_ring).reshape(out_c, -1) @ cols.T
@@ -257,8 +254,8 @@ def _correlate(a, w):
 
 def conv2d_forward(x, p):
     """Zero-padded "same" convolution: the correlation of x with w, plus b.
-    For a k > 1 kernel, x may be the PatchColumns of the input; for any
-    kernel, the CenterColumns of an eval batch, whose center output it is."""
+    x may be the Columns of the input (patch_columns), or those of an eval
+    batch's center rows, whose center output it is."""
     _conv_check(p, x, "input")
     out = _correlate(x, p.w.data)
     out += _f64(p.b.data)[None, :, None, None]
@@ -268,9 +265,8 @@ def conv2d_forward(x, p):
 def conv2d_backward(x, p, grad_out):
     """Parameter gradients of conv2d_forward; returns (grad_w, grad_b).
 
-    For a k > 1 kernel, x may be the PatchColumns the forward read. The input
-    gradient is conv2d_input_grad, which a layer reading the data itself does
-    not need.
+    x may be the Columns the forward read. The input gradient is
+    conv2d_input_grad, which a layer reading the data itself does not need.
     """
     _conv_check(p, x, "input")
     w = p.w.data
@@ -284,10 +280,11 @@ def conv2d_backward(x, p, grad_out):
     g64 = _channel_major64(grad_out)
     g_rows = _rows(g64)
     grad_b = g_rows.sum(axis=1)
-    if k == 1:  # one GEMM over all n*h*w pixels
+    if k == 1 and not isinstance(x, Columns):  # one GEMM over all n*h*w pixels
         grad_w = (g_rows @ _rows(_channel_major64(x)).T).reshape(w.shape)
     else:  # a (tap, channel) gradient, its taps put back in the kernel's order
-        g_ring = (g_rows @ _patch_columns(x, k)).reshape(out_c, k * k, -1)
+        cols = x.taps(k) if isinstance(x, Columns) else _columns(x, k)
+        g_ring = (g_rows @ cols).reshape(out_c, k * k, -1)
         grad_w = np.take(g_ring, _PLACE[k], axis=1).transpose(0, 2, 1).reshape(w.shape)
     return grad_w.astype(w.dtype, copy=False), grad_b.astype(p.b.data.dtype, copy=False)
 

@@ -119,12 +119,9 @@ def evaluate(network, dataset, split):
     augmentation, batch-norm running statistics). The eval forward computes
     each patch's center pixel only, which is all the label reads; see
     Network.forward for why that equals the full-patch result."""
-    if split == "train":
-        idx = dataset.train_idx
-    elif split == "test":
-        idx = dataset.test_idx
-    else:
+    if split not in ("train", "test"):
         raise ConfigError(f"split must be 'train' or 'test', got '{split}'")
+    idx = dataset.train_idx if split == "train" else dataset.test_idx
     _check_fits(network, dataset)
     if idx.size == 0:
         raise DataError(f"{split} split of '{dataset.name}' is empty")

@@ -13,28 +13,32 @@ hsibench_trace = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(hsibench_trace)
 
 
-def test_bank_conv_counts_read_the_input_shape():
-    """c3x3 and c5x5 get PatchColumns in x's place, which report x's shape, so
-    the tracer counts their work as for the same convs on the plain input."""
+def test_bank_conv_counts_read_the_input_shape(monkeypatch):
+    """Every bank conv, c1x1 included, gets the ops.Columns of x in x's place,
+    which report x's shape, so the tracer counts their work as for the same
+    convs on the plain input."""
     rng = np.random.default_rng(0)
     net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4), rng)
     x = rng.normal(0, 1, (3, 4, 5, 5)).astype(np.float32)
+    inputs, forward = [], ops.conv2d_forward
+    monkeypatch.setattr(ops, "conv2d_forward", lambda a, p: inputs.append(a) or forward(a, p))
     step = hsibench_trace.Tracer()
     with step.installed():
         net.forward(x, training=True, rng=rng, workspace=ops.Workspace())
         net.backward(np.ones((3, 3), dtype=np.float32))
+    assert [type(a) for a in inputs[:3]] == [ops.Columns] * 3
     plain = hsibench_trace.Tracer()
     with plain.installed():
-        for blk in net.bank[1:]:
+        for blk in net.bank:
             ops.conv2d_forward(x, blk.conv)
             ops.conv2d_backward(x, blk.conv, np.ones((3, 4, 5, 5), dtype=np.float32))
-    keys = [f"ops.conv.{b}.{d}.{m}" for b in ("c3x3", "c5x5") for d in ("fwd", "bwd")
+    keys = [f"ops.conv.{b}.{d}.{m}" for b in ("c1x1", "c3x3", "c5x5") for d in ("fwd", "bwd")
             for m in ("mac", "bytes")]
     assert all(step.counts[k] == plain.counts[k] > 0 for k in keys)
 
 
 def test_eval_bank_conv_counts_read_the_center_shape():
-    """An eval forward hands every bank conv the CenterColumns of its batch,
+    """An eval forward hands every bank conv the ops.Columns of its batch,
     which report the (n, bands, 1, 1) shape of the center output, so each
     counts n * out * bands * k * k MACs."""
     rng = np.random.default_rng(1)

@@ -221,9 +221,9 @@ class TestConfigErrors:
         ({"domains": [{**DOMAIN, "name": "."}]}, f"'domains' entry 0 'name' {INSIDE}, got '.'"),
         ({**DOMAIN, "name": ".."}, f"config 'name' {INSIDE}, got '..'"),
         ({"domains": [DOMAIN, {**DOMAIN, "name": "s2"}, {**DOMAIN, "seed": 3}]},
-         "config 'domains' entry 2 'name' 's1' repeats the name of entry 0"),
+         "config 'domains' entry 2 repeats the name 's1' of config 'domains' entry 0"),
         ({"domains": [{"classes": 3, "bands": 4, "height": 12, "width": 12}] * 2},
-         "config 'domains' entry 1 'name' 'synth' repeats the name of entry 0"),
+         "config 'domains' entry 1 repeats the name 'synth' of config 'domains' entry 0"),
     ])
     def test_bad_synth_gen_domain_exits_1_naming_it(self, tmp_path, capsys, cfg, message):
         assert main(["synth-gen", "--config", write_json(tmp_path / "c.json", cfg),
@@ -286,6 +286,11 @@ class TestWholeConfigCheckedFirst:
     ], ids=["sweep_schedule", "depth", "no_depths", "even_patch", "two_step_step2",
             "last_source", "train_per_class_0"])
     def test_experiment_exits_1_naming_the_key(self, tmp_path, capsys, calls, exp, cfg, where):
+        assert self.experiment(tmp_path, exp, cfg) == 1
+        assert where in capsys.readouterr().err
+        assert calls == {}
+
+    def experiment(self, tmp_path, exp, cfg):
         cfg = {"experiment": exp, "seeds": [0], "network": {"filters": 4},
                "sources": [synth(51, "a"), synth(52, "b"), synth(53, "c")],
                "target": synth(50, "target", bands=5), "train_per_class": 4,
@@ -296,10 +301,39 @@ class TestWholeConfigCheckedFirst:
                "pairs": [{"label": "x", "sources": [0]}, {"label": "y", "sources": [1]}],
                "conditions": [{"label": "one", "sources": [0]},
                               {"label": "two", "sources": [0, 1]}], **cfg}
-        assert main(["experiment", exp, "--config", write_json(tmp_path / "c.json", cfg),
-                     "--out", str(tmp_path / "out")]) == 1
-        assert where in capsys.readouterr().err
+        return main(["experiment", exp, "--config", write_json(tmp_path / "c.json", cfg),
+                     "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("exp,cfg,message", [
+        ("schedule_sweep", {"schedules": [{"step_size": 4, "max_iter": 6, "base_lr": 0.001},
+                                          {"step_size": 4, "max_iter": 6, "base_lr": 0.05}]},
+         "config 'schedules' entry 1 repeats the condition '4/6/pretrain' of config "
+         "'schedules' entry 0"),
+        ("source_size", {"combinations": [{"label": "x", "sources": [0]},
+                                          {"label": "x", "sources": [0, 1]}]},
+         "config 'combinations' entry 1 repeats the condition 'x' of config 'combinations' "
+         "entry 0"),
+        ("source_size", {"combinations": [{"label": "one", "sources": [0]},
+                                          {"label": "scratch", "sources": [0, 1]}]},
+         "config 'include_scratch' repeats the condition 'scratch' of config 'combinations' "
+         "entry 1"),
+        ("depth_sweep", {"depths": [3, 2, 3]},
+         "config 'depths' entry 2 repeats the condition '11-layer/pretrain' of config "
+         "'depths' entry 0"),
+        ("depth_sweep", {"depths": [2, 2], "seeds": [0, 0]},
+         "config 'seeds' entry 1 repeats the seed 0 of config 'seeds' entry 0"),
+        ("pretrain", {"seeds": [4, 1, 4]},
+         "config 'seeds' entry 2 repeats the seed 4 of config 'seeds' entry 0"),
+    ], ids=["unlabelled_schedules", "combination_labels", "scratch_label", "depths",
+            "seeds", "pretrain_seeds"])
+    def test_repeated_run_exits_1_naming_both_entries(self, tmp_path, capsys, calls, exp, cfg,
+                                                      message):
+        """Repeated seeds or condition names used to exit 0, merging their runs
+        into one condition of report.csv and summary.json."""
+        assert self.experiment(tmp_path, exp, cfg) == 1
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert calls == {}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [["eval"], ["finetune", "--out", "o"]],
                              ids=["eval", "finetune"])
@@ -1069,6 +1103,29 @@ class TestPipeline:
         assert (f"data error: label 4294967297 in '{tmp_path / 'l.txt'}' at pixel (x=4, y=3)"
                 in capsys.readouterr().err)
         assert "sgd_step" not in calls
+
+    @pytest.mark.parametrize("command,edit,per_class,message", [
+        ("train-scratch", {"classes": 2}, 2,
+         "dataset 's1' label 3 exceeds declared class count 2"),
+        ("train-scratch", {}, 400, "dataset 's1' class 1 has only {count} labeled pixels, "
+                                   "need 400"),
+        ("pretrain", {"labels": "zeros.txt"}, 2,
+         "dataset 's1': normalize_bands needs a non-empty train split"),
+    ], ids=["classes_too_few", "train_per_class_past_a_class", "no_labeled_source_pixel"])
+    def test_dataset_error_names_the_dataset(self, workdir, tmp_path, capsys, command, edit,
+                                             per_class, message):
+        manifest = json.loads((workdir / "data" / "s1.json").read_text())
+        manifest.update({k: str(workdir / "data" / manifest[k]) for k in ("header", "data",
+                                                                           "labels")})
+        labels = load_label_raster(manifest["labels"]).labels
+        np.savetxt(tmp_path / "zeros.txt", np.zeros_like(labels), fmt="%d")
+        bad = {"manifest": write_json(tmp_path / "m.json", {**manifest, **edit})}
+        cfg = write_json(tmp_path / "c.json", {
+            "sources": [bad], "target": bad, "train_per_class": per_class,
+            "network": {"filters": 4}, "schedule": {"step_size": 4, "max_iter": 4}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        message = message.format(count=int((labels == 1).sum()))
+        assert f"data error: {message}\n" in capsys.readouterr().err
 
     def test_synth_gen_sample_outside_uint16_is_data_error(self, tmp_path, capsys):
         """A noisy domain written as uint16 used to wrap its negative samples to

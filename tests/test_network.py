@@ -234,8 +234,8 @@ class TestForward:
 
     def test_training_step_builds_one_set_of_bank_columns(self, monkeypatch):
         """A training forward builds its input's 5x5 patch columns once, into
-        the workspace it is given. c3x3 and c5x5 read them forward and
-        backward, c1x1 reads x, and every bank gradient keeps the bits of
+        the workspace it is given. Every bank conv, c1x1 included, reads them
+        forward and backward, and every bank gradient keeps the bits of
         conv2d_backward on a plain copy of x."""
         sizes, calls = [], []
         columns, backward = ops._columns, ops.conv2d_backward
@@ -251,7 +251,7 @@ class TestForward:
         assert sizes == [5] and workspace.builds == 1
         bank = [(a, blk) for a in calls for blk in net.bank if a[1] is blk.conv]
         assert [blk.name for _, blk in bank] == ["c1x1", "c3x3", "c5x5"]
-        assert [type(bx) for (bx, _, _), _ in bank] == [np.ndarray] + [ops.PatchColumns] * 2
+        assert [type(bx) for (bx, _, _), _ in bank] == [ops.Columns] * 3
         for (_, p, g), blk in bank:
             fresh = backward(x.copy(), p, g)
             for got, want in zip((p.w.grad, p.b.grad), fresh, strict=True):

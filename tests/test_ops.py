@@ -268,54 +268,6 @@ class TestConvForward:
             ops.make_conv_params("c", 1, 1, 7)
 
 
-class TestCenterColumns:
-    """conv2d_forward on the CenterColumns of a batch against the center pixel
-    of the full same-padded output."""
-
-    @staticmethod
-    def center_columns(x):
-        """The CenterColumns of x: the center row of its 5x5 patch columns, cut
-        to the taps inside the patch."""
-        n, c, side, _ = x.shape
-        rows = ops._columns(x, 5).reshape(n, side, side, -1)[:, side // 2, side // 2]
-        return ops.CenterColumns(rows[:, :min(side, 5) ** 2 * c], c, x.dtype)
-
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("side", [1, 3, 5, 7])
-    def test_equals_center_of_full_conv(self, k, side):
-        rng = np.random.default_rng(k * 10 + side)
-        p = make_conv(4, 3, k, rng)
-        x = rng.normal(0, 1, (5, 4, side, side))
-        c = side // 2
-        cols = self.center_columns(x)
-        assert cols.shape == (5, 4, 1, 1)
-        center = ops.conv2d_forward(cols, p)
-        assert center.shape == (5, 3, 1, 1)
-        np.testing.assert_allclose(center[:, :, 0, 0], ops.conv2d_forward(x, p)[:, :, c, c],
-                                   rtol=1e-12)
-        p32 = make_conv(4, 3, k)
-        p32.w.data = p.w.data.astype(np.float32)
-        p32.b.data = p.b.data.astype(np.float32)
-        x32 = x.astype(np.float32)
-        center32 = ops.conv2d_forward(self.center_columns(x32), p32)
-        assert center32.dtype == np.float32
-        np.testing.assert_array_max_ulp(center32[:, :, 0, 0],
-                                        ops.conv2d_forward(x32, p32)[:, :, c, c], maxulp=1)
-
-    def test_each_kernel_reads_a_prefix_of_one_set(self):
-        """The bank's three convs read views of the same rows, no copy."""
-        x = np.random.default_rng(3).normal(0, 1, (2, 4, 5, 5))
-        cols = self.center_columns(x)
-        for k in (1, 3, 5):
-            assert np.shares_memory(cols.taps(k), cols.columns)
-            assert cols.taps(k).shape == (2, k * k * 4)
-
-    def test_channel_mismatch_names_both_shapes(self):
-        cols = self.center_columns(np.zeros((1, 4, 3, 3)))
-        with pytest.raises(ShapeError, match=r"\(1, 4, 1, 1\).*\(2, 3, 1, 1\)"):
-            ops.conv2d_forward(cols, make_conv(3, 2, 1))
-
-
 class TestConvBackward:
     def test_scalar_chain_rule(self):
         p = make_conv(1, 1, 1)
@@ -511,13 +463,15 @@ class TestFastPathsMatchReferences:
             ops.batchnorm_backward(xhat, inv, p, np.zeros((2, 1, 1, 1)))
 
 
-class TestKeptColumns:
-    """A training step keeps its bank input's patch columns in a PatchColumns,
-    built once into the run's Workspace and handed to the convs in x's place.
-    The set is built for the bank's largest kernel, 5x5, its taps in ring
-    order: c5x5 reads all of it and c3x3 a view of its first 9 taps; an array
-    input gets fresh columns on every call. Every result keeps the bits of
-    the ring-order references."""
+class TestColumns:
+    """A bank conv reads an ops.Columns in its input's place. A training step
+    builds its bank input's patch columns once (ops.patch_columns), into the
+    run's Workspace. The set is built for the bank's largest kernel, 5x5, its
+    taps in ring order: c5x5 reads all of it, c3x3 a view of its first 9 taps
+    and c1x1 of the first; an array input gets fresh columns on every call.
+    Every result keeps the bits of the ring-order references. An eval batch's
+    Columns hold the center rows of its patches, and conv2d_forward on them
+    gives the center pixel of the full same-padded output."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -545,7 +499,7 @@ class TestKeptColumns:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_reads_the_forward_columns(self, builds, dtype):
         p, x, g = self.case(5, 0, dtype)
-        cols = ops.PatchColumns(x, ops.Workspace())
+        cols = ops.patch_columns(x, ops.Workspace())
         assert_same_bits(ops.conv2d_forward(cols, p), conv2d_forward_reference(x, p))
         self.assert_reference(x, p, g, ops.conv2d_backward(cols, p, g))
         assert builds == [5]
@@ -563,9 +517,9 @@ class TestKeptColumns:
         columns."""
         p, x, g = self.case(5, 5)
         workspace = ops.Workspace()
-        first = ops.PatchColumns(x, workspace)
+        first = ops.patch_columns(x, workspace)
         y = x[::-1].copy()
-        latest = ops.PatchColumns(y, workspace)
+        latest = ops.patch_columns(y, workspace)
         for read in (lambda: ops.conv2d_forward(first, p), lambda: first.taps(3)):
             with pytest.raises(RuntimeError, match="later build"):
                 read()
@@ -578,14 +532,14 @@ class TestKeptColumns:
     def test_columns_are_the_ring_major_windows(self, builds, shape, k):
         """Fresh or in the workspace, the columns are the window view's taps
         in ring order, each tap's channels side by side, in a C-contiguous
-        (n*h*w, k*k*c) array. PatchColumns builds the bank's largest kernel
+        (n*h*w, k*k*c) array. patch_columns builds the bank's largest kernel
         only, k = 5."""
         x = np.random.default_rng(15).normal(0, 1, shape)
         want = ring_major(windows_reference(x, k), k)
         workspace = ops.Workspace()
         built = [ops._columns(x, k)]
         if k == 5:
-            built.append(ops.PatchColumns(x, workspace).taps(k))
+            built.append(ops.patch_columns(x, workspace).taps(k))
             assert np.shares_memory(built[-1], workspace.buffer)
         for got in built:
             assert (got.shape, got.strides) == (want.shape, want.strides)
@@ -595,7 +549,7 @@ class TestKeptColumns:
     @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5), (3, 2, 3, 3),
                                        (3, 2, 1, 1), (1, 2, 1, 1), (1, 1, 3, 1), (2, 1, 3, 1),
                                        (1, 2, 1, 4)])
-    def test_smaller_kernel_reads_a_prefix_of_the_kept_columns(self, builds, shape):
+    def test_smaller_kernel_reads_a_prefix_of_the_set(self, builds, shape):
         """The 3x3 columns of a 5x5 set, in float32 and float64, are a view of
         the workspace holding a fresh 3x3 build's values byte for byte, at
         patch 5, 3 and 1 and on a single pixel, and the 3x3 forward and
@@ -606,7 +560,7 @@ class TestKeptColumns:
             g = rng.normal(0, 1, (shape[0], 4, *shape[2:])).astype(dtype)
             p3 = make_conv(shape[1], 4, 3, rng, dtype=dtype)
             workspace = ops.Workspace()
-            cols = ops.PatchColumns(x, workspace)
+            cols = ops.patch_columns(x, workspace)
             prefix, fresh = cols.taps(3), ops._columns(x, 3)
             assert np.shares_memory(prefix, workspace.buffer)
             assert prefix.shape == fresh.shape
@@ -615,11 +569,34 @@ class TestKeptColumns:
             self.assert_reference(x, p3, g, ops.conv2d_backward(cols, p3, g))
         assert workspace.builds == 1
 
-    def test_other_builds_leave_the_kept_columns_untouched(self, builds):
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (1, 3, 3, 7), (64, 3, 5, 5), (3, 2, 1, 1),
+                                       (2, 1, 3, 1), (8, 96, 5, 5)])
+    def test_1x1_kernel_reads_the_first_tap(self, builds, shape):
+        """c1x1 reads a view of the set's first tap. In float32 its forward and
+        gradients keep the bits of the row path over x; in float64 the GEMM
+        reads the view's strides and may round differently."""
+        rng = np.random.default_rng(21)
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(0, 1, shape).astype(dtype)
+            g = rng.normal(0, 1, (shape[0], 4, *shape[2:])).astype(dtype)
+            p1 = make_conv(shape[1], 4, 1, rng, dtype=dtype)
+            cols = ops.patch_columns(x, ops.Workspace())
+            assert np.shares_memory(cols.taps(1), cols.columns)
+            assert cols.taps(1).shape == (x.size // shape[1], shape[1])
+            got = [ops.conv2d_forward(cols, p1), *ops.conv2d_backward(cols, p1, g)]
+            want = [ops.conv2d_forward(x, p1), *ops.conv2d_backward(x, p1, g)]
+            for a, b in zip(got, want, strict=True):
+                if dtype == np.float32:
+                    assert_same_bits(a, b)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert builds == [5, 5]
+
+    def test_other_builds_leave_the_set_untouched(self, builds):
         """A forward and a weight gradient on an array build their columns in
         fresh memory, though they would fit in the workspace."""
         p, x, g = self.case(5, 12)
-        cols = ops.PatchColumns(x, ops.Workspace())
+        cols = ops.patch_columns(x, ops.Workspace())
         before = cols.columns.tobytes()
         y = x[::-1].copy()
         ops.conv2d_forward(y, p)
@@ -631,18 +608,18 @@ class TestKeptColumns:
     def test_workspace_is_reused_and_grows(self, builds):
         _, x, _ = self.case(5, 13)
         workspace = ops.Workspace()
-        ops.PatchColumns(x, workspace)
+        ops.patch_columns(x, workspace)
         buffer = workspace.buffer
-        ops.PatchColumns(x[::-1].copy(), workspace)
+        ops.patch_columns(x[::-1].copy(), workspace)
         assert workspace.buffer is buffer
-        ops.PatchColumns(np.concatenate([x, x]), workspace)
+        ops.patch_columns(np.concatenate([x, x]), workspace)
         assert workspace.buffer.size == 2 * buffer.size and workspace.builds == 3
 
     def test_input_gradient_keeps_no_columns(self, builds):
         """The input gradient builds fresh columns of grad_out: the set stays
         readable, with its bytes."""
         p, x, g = self.case(5, 6)
-        cols = ops.PatchColumns(x, ops.Workspace())
+        cols = ops.patch_columns(x, ops.Workspace())
         before = cols.columns.tobytes()
         ops.conv2d_input_grad(p, g)
         assert cols.taps(5).tobytes() == before
@@ -656,11 +633,54 @@ class TestKeptColumns:
         workspace = ops.Workspace()
 
         def loss():
-            y = ops.conv2d_forward(ops.PatchColumns(x, workspace), p)
+            y = ops.conv2d_forward(ops.patch_columns(x, workspace), p)
             return float((y ** 2).sum() / 2)
 
         assert grad_check(loss, {"input": (x, grad)}).passed
         assert workspace.builds == len(builds) - 2 > 0
+
+    @staticmethod
+    def center_columns(x):
+        """The eval Columns of x: the center row of its 5x5 patch columns, cut
+        to the taps inside the patch."""
+        n, c, side, _ = x.shape
+        rows = ops._columns(x, 5).reshape(n, side, side, -1)[:, side // 2, side // 2]
+        return ops.Columns(rows[:, :min(side, 5) ** 2 * c], (n, c, 1, 1), x.dtype)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("side", [1, 3, 5, 7])
+    def test_equals_center_of_full_conv(self, k, side):
+        rng = np.random.default_rng(k * 10 + side)
+        p = make_conv(4, 3, k, rng)
+        x = rng.normal(0, 1, (5, 4, side, side))
+        c = side // 2
+        cols = self.center_columns(x)
+        assert cols.shape == (5, 4, 1, 1)
+        center = ops.conv2d_forward(cols, p)
+        assert center.shape == (5, 3, 1, 1)
+        np.testing.assert_allclose(center[:, :, 0, 0], ops.conv2d_forward(x, p)[:, :, c, c],
+                                   rtol=1e-12)
+        p32 = make_conv(4, 3, k)
+        p32.w.data = p.w.data.astype(np.float32)
+        p32.b.data = p.b.data.astype(np.float32)
+        x32 = x.astype(np.float32)
+        center32 = ops.conv2d_forward(self.center_columns(x32), p32)
+        assert center32.dtype == np.float32
+        np.testing.assert_array_max_ulp(center32[:, :, 0, 0],
+                                        ops.conv2d_forward(x32, p32)[:, :, c, c], maxulp=1)
+
+    def test_each_kernel_reads_a_prefix_of_one_set(self):
+        """The bank's three convs read views of the same rows, no copy."""
+        x = np.random.default_rng(3).normal(0, 1, (2, 4, 5, 5))
+        cols = self.center_columns(x)
+        for k in (1, 3, 5):
+            assert np.shares_memory(cols.taps(k), cols.columns)
+            assert cols.taps(k).shape == (2, k * k * 4)
+
+    def test_channel_mismatch_names_both_shapes(self):
+        cols = self.center_columns(np.zeros((1, 4, 3, 3)))
+        with pytest.raises(ShapeError, match=r"\(1, 4, 1, 1\).*\(2, 3, 1, 1\)"):
+            ops.conv2d_forward(cols, make_conv(3, 2, 1))
 
 
 class TestChannelMajorInputs:
