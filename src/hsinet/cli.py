@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .checkpoint import save_checkpoint
 from .data import synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError, read_file, read_json, write_json
 from .experiments import (EXPERIMENT_IDS, _Harness, load_network, run_experiment,
@@ -114,8 +113,7 @@ def cmd_pretrain(args):
         names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
         _write_train_outputs(out, run.metrics, names)
         ckpt = out / "pretrained.ckpt"
-        last = run.metrics[-1].rows[-1]   # at max_iter of the last phase
-        save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
+        run.save(ckpt)
     print(json.dumps({"checkpoint": str(ckpt)}))
     return 0
 
@@ -129,7 +127,7 @@ def cmd_target(args):
         _write_train_outputs(out, run.metrics, ["metrics"])
         ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
         last = run.metrics[0].rows[-1]   # scored on the test split at max_iter
-        save_checkpoint(run.network, ckpt, rng=run.rng, iteration=last.iteration)
+        run.save(ckpt)
     print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": last.accuracy}))
     return 0
 

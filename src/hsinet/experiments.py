@@ -153,6 +153,12 @@ class _Run:
     metrics: list          # one TrainMetrics per training phase
     rng: np.random.Generator
 
+    def save(self, path):
+        """Checkpoint the network with the run's RNG state and the iteration of
+        its last eval row (max_iter of the last phase)."""
+        save_checkpoint(self.network, path, rng=self.rng,
+                        iteration=self.metrics[-1].rows[-1].iteration)
+
 
 class _Harness:
     """The config -> dataset -> network pipeline shared by the CLI commands and
@@ -336,8 +342,9 @@ def run_plan(cfg, out_dir=None):
 
 def run_pretrain(cfg, out_dir=None):
     """Plain cross-domain pre-training as an experiment: emits source loss
-    curves and writes one checkpoint per seed when out_dir is given. stderr
-    gets a line naming each run before its eval lines."""
+    curves and, when out_dir is given, writes one checkpoint per seed, the same
+    file `hsinet pretrain` writes for that seed. stderr gets a line naming each
+    run before its eval lines."""
     h = _Harness(cfg)
     rows = []
     for seed in h.seeds:
@@ -349,7 +356,7 @@ def run_pretrain(cfg, out_dir=None):
                                f"loss[{r.domain}]", float(r.loss)) for r in metrics.rows]
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
-            save_checkpoint(run.network, Path(out_dir) / f"pretrained_seed{seed}.ckpt")
+            run.save(Path(out_dir) / f"pretrained_seed{seed}.ckpt")
     return _finish(rows, cfg, out_dir)
 
 

@@ -1,11 +1,13 @@
 """Backbone assembly, cross-domain branch sharing, and fine-tune transfer.
 
-The backbone is fully convolutional: a multi-scale bank of 1x1/3x3/5x5
-convolutions over the input patch, a 1x1 reduction (c2), a chain of residual
-modules (two 1x1 convolutions each, additive skip), two dropout-guarded 1x1
-layers (c7, c8) and a 1x1 classifier head (c9). Batch norm + ReLU follow
-every convolution except c9. Per-pixel logits are read at the patch center,
-so c9 computes that pixel alone; an eval forward computes only it throughout.
+The backbone is fully convolutional: a multi-scale bank with one convolution
+per ops.KERNEL_SIZES (1x1/3x3/5x5) over the input patch, a 1x1 reduction (c2),
+a chain of residual modules (two 1x1 convolutions each, additive skip), two
+1x1 layers whose blocks apply dropout after their ReLU (c7, c8) and a 1x1
+classifier head (c9). Batch norm + ReLU follow every convolution except c9.
+Per-pixel logits are read at the patch center, so c9 computes that pixel
+alone; an eval forward computes only it throughout. Network.__init__ is the
+one place that says which block is which.
 """
 from __future__ import annotations
 
@@ -69,22 +71,26 @@ class CrossDomainSpec:
 
 
 class ConvBlock:
-    """Convolution optionally followed by batch norm and ReLU."""
+    """Convolution optionally followed by batch norm and ReLU, and then by
+    inverted dropout at rate `dropout` when one is given (0.0 included)."""
 
-    def __init__(self, name, in_c, out_c, k, dtype=np.float32, with_bn=True, with_relu=True):
+    def __init__(self, name, in_c, out_c, k, dtype=np.float32, with_bn=True, with_relu=True,
+                 dropout=None):
         self.name = name
         self.with_bn = with_bn
         self.with_relu = with_relu
+        self.dropout = dropout
         self.conv = ops.make_conv_params(name, in_c, out_c, k, dtype)
         self.bn = ops.make_batchnorm_params(f"{name}.bn", out_c, dtype) if with_bn else None
         self._x = None
         self._bn_stats = None
         self._pre_relu = None
+        self._mask = None
 
     def forward(self, x, training, rng=None):
         """Run the block on x, which may be the ops.Columns of the input; eval
-        keeps nothing for a backward. `rng` is unused: the call form of
-        Dropout.forward."""
+        keeps nothing for a backward. A training dropout draws its mask from
+        `rng`."""
         self._x = x if training else None
         y = ops.conv2d_forward(x, self.conv)
         if self.with_bn and training:
@@ -94,6 +100,8 @@ class ConvBlock:
         if self.with_relu:
             self._pre_relu = y if training else None
             y = ops.relu(y)
+        if self.dropout is not None:
+            y, self._mask = ops.dropout(y, self.dropout, training, rng)
         return y
 
     def backward(self, grad_out):
@@ -104,6 +112,9 @@ class ConvBlock:
         """Fill the parameter gradients and release what the forward kept;
         returns the gradient at the conv output (a bank block stops here)."""
         g = grad_out
+        if self.dropout is not None:
+            g = ops.dropout_backward(g, self._mask, self.dropout)
+            self._mask = None
         if self.with_relu:
             g = ops.relu_backward(self._pre_relu, g)
             self._pre_relu = None
@@ -159,20 +170,6 @@ class ResidualModule:
         return [self.conv1, self.conv2]
 
 
-class Dropout:
-    def __init__(self, rate):
-        self.rate = rate
-        self._mask = None
-
-    def forward(self, x, training, rng):
-        y, self._mask = ops.dropout(x, self.rate, training, rng)
-        return y
-
-    def backward(self, grad_out):
-        mask, self._mask = self._mask, None
-        return ops.dropout_backward(grad_out, mask, self.rate)
-
-
 class Network:
     """A single backbone. Use build_backbone() to construct and initialize."""
 
@@ -180,22 +177,16 @@ class Network:
         self.spec = spec
         self.dtype = dtype
         f = spec.filters
-        self.bank = [
-            ConvBlock("c1x1", spec.bands, f, 1, dtype),
-            ConvBlock("c3x3", spec.bands, f, 3, dtype),
-            ConvBlock("c5x5", spec.bands, f, 5, dtype),
-        ]
-        self.c2 = ConvBlock("c2", 3 * f, f, 1, dtype)
+        self.bank = [ConvBlock(f"c{k}x{k}", spec.bands, f, k, dtype) for k in ops.KERNEL_SIZES]
+        self.c2 = ConvBlock("c2", len(self.bank) * f, f, 1, dtype)
         if shared_modules is None:
             shared_modules = [ResidualModule(k, f, dtype)
                               for k in range(1, spec.residual_modules + 1)]
         self.modules = list(shared_modules)
-        self.c7 = ConvBlock("c7", f, f, 1, dtype)
-        self.c8 = ConvBlock("c8", f, f, 1, dtype)
-        self.drop7 = Dropout(spec.dropout_rate)
-        self.drop8 = Dropout(spec.dropout_rate)
+        self.c7 = ConvBlock("c7", f, f, 1, dtype, dropout=spec.dropout_rate)
+        self.c8 = ConvBlock("c8", f, f, 1, dtype, dropout=spec.dropout_rate)
         # every layer between the bank and the head, in forward order
-        self.trunk = [self.c2, *self.modules, self.c7, self.drop7, self.c8, self.drop8]
+        self.trunk = [self.c2, *self.modules, self.c7, self.c8]
         self.c9 = ConvBlock("c9", f, spec.classes, 1, dtype, with_bn=False, with_relu=False)
         self._backward_ready = False
 
@@ -221,12 +212,6 @@ class Network:
 
     def state(self):
         return [pair for blk in self.blocks() for pair in blk.state()]
-
-    def private_state(self):
-        return [pair for blk in self.private_blocks() for pair in blk.state()]
-
-    def shared_state(self):
-        return [pair for blk in self.shared_blocks() for pair in blk.state()]
 
     # --- execution ------------------------------------------------------
 
@@ -294,19 +279,19 @@ class Network:
             g = layer.backward(g)
         # channel-major: each part is contiguous. Every bank block reads the patch
         # columns the forward built, and then drops them
-        for blk, part in zip(self.bank, np.split(g, 3, axis=1)):
+        for blk, part in zip(self.bank, np.split(g, len(self.bank), axis=1)):
             blk.param_backward(part)
 
 
 def init_weights(network, rng, only_private=False):
     """Draw the convolution weights of a freshly built network: Gaussian, std
-    0.01 for bank/c2/c9 and 0.005 elsewhere, in block order. Construction
-    already holds the rest of the init: biases and momentum buffers 0,
-    batch-norm scale 1, shift 0, running mean 0, running var 1."""
-    front_head = {"c1x1", "c3x3", "c5x5", "c2", "c9"}
+    0.01 for the bank's blocks, c2 and c9 and 0.005 elsewhere, in block order.
+    Construction already holds the rest of the init: biases and momentum
+    buffers 0, batch-norm scale 1, shift 0, running mean 0, running var 1."""
+    front_head = {*network.bank, network.c2, network.c9}
     blocks = network.private_blocks() if only_private else network.blocks()
     for blk in blocks:
-        std = INIT_STD_FRONT_HEAD if blk.name in front_head else INIT_STD_MIDDLE
+        std = INIT_STD_FRONT_HEAD if blk in front_head else INIT_STD_MIDDLE
         w = blk.conv.w.data
         w[...] = rng.normal(0.0, std, w.shape).astype(w.dtype)
     return network
@@ -338,9 +323,11 @@ class CrossDomainNetwork:
     def state(self):
         """Checkpoint records in file order: the shared store once as
         `shared.<name>`, then each branch's private tensors as `branch<i>.<name>`."""
-        out = [(f"shared.{name}", arr) for name, arr in self.branches[0].shared_state()]
+        out = [(f"shared.{name}", arr)
+               for blk in self.branches[0].shared_blocks() for name, arr in blk.state()]
         for i, branch in enumerate(self.branches):
-            out += [(f"branch{i}.{name}", arr) for name, arr in branch.private_state()]
+            out += [(f"branch{i}.{name}", arr)
+                    for blk in branch.private_blocks() for name, arr in blk.state()]
         return out
 
 

@@ -161,15 +161,16 @@ def _composition_point(net, rng):
     the skip add could otherwise cancel back to zero) and the head stays
     small enough that the softmax does not saturate.
     """
+    res_conv2 = {mod.conv2 for mod in net.modules}
     for blk in net.blocks():
         w = blk.conv.w
-        w.data[...] = rng.normal(0, 0.1 if blk.name == "c9" else 0.5, w.data.shape)
+        w.data[...] = rng.normal(0, 0.1 if blk is net.c9 else 0.5, w.data.shape)
         blk.conv.b.data[...] = rng.normal(0, 0.1, blk.conv.b.data.shape)
         if blk.with_bn:
             shape = blk.bn.scale.data.shape
             blk.bn.scale.data[...] = rng.uniform(0.8, 1.2, shape)
             sign = np.where(rng.random(shape) < 0.8, 1.0, -1.0)
-            if blk.name.startswith("res") and blk.name.endswith("conv2"):
+            if blk in res_conv2:
                 sign = np.ones(shape)
             blk.bn.shift.data[...] = sign * rng.normal(5.0, 0.5, shape)
 

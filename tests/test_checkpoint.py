@@ -279,6 +279,10 @@ class TestMalformedRecords:
         (small_net, _spec(patch=True),
          "checkpoint metadata 'spec' is malformed: spec 'patch' must be a JSON integer, "
          "got bool"),
+        (small_net, _spec(bands=0),
+         "checkpoint metadata 'spec' is malformed: bands must be positive, got 0"),
+        (small_net, _spec(classes=1),
+         "checkpoint metadata 'spec' is malformed: need at least 2 classes, got 1"),
         (small_net, _rng(state=1.5), "checkpoint metadata 'rng' is malformed"),
         (small_net, _rng(inc=True), "checkpoint metadata 'rng' is malformed"),
         (small_net, _rng(has_uint32=2), "checkpoint metadata 'rng' is malformed"),
@@ -296,10 +300,10 @@ class TestMalformedRecords:
             "spec_out_of_range", "no_branches", "branches_not_list", "no_branch",
             "no_iteration", "iteration_not_int", "bad_rng", "bad_tensor_dtype", "meta_not_json",
             "half_meta_dtype", "big_endian_meta_dtype", "record_dtype_not_meta_dtype",
-            "rng_out_of_range", "float_filters", "float_patch", "bool_patch",
-            "rng_float_state", "rng_bool_inc", "rng_has_uint32_2", "rng_float_uinteger",
-            "rng_not_pcg64", "repeated_tensor", "repeated_meta", "unknown_single_tensor",
-            "unknown_branch_tensor"])
+            "rng_out_of_range", "float_filters", "float_patch", "bool_patch", "zero_bands",
+            "one_class", "rng_float_state", "rng_bool_inc", "rng_has_uint32_2",
+            "rng_float_uinteger", "rng_not_pcg64", "repeated_tensor", "repeated_meta",
+            "unknown_single_tensor", "unknown_branch_tensor"])
     def test_rejected_naming_the_record_and_eval_exits_2(self, tmp_path, capsys, net, edit,
                                                          message):
         save_checkpoint(net(), tmp_path / "ok.ckpt")

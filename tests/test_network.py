@@ -17,8 +17,8 @@ STEP_CACHES = ("_x", "_pre_relu", "_pre_add", "_mask")
 
 
 def held_caches(net):
-    """(layer, name) of each step cache a block, module or dropout layer holds."""
-    layers = [*net.blocks(), *net.modules, net.drop7, net.drop8]
+    """(layer, name) of each step cache a block or module holds."""
+    layers = [*net.blocks(), *net.modules]
     return [(layer, name) for layer in layers for name in STEP_CACHES
             if getattr(layer, name, None) is not None]
 
@@ -37,7 +37,7 @@ def weighted_layers(net):
 
 def shared_bytes(net):
     """Raw bytes of the shared store as one network (or branch) reads it."""
-    return b"".join(arr.tobytes() for _, arr in net.shared_state())
+    return b"".join(arr.tobytes() for blk in net.shared_blocks() for _, arr in blk.state())
 
 
 def expected_param_count(bands, classes, filters, rm):
@@ -168,6 +168,18 @@ class TestForward:
         net = build_backbone(spec, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             net.forward(np.zeros((2, 4, 5, 5), dtype=np.float32), training=True)
+
+    @pytest.mark.parametrize("rate,untouched", [(0.0, True), (0.5, False)])
+    def test_dropout_rate_0_draws_no_random_numbers(self, rate, untouched):
+        """c7 and c8 draw their masks from the step's generator only when the
+        rate is above 0, so a rate-0 run leaves it as it found it."""
+        net = build_backbone(NetworkSpec(bands=4, classes=3, filters=4, dropout_rate=rate),
+                             np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(0, 1, (2, 4, 5, 5)).astype(np.float32)
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        net.forward(x, training=True, rng=rng)
+        assert (rng.bit_generator.state == before) is untouched
 
     def test_full_gradient_check_single_seed(self):
         report = check_backbone(0)

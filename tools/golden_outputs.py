@@ -1,7 +1,8 @@
 """Golden outputs: run every CLI command on small synthetic data and print
-`sha256  relpath` for each file written and each command's stdout.
+`sha256  relpath` for each file written and each command's stdout, under a
+first line naming the numpy and BLAS versions.
 
-    PYTHONPATH=src python3 tools/golden_outputs.py OUT
+    PYTHONPATH=src python3 tools/golden_outputs.py OUT > tests/golden.txt
 
 OUT must not exist yet. The commands run inside OUT with relative paths, so
 the echoed configs and stdout lines do not depend on where OUT is. One step
@@ -150,11 +151,19 @@ COMMANDS = [
 ]
 
 
+def versions():
+    """'numpy X, OpenBLAS Y' for the running numpy and the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    name = "OpenBLAS" if "openblas" in blas["name"] else blas["name"]
+    return f"numpy {np.__version__}, {name} {'.'.join(blas['version'].split('.')[:3])}"
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
 def run(out):
+    print(f"# {versions()}")
     out.mkdir(parents=True)
     os.chdir(out)
     configs = {**CONFIGS, **{f"experiment_{name}.json": {**EXPERIMENT, "experiment": name, **extra}
