@@ -1,7 +1,9 @@
 """The listing of tools/golden_outputs.py, pinned in tests/golden.txt: the
-sha256 of every file the CLI commands write and of each line they print. All
-of them must match byte for byte, except the float64 gradient-check lines,
-whose errors move with the BLAS kernel: those are checked for PASS only.
+sha256 of every file the CLI commands write, of each line they print on
+stdout and of each command's whole stderr, so its progress lines are pinned
+too. All of them must match byte for byte, except the float64 gradient-check
+lines, whose errors move with the BLAS kernel: those are checked for PASS
+only.
 
 The listing starts with a header naming the numpy and OpenBLAS versions it
 was made with; on other versions the test fails naming both. A change that

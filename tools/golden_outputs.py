@@ -1,6 +1,7 @@
 """Golden outputs: run every CLI command on small synthetic data and print
-`sha256  relpath` for each file written and each command's stdout, under a
-first line naming the numpy and BLAS versions.
+`sha256  relpath` for each file written, each line of each command's stdout
+and each command's whole stderr (its progress lines, empty text included),
+under a first line naming the numpy and BLAS versions.
 
     PYTHONPATH=src python3 tools/golden_outputs.py OUT > tests/golden.txt
 
@@ -171,7 +172,7 @@ def run(out):
     Path("config").mkdir()
     for name, cfg in configs.items():
         Path("config", name).write_text(json.dumps(cfg, indent=2))
-    stdout = {}
+    stdout, stderr = {}, {}
     for step, argv in COMMANDS:
         if callable(argv):
             argv()
@@ -181,12 +182,14 @@ def run(out):
             code = main(argv)
         if code != 0:
             sys.exit(f"golden: hsinet {' '.join(argv)} exited {code}:\n{progress.getvalue()}")
-        stdout[step] = captured.getvalue()
+        stdout[step], stderr[step] = captured.getvalue(), progress.getvalue()
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
     for step, text in stdout.items():
         for i, line in enumerate(text.splitlines()):
             print(f"{_sha256(line.encode())}  stdout/{step}/{i}")
+    for step, text in stderr.items():
+        print(f"{_sha256(text.encode())}  stderr/{step}")
 
 
 if __name__ == "__main__":
