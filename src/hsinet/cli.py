@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .data import synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError, read_file, read_json, write_json
-from .experiments import (EXPERIMENT_IDS, _Harness, load_network, run_experiment,
-                          synth_domains)
+from .experiments import EXPERIMENT_IDS, _Harness, load_network, synth_domains
 from .trainer import evaluate
 from .verify import oracle_suite
 
@@ -72,14 +71,6 @@ def _load_config(path):
                      ConfigError)
 
 
-def _harness(args):
-    """The checked config of the command, its 'seed' overridden by --seed."""
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return _Harness(cfg, args.command)
-
-
 @contextmanager
 def _output_dir(path):
     """--out, made if missing. On any exception, the top-level files that are
@@ -106,28 +97,34 @@ def _write_train_outputs(out, metrics_list, names):
         write_json(out / f"{name}_summary.json", metrics.summary())
 
 
-def cmd_pretrain(args):
-    h = _harness(args)
+def _train(args, name):
+    """Run the command's one job, with --seed overriding the config's 'seed'
+    and --checkpoint finetune's 'checkpoint'; write its metrics and its
+    checkpoint `name` into --out."""
+    cfg = _load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.command == "finetune":
+        cfg["checkpoint"] = args.checkpoint
+    runs = _Harness(cfg, args.command).execute()  # a bad checkpoint fails before --out is made
     with _output_dir(args.out) as out:
-        run = h.pretrain(h.sources, h.built["seed"])
+        [(_, run)] = runs
         names = ["metrics"] if len(run.metrics) == 1 else ["metrics_step1", "metrics_step2"]
         _write_train_outputs(out, run.metrics, names)
-        ckpt = out / "pretrained.ckpt"
-        run.save(ckpt)
+        run.save(out / name)
+    return out / name, run
+
+
+def cmd_pretrain(args):
+    ckpt, _ = _train(args, "pretrained.ckpt")
     print(json.dumps({"checkpoint": str(ckpt)}))
     return 0
 
 
 def cmd_target(args):
     """finetune (from --checkpoint) and train-scratch."""
-    h = _harness(args)
-    pretrained = load_network(args.checkpoint, "cross") if args.command == "finetune" else None
-    with _output_dir(args.out) as out:
-        run = h.target_run(h.built["schedule"], h.built["seed"], pretrained)
-        _write_train_outputs(out, run.metrics, ["metrics"])
-        ckpt = out / ("finetuned.ckpt" if pretrained is not None else "scratch.ckpt")
-        last = run.metrics[0].rows[-1]   # scored on the test split at max_iter
-        run.save(ckpt)
+    ckpt, run = _train(args, "finetuned.ckpt" if args.command == "finetune" else "scratch.ckpt")
+    last = run.metrics[0].rows[-1]   # scored on the test split at max_iter
     print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": last.accuracy}))
     return 0
 
@@ -149,9 +146,10 @@ def cmd_experiment(args):
         )
     if args.seed is not None:
         cfg["seeds"] = [args.seed]
-    _Harness(cfg)  # a config error is reported before --out is made
+    h = _Harness(cfg)  # a config error is reported before --out is made
+    runs = h.execute()  # and so is a checkpoint store that cannot be read
     with _output_dir(args.out) as out:
-        run_experiment(cfg, out)
+        h.report(runs, out)
     print(json.dumps({"report": str(out / "report.csv"),
                       "summary": str(out / "summary.json")}))
     return 0

@@ -1,9 +1,9 @@
 """The config -> dataset -> network pipeline (`_Harness`) behind the CLI
-commands, and the experiments built on it. A transfer experiment is a plan:
-a list of units, each one target run per seed from a checkpoint, from a
-store the plan pre-trains, or from scratch. One executor (`run_plan`) loads
-the checkpoints and the target, pre-trains each distinct store once, then
-trains every unit for every seed. `run_pretrain` writes pre-trained stores.
+commands, and the experiments built on it. Every command is a job list of
+pre-training jobs and target jobs. A target job trains a unit (one run per
+seed, from a checkpoint, from a store a pre-training job makes, or from
+scratch) for one seed. One executor (`_Harness.execute`) runs every list: it
+loads the checkpoints and the target, then runs the jobs in order.
 
 Every experiment emits ReportRows (experiment, seed, condition, iteration,
 metric, value) and can write them as report.csv plus an aggregated
@@ -85,8 +85,25 @@ _COMBINATIONS = {
 # the keys each command requires ("a|b": either one); _EXPERIMENTS has theirs
 _TARGET = ("target", "train_per_class")
 _PRETRAIN = ("sources", "two_step|pretrain_schedule")
-_NEEDS = {"pretrain": ("sources", "two_step|schedule"), "finetune": ("schedule", *_TARGET),
+_NEEDS = {"pretrain": ("sources", "two_step|schedule"),
+          "finetune": ("checkpoint", "schedule", *_TARGET),
           "train-scratch": ("schedule", *_TARGET), "eval": _TARGET}
+# the keys each experiment requires besides 'seeds'
+_EXPERIMENTS = {
+    "schedule_sweep": ("schedules", *_TARGET, "checkpoint|sources",
+                       "checkpoint|two_step|pretrain_schedule"),
+    "depth_sweep": ("schedule", *_TARGET, *_PRETRAIN),
+    **{exp: (key, "schedule", *_TARGET, *_PRETRAIN) for exp, (key, _, _) in _COMBINATIONS.items()},
+    "pretrain": _PRETRAIN,
+    "finetune": ("checkpoint", "schedule", *_TARGET),
+}
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
+
+
+def _experiment(exp):
+    if exp not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment '{exp}' (known: {sorted(_EXPERIMENTS)})")
+    return _EXPERIMENTS[exp]
 
 
 _ENVI = {"interleave": _valid("str", INTERLEAVES.__contains__, f"one of {list(INTERLEAVES)}"),
@@ -163,12 +180,13 @@ class _Run:
 class _Harness:
     """The config -> dataset -> network pipeline shared by the CLI commands and
     every experiment. Building one checks the whole config for `command`
-    (None: the experiment it names); runs read only the values in `built`."""
+    (None: the experiment it names) and lays out its job list, which
+    `execute` runs; runs read only the values in `built`."""
 
     def __init__(self, cfg, command=None):
-        self.command = command
+        self.cfg, self.command = cfg, command
         self.experiment = cfg.get("experiment")
-        needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment)[1])
+        needs = _NEEDS[command] if command else ("seeds", *_experiment(self.experiment))
         c = self.built = _object(_SCHEMA, needs)({**_DEFAULTS, **cfg}, "config")
         for i, depth in enumerate(c["depths"]):
             _at(f"config 'depths' entry {i}", replace, c["network"], residual_modules=depth)
@@ -191,9 +209,7 @@ class _Harness:
         self.seeds = c.get("seeds", [])
         # repeated seeds or condition names would merge their runs in the report
         _distinct([(s, f"config 'seeds' entry {i}") for i, s in enumerate(self.seeds)], "seed")
-        if command is None and self.experiment != "pretrain":  # a transfer experiment
-            self.units = _plan(self)
-            _distinct([(u.condition, u.entry) for u in self.units], "condition")
+        self.jobs = _jobs(self)
         # the training keys the config sets; the trainer has the defaults
         self.train_kwargs = {key: c[key] for key in ("eval_every", "augment") if key in c}
 
@@ -251,13 +267,13 @@ class _Harness:
         cdn, metrics = train_cross_domain(cdn, sources, schedule, rng, **self.train_kwargs)
         return _Run(cdn, [metrics], rng)
 
-    def target_run(self, schedule, seed, pretrained=None, modules=None):
-        """Train on the target from scratch or from a pre-trained shared store."""
-        spec = self._spec(self.target, modules)
-        rng = np.random.default_rng(seed)
+    def target_run(self, job, pretrained=None):
+        """Run target job `job` from scratch or from a pre-trained shared store."""
+        spec = self._spec(self.target, job.modules)
+        rng = np.random.default_rng(job.seed)
         net = (build_backbone(spec, rng) if pretrained is None
                else transfer_shared(pretrained, spec, rng))
-        net, metrics = train_single(net, self.target, schedule, rng, **self.train_kwargs)
+        net, metrics = train_single(net, self.target, job.schedule, rng, **self.train_kwargs)
         return _Run(net, [metrics], rng)
 
     def curve_rows(self, seed, condition, run, extra=None):
@@ -271,26 +287,100 @@ class _Harness:
         return [ReportRow(self.experiment, seed, condition, iteration, metric, float(value))
                 for iteration, values in points for metric, value in values.items()]
 
+    def execute(self):
+        """Run the job list. The checkpoint stores load now, so a bad one fails
+        before the caller makes --out. The returned iterator loads the target
+        (one that cannot be scored fails before any pre-training), then runs
+        the jobs in order and gives (job, run) for each. An experiment names
+        each job on stderr before its eval lines; a command names none."""
+        keys = [job.store for job in self.jobs if isinstance(job, _Unit)]
+        stores = {key: load_network(key, "cross") for key in dict.fromkeys(keys)
+                  if isinstance(key, str)}
+        named = _progress if self.command is None else lambda line: None
 
-# --- the run plan ---------------------------------------------------------
+        def runs():
+            if keys:
+                self.target
+            for job in self.jobs:
+                if isinstance(job, _Unit):
+                    named(f"condition {job.condition} seed {job.seed}")
+                    run = self.target_run(job, stores.get(job.store))
+                else:
+                    named(f"pretrain seed {job.seed}" if self.experiment == "pretrain" else
+                          f"pretrain sources {list(job.sources)} with {job.modules} residual "
+                          "modules")
+                    run = self.pretrain([self.sources[i] for i in job.sources], job.seed,
+                                        job.modules)
+                    stores[job.sources, job.modules] = run.network  # the key units read it by
+                yield job, run
+        return runs()
+
+    def report(self, runs, out_dir=None):
+        """The experiment's ReportRows from its (job, run) pairs, sorted, and
+        with out_dir its report.csv, summary.json and config.json there.
+        `experiment pretrain` reports source loss curves and writes each
+        seed's checkpoint into out_dir, the same file `hsinet pretrain` writes
+        for that seed; a transfer experiment reports each target run."""
+        rows, pixels = [], {None: 0}  # labeled source pixels per pre-trained store
+        for job, run in runs:
+            if isinstance(job, _Unit):
+                # a combination experiment also reports the store's labeled source pixels
+                rows += self.curve_rows(job.seed, job.condition, run,
+                                        {"source_pixels": pixels[job.store]}
+                                        if self.experiment in _COMBINATIONS else None)
+            elif self.experiment != "pretrain":
+                pixels[job.sources, job.modules] = sum(self.sources[i].labeled_count
+                                                       for i in job.sources)
+            else:
+                for phase, metrics in enumerate(run.metrics, start=1):
+                    condition = "pretrain" if len(run.metrics) == 1 else f"pretrain/step{phase}"
+                    rows += [ReportRow("pretrain", job.seed, condition, r.iteration,
+                                       f"loss[{r.domain}]", float(r.loss)) for r in metrics.rows]
+                if out_dir is not None:
+                    Path(out_dir).mkdir(parents=True, exist_ok=True)
+                    run.save(Path(out_dir) / f"pretrained_seed{job.seed}.ckpt")
+        rows.sort(key=lambda r: (r.condition, r.seed, r.iteration, r.metric))
+        if out_dir is not None:
+            write_report(rows, self.cfg, out_dir)
+        return rows
+
+
+# --- the job list ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Unit:
     """One target run per seed from its store: a checkpoint path, the (source
     indices, residual modules) key of a store the plan pre-trains, or None for
-    scratch. `entry` names the config entry it comes from."""
+    scratch. `entry` names the config entry it comes from. A unit with its
+    `seed` set is a target job."""
 
     condition: str
     entry: str
     schedule: TrainSchedule
     modules: int
     store: str | tuple | None
+    seed: int | None = None
 
 
-def _plan(h):
-    """The target units of the transfer experiment `h` runs."""
-    c, exp = h.built, h.experiment
+@dataclass(frozen=True)
+class _Pretrain:
+    """A pre-training job: the config's sources at indices `sources` with
+    `modules` residual modules, from `seed`. Units read the store it makes by
+    the key (sources, modules)."""
+
+    sources: tuple
+    modules: int
+    seed: int
+
+
+def _plan(h, exp):
+    """The target units of `exp`, the command or experiment `h` runs."""
+    c = h.built
     modules, schedule = c["network"].residual_modules, c.get("schedule")
+    if exp == "eval":
+        return []
+    if exp == "train-scratch":
+        return [_Unit("scratch", "config 'schedule'", schedule, modules, None)]
     if exp == "finetune":
         return [_Unit("finetune", "config 'checkpoint'", schedule, modules, c["checkpoint"])]
     if exp in _COMBINATIONS:
@@ -313,87 +403,32 @@ def _plan(h):
             for i, (label, s, m, store) in enumerate(runs) for kind in ("pretrain", "scratch")]
 
 
-def run_plan(cfg, out_dir=None):
-    """Run a transfer experiment's plan: load its checkpoint stores, then its
-    target (one that cannot be scored fails before pre-training), pre-train
-    each distinct store key once, and train every unit for every seed. stderr
-    gets a line naming each run before its eval lines."""
-    h = _Harness(cfg)
-    keys = dict.fromkeys(u.store for u in h.units)  # distinct, in plan order
-    stores = {key: load_network(key, "cross") for key in keys if isinstance(key, str)}
-    h.target  # loaded and checked before any pre-training
-    pixels = {None: 0}  # labeled source pixels per pre-trained store
-    for key in filter(lambda key: isinstance(key, tuple), keys):
-        subset = [h.sources[i] for i in key[0]]
-        pixels[key] = sum(ds.labeled_count for ds in subset)
-        _progress(f"pretrain sources {list(key[0])} with {key[1]} residual modules")
-        stores[key] = h.pretrain(subset, h.built.get("pretrain_seed", h.seeds[0]),
-                                 modules=key[1]).network
-    rows = []
-    for seed in h.seeds:
-        for u in h.units:
-            _progress(f"condition {u.condition} seed {seed}")
-            run = h.target_run(u.schedule, seed, stores.get(u.store), u.modules)
-            # a combination experiment also reports the store's labeled source pixels
-            rows += h.curve_rows(seed, u.condition, run, {"source_pixels": pixels[u.store]}
-                                 if h.experiment in _COMBINATIONS else None)
-    return _finish(rows, cfg, out_dir)
-
-
-def run_pretrain(cfg, out_dir=None):
-    """Plain cross-domain pre-training as an experiment: emits source loss
-    curves and, when out_dir is given, writes one checkpoint per seed, the same
-    file `hsinet pretrain` writes for that seed. stderr gets a line naming each
-    run before its eval lines."""
-    h = _Harness(cfg)
-    rows = []
-    for seed in h.seeds:
-        _progress(f"pretrain seed {seed}")
-        run = h.pretrain(h.sources, seed)
-        for phase, metrics in enumerate(run.metrics, start=1):
-            condition = "pretrain" if len(run.metrics) == 1 else f"pretrain/step{phase}"
-            rows += [ReportRow("pretrain", seed, condition, r.iteration,
-                               f"loss[{r.domain}]", float(r.loss)) for r in metrics.rows]
-        if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            run.save(Path(out_dir) / f"pretrained_seed{seed}.ckpt")
-    return _finish(rows, cfg, out_dir)
-
-
-# each experiment's runner and the keys its config requires besides 'seeds'
-_EXPERIMENTS = {
-    "schedule_sweep": (run_plan, ("schedules", *_TARGET, "checkpoint|sources",
-                                  "checkpoint|two_step|pretrain_schedule")),
-    "depth_sweep": (run_plan, ("schedule", *_TARGET, *_PRETRAIN)),
-    **{exp: (run_plan, (key, "schedule", *_TARGET, *_PRETRAIN))
-       for exp, (key, _, _) in _COMBINATIONS.items()},
-    "pretrain": (run_pretrain, _PRETRAIN),
-    "finetune": (run_plan, ("checkpoint", "schedule", *_TARGET)),
-}
-EXPERIMENT_IDS = tuple(_EXPERIMENTS)
-
-
-def _experiment(exp):
-    if exp not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment '{exp}' (known: {sorted(_EXPERIMENTS)})")
-    return _EXPERIMENTS[exp]
+def _jobs(h):
+    """The job list of the command or experiment `h` runs, over the config's
+    'seed' (a command) or 'seeds' (an experiment). `pretrain` is one
+    pre-training job per seed. Any other pre-trains each distinct store its
+    units read once, in plan order, then runs every unit, seed by seed."""
+    c, exp = h.built, h.command or h.experiment
+    seeds = [c["seed"]] if h.command else h.seeds
+    if exp == "pretrain":
+        every_source = tuple(range(len(c["sources"])))
+        return [_Pretrain(every_source, c["network"].residual_modules, seed) for seed in seeds]
+    units = _plan(h, exp)
+    _distinct([(u.condition, u.entry) for u in units], "condition")
+    keys = dict.fromkeys(u.store for u in units if isinstance(u.store, tuple))  # in plan order
+    pretrain_seed = c.get("pretrain_seed", seeds[0])
+    return ([_Pretrain(*key, pretrain_seed) for key in keys]
+            + [replace(u, seed=seed) for seed in seeds for u in units])
 
 
 def run_experiment(cfg, out_dir=None):
     """Run the experiment `cfg` names; stderr shows each run and its eval
     points."""
-    runner, _ = _experiment(cfg.get("experiment"))
-    return runner(cfg, out_dir)
+    h = _Harness(cfg)
+    return h.report(h.execute(), out_dir)
 
 
 # --- reports --------------------------------------------------------------
-
-def _finish(rows, cfg, out_dir):
-    rows.sort(key=lambda r: (r.condition, r.seed, r.iteration, r.metric))
-    if out_dir is not None:
-        write_report(rows, cfg, out_dir)
-    return rows
-
 
 def write_report(rows, cfg, out_dir):
     """report.csv, summary.json and config.json, each written atomically."""

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,14 @@ import hsinet.experiments
 import hsinet.trainer
 from hsinet.data import SynthConfig, synth_generate
 from hsinet.errors import ConfigError
-from hsinet.experiments import ReportRow, _Harness, run_experiment, summarize, write_report
+from hsinet.experiments import (ReportRow, _Harness, _Pretrain, _Unit, run_experiment, summarize,
+                                write_report)
 from test_network import shared_bytes
+
+_GOLDEN = Path(__file__).resolve().parent.parent / "tools" / "golden_outputs.py"
+_spec = importlib.util.spec_from_file_location("golden_outputs", _GOLDEN)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def synth(seed, name, bands=4, classes=3, side=12):
@@ -208,6 +216,47 @@ class TestPlan:
         for r in rows:
             curves.setdefault(r.condition, []).append((r.seed, r.iteration, r.metric, r.value))
         assert curves["again"] == curves["both"] != curves["solo"]
+
+
+class TestJobList:
+    """The job lists of the configs in tools/golden_outputs.py, built without
+    loading any data: each store is pre-trained once, before its readers."""
+
+    @pytest.mark.parametrize("name", sorted(golden.EXPERIMENTS))
+    def test_each_store_is_pretrained_once_before_the_jobs_that_read_it(self, name):
+        cfg = {**golden.EXPERIMENT, "experiment": name, **golden.EXPERIMENTS[name]}
+        jobs = _Harness(cfg).jobs
+        if cfg["experiment"] == "pretrain":
+            assert [type(job) for job in jobs] == [_Pretrain] * len(cfg["seeds"])
+            assert [job.seed for job in jobs] == cfg["seeds"]
+            return
+        made = []
+        for job in jobs:
+            if isinstance(job, _Pretrain):
+                assert (job.sources, job.modules) not in made
+                made.append((job.sources, job.modules))
+            elif isinstance(job.store, tuple):
+                assert job.store in made
+        targets = [job for job in jobs if isinstance(job, _Unit)]
+        assert jobs[-len(targets):] == targets  # every store before the first target job
+        assert made == list(dict.fromkeys(job.store for job in targets
+                                          if isinstance(job.store, tuple)))
+        per_seed = len(targets) // len(cfg["seeds"])
+        assert [job.seed for job in targets] == [s for s in cfg["seeds"] for _ in range(per_seed)]
+
+    @pytest.mark.parametrize("name", ["pretrain.json", "pretrain_two_step.json"])
+    def test_hsinet_pretrain_is_one_job_over_every_source(self, name):
+        cfg = {**golden.CONFIGS[name], "seed": 3}
+        [job] = _Harness(cfg, "pretrain").jobs
+        assert job == _Pretrain(tuple(range(len(cfg["sources"]))), 2, 3)  # default modules
+
+    @pytest.mark.parametrize("command,store", [("finetune", "pretrain/pretrained.ckpt"),
+                                               ("train-scratch", None)])
+    def test_a_target_command_is_one_job(self, command, store):
+        cfg = {**golden.TARGET, "seed": 3, "checkpoint": "pretrain/pretrained.ckpt"}
+        [job] = _Harness(cfg, command).jobs
+        assert isinstance(job, _Unit)
+        assert (job.store, job.seed, job.schedule.max_iter) == (store, 3, 60)
 
 
 class TestRunKeys:
