@@ -276,15 +276,20 @@ class _Harness:
         net, metrics = train_single(net, self.target, job.schedule, rng, **self.train_kwargs)
         return _Run(net, [metrics], rng)
 
-    def curve_rows(self, seed, condition, run, extra=None):
-        """train_loss and test_accuracy at each eval point of a target run, then
-        final_accuracy and the `extra` metrics at its last one (max_iter)."""
+    def curve_rows(self, job, run):
+        """train_loss and test_accuracy at each eval point of a target job's
+        run, then final_accuracy at its last one (max_iter). A combination
+        experiment also reports there the labeled pixels of the store's
+        sources."""
         curve = run.metrics[0].rows
+        last = {"final_accuracy": curve[-1].accuracy}
+        if self.experiment in _COMBINATIONS:
+            last["source_pixels"] = (sum(self.sources[i].labeled_count for i in job.store[0])
+                                     if job.store else 0)
         points = [(r.iteration, {"train_loss": r.loss, "test_accuracy": r.accuracy})
-                  for r in curve]
-        points.append((curve[-1].iteration,
-                       {"final_accuracy": curve[-1].accuracy, **(extra or {})}))
-        return [ReportRow(self.experiment, seed, condition, iteration, metric, float(value))
+                  for r in curve] + [(curve[-1].iteration, last)]
+        return [ReportRow(self.experiment, job.seed, job.condition, iteration, metric,
+                          float(value))
                 for iteration, values in points for metric, value in values.items()]
 
     def execute(self):
@@ -321,17 +326,11 @@ class _Harness:
         `experiment pretrain` reports source loss curves and writes each
         seed's checkpoint into out_dir, the same file `hsinet pretrain` writes
         for that seed; a transfer experiment reports each target run."""
-        rows, pixels = [], {None: 0}  # labeled source pixels per pre-trained store
+        rows = []
         for job, run in runs:
             if isinstance(job, _Unit):
-                # a combination experiment also reports the store's labeled source pixels
-                rows += self.curve_rows(job.seed, job.condition, run,
-                                        {"source_pixels": pixels[job.store]}
-                                        if self.experiment in _COMBINATIONS else None)
-            elif self.experiment != "pretrain":
-                pixels[job.sources, job.modules] = sum(self.sources[i].labeled_count
-                                                       for i in job.sources)
-            else:
+                rows += self.curve_rows(job, run)
+            elif self.experiment == "pretrain":
                 for phase, metrics in enumerate(run.metrics, start=1):
                     condition = "pretrain" if len(run.metrics) == 1 else f"pretrain/step{phase}"
                     rows += [ReportRow("pretrain", job.seed, condition, r.iteration,

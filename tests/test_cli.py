@@ -550,6 +550,23 @@ class TestUnwritableOutput:
         assert "'typo'" in capsys.readouterr().err
         assert out.read_text() == "keep"
 
+    @pytest.mark.parametrize("command", [["finetune", "--checkpoint", "missing.ckpt"],
+                                         ["experiment", "finetune"]])
+    def test_missing_checkpoint_comes_before_the_out_error(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        """An experiment read its checkpoint after making --out, and so exited 2
+        naming --out; finetune read it before."""
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("keep")
+        cfg = write_json(tmp_path / "c.json", {
+            "target": synth(50, "t"), "train_per_class": 4, "network": {"filters": 4},
+            "schedule": {"step_size": 4, "max_iter": 4, "batch": 4}, "seeds": [0],
+            "checkpoint": "missing.ckpt"})
+        assert main([*command, "--config", cfg, "--out", "f"]) == 1
+        assert ("config error: checkpoint 'missing.ckpt' does not exist as a file"
+                in capsys.readouterr().err)
+        assert Path("f").read_text() == "keep"
+
     def test_experiment_out_naming_a_file_exits_2_before_any_step(self, tmp_path, capsys,
                                                                  sgd_steps):
         out = tmp_path / "f"
