@@ -144,7 +144,8 @@ def _reflect_pad(data, pad, what):
     """A (bands, height, width) raster reflect-padded by `pad` on both spatial
     axes (index -1 mirrors index 1) and held pixel-major, as (height + 2 pad,
     width + 2 pad, bands); `what` names it in errors. The padded copy is one
-    gather at the reflected indices."""
+    gather at the reflected indices, of whole contiguous pixel rows when the
+    raster is held pixel-major (a BIP file's cube)."""
     _check_reflect(data.shape, pad, what)
     _, h, w = data.shape
     return data.transpose(1, 2, 0)[_reflected(h, pad)[:, None], _reflected(w, pad)]
@@ -196,7 +197,9 @@ def normalize_bands(ds):
         )
         std = std.copy()
         std[flat_bands] = 1.0
-    new = ((ds.cube.data.astype(np.float64) - mean[:, None, None]) / std[:, None, None])
+    new = ds.cube.data.astype(np.float64)  # elementwise, in the cube's memory order
+    new -= mean[:, None, None]
+    new /= std[:, None, None]
     cube = replace(ds.cube, data=new.astype(np.float32))
     return replace(ds, cube=cube)
 

@@ -1,8 +1,9 @@
 """ENVI raster reader/writer: plain-text header plus raw binary cube in
 BSQ, BIL, or BIP interleave.
 
-Cubes normalize to a band-major float32 array (bands, lines, samples) on
-load; label rasters are decoded from their file samples. Supported sample
+Cubes load as float32 (bands, lines, samples) arrays held in the file's
+memory order (BIP pixel-major, BIL line-major, BSQ band-major); label
+rasters are decoded from their file samples. Supported sample
 types: int16, uint16, float32, float64 (ENVI data type codes 2, 12, 4, 5),
 either byte order. The reader and the writer share one description of each
 encoding: INTERLEAVE_AXES, DTYPE_CODES and _sample_dtype.
@@ -24,12 +25,11 @@ DTYPE_CODES = {2: "i2", 4: "f4", 5: "f8", 12: "u2"}
 INTERLEAVE_AXES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
 INTERLEAVES = tuple(INTERLEAVE_AXES)
 LABEL_MAX = 2**31 - 1  # labels are stored as int32
-BIP_BLOCK = 1 << 18  # samples per cast from BIP: a whole-cube transposing cast misses cache
 
 
 @dataclass
 class HyperCube:
-    """Hyperspectral cube, band-major float32: data is (bands, height, width)."""
+    """Hyperspectral cube, float32: data is (bands, height, width), in any memory order."""
 
     data: np.ndarray
 
@@ -82,6 +82,7 @@ def parse_envi_header(path):
     contents joined for multi-line lists).
     """
     text = read_file(path, "ENVI header").decode(errors="replace")
+    where = f"ENVI header '{path}'"
     header = {}
     lines = iter(text.splitlines())
     for line in lines:
@@ -97,25 +98,25 @@ def parse_envi_header(path):
                 try:
                     parts.append(next(lines))
                 except StopIteration:
-                    raise DataError(f"unterminated '{{' for header key '{key}'") from None
+                    raise DataError(f"{where} has an unterminated '{{' for key '{key}'") from None
             parts[-1] = parts[-1][:parts[-1].index("}")]
             value = " ".join(p.strip() for p in parts).strip()
+        if key in header:  # the last value would win silently
+            raise DataError(f"{where} repeats the key '{key}'")
         header[key] = value
     return header
 
 
-def _require(header, key):
-    if key not in header:
-        raise DataError(f"ENVI header missing required key '{key}'")
-    return header[key]
-
-
-def _int_key(header, key, default=None):
-    raw = _require(header, key) if default is None else header.get(key, default)
+def _key(header, path, key, convert=int, default=None):
+    """`convert` of the value of header `key`; a missing key without a default,
+    or a value `convert` rejects, is a DataError naming the file and key."""
+    if key not in header and default is None:
+        raise DataError(f"ENVI header '{path}' missing required key '{key}'")
+    raw = header.get(key, default)
     try:
-        return int(raw)
+        return convert(raw)
     except ValueError:
-        raise DataError(f"ENVI header key '{key}' is not an integer: '{raw}'") from None
+        raise DataError(f"ENVI header '{path}' key '{key}' is not an integer: '{raw}'") from None
 
 
 def _sample_dtype(interleave, data_type, byte_order):
@@ -133,14 +134,15 @@ def _sample_dtype(interleave, data_type, byte_order):
 
 
 def read_envi_samples(header_path, data_path=None):
-    """The samples of an ENVI raster in their file dtype: a read-only
-    band-major (bands, lines, samples) view of the data file's bytes."""
+    """The samples of an ENVI raster in their file dtype: a read-only view of
+    the data file's bytes, indexed (bands, lines, samples) and laid out in
+    the file's order."""
     header = parse_envi_header(header_path)
-    samples, lines, bands = (_int_key(header, key) for key in ("samples", "lines", "bands"))
-    code = _int_key(header, "data type")
-    byte_order = _int_key(header, "byte order")
-    interleave = _require(header, "interleave").lower()
-    offset = _int_key(header, "header offset", default=0)
+    samples, lines, bands, code, byte_order = (
+        _key(header, header_path, key)
+        for key in ("samples", "lines", "bands", "data type", "byte order"))
+    interleave = _key(header, header_path, "interleave", str.lower)
+    offset = _key(header, header_path, "header offset", default=0)
     dtype = _sample_dtype(interleave, code, byte_order)
     for key, value, low in (("samples", samples, 1), ("lines", lines, 1), ("bands", bands, 1),
                             ("header offset", offset, 0)):
@@ -167,16 +169,9 @@ def read_envi_samples(header_path, data_path=None):
 
 
 def load_envi(header_path, data_path=None):
-    """Load an ENVI raster into a band-major HyperCube."""
-    view = read_envi_samples(header_path, data_path)
-    bands, lines, samples = view.shape
-    if view.strides[0] >= view.strides[2]:  # bands are not innermost: one cast
-        return HyperCube.from_array(view)
-    data = np.empty(view.shape, dtype=np.float32)
-    step = max(1, BIP_BLOCK // (bands * samples))  # whole lines, at least one
-    for start in range(0, lines, step):
-        data[:, start:start + step] = view[:, start:start + step]
-    return HyperCube(data)
+    """Load an ENVI raster into a HyperCube held in the file's sample order:
+    one contiguous cast, none for a little-endian float32 file."""
+    return HyperCube(read_envi_samples(header_path, data_path).astype(np.float32, copy=False))
 
 
 def write_envi(cube, header_path, data_path, interleave="bsq", data_type=4, byte_order=0):

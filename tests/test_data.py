@@ -8,14 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import hsinet.envi
 from hsinet import data, ops
+from hsinet.checkpoint import save_checkpoint
 from hsinet.data import (DomainDataset, PatchBatcher, SynthConfig, augment_d4,
                          extract_patch, load_manifest, normalize_bands,
                          split_per_class, synth_generate, with_split, write_dataset)
-from hsinet.envi import (HyperCube, LabelRaster, load_envi, load_label_raster,
-                         parse_envi_header, read_envi_samples, write_envi)
+from hsinet.envi import (INTERLEAVE_AXES, INTERLEAVES, HyperCube, LabelRaster, load_envi,
+                         load_label_raster, parse_envi_header, read_envi_samples, write_envi)
 from hsinet.errors import ConfigError, DataError, ShapeError
+from hsinet.experiments import _Harness
+from hsinet.network import NetworkSpec, build_backbone
+from hsinet.trainer import TrainSchedule, train_single
 
 
 def cube_123():
@@ -64,28 +67,24 @@ class TestEnviRoundTrip:
         loaded = load_envi(hdr, img)
         np.testing.assert_array_equal(loaded.data, values)
 
+    @pytest.mark.parametrize("interleave", INTERLEAVES)
     @pytest.mark.parametrize("data_type,low,high", [
         (2, -32768, 32767), (4, -1e6, 1e6), (5, -1e6, 1e6), (12, 0, 65535)])
     @pytest.mark.parametrize("byte_order", [0, 1])
-    @pytest.mark.parametrize("lines,block", [(7, 2 * 3 * 5), (7, 1), (1, 4)],
-                             ids=["ragged_last_block", "block_under_a_line", "one_line"])
-    def test_bip_line_blocks_match_one_cast(self, tmp_path, monkeypatch, data_type, low, high,
-                                            byte_order, lines, block):
-        """A BIP cube is cast a block of lines at a time; the cast of the whole
-        sample view in one call is the reference."""
-        values = np.random.default_rng(5).uniform(low, high, (3, lines, 5))
+    def test_cube_keeps_the_file_order(self, tmp_path, interleave, data_type, low, high,
+                                       byte_order):
+        """The cube holds the values of the sample view cast in one call, laid
+        out in the file's order (bands innermost for BIP); a little-endian
+        float32 file loads as a view of the file bytes."""
+        values = np.random.default_rng(5).uniform(low, high, (3, 7, 5))
         hdr, img = tmp_path / "b.hdr", tmp_path / "b.img"
-        write_envi(HyperCube.from_array(values), hdr, img, interleave="bip",
+        write_envi(HyperCube.from_array(values), hdr, img, interleave=interleave,
                    data_type=data_type, byte_order=byte_order)
-        monkeypatch.setattr(hsinet.envi, "BIP_BLOCK", block)
         reference = np.ascontiguousarray(read_envi_samples(hdr, img), dtype=np.float32)
         loaded = load_envi(hdr, img).data
-        assert loaded.flags.c_contiguous and loaded.dtype == np.float32
-        np.testing.assert_array_equal(loaded, reference)
-
-    def test_little_endian_float32_bsq_loads_without_a_copy(self, tmp_path):
-        write_envi(cube_123(), tmp_path / "z.hdr", tmp_path / "z.img")
-        assert not load_envi(tmp_path / "z.hdr", tmp_path / "z.img").data.flags.owndata
+        assert loaded.dtype == np.float32 and loaded.tobytes() == reference.tobytes()
+        assert tuple(np.argsort(-np.array(loaded.strides))) == INTERLEAVE_AXES[interleave]
+        assert loaded.flags.owndata == (data_type != 4 or byte_order != 0)
 
     def test_short_file_is_size_mismatch(self, tmp_path):
         cube = cube_123()
@@ -95,10 +94,11 @@ class TestEnviRoundTrip:
         with pytest.raises(DataError, match="size mismatch"):
             load_envi(tmp_path / "s.hdr", tmp_path / "s.img")
 
-    def test_missing_required_key(self, tmp_path):
+    def test_missing_required_key_names_the_file(self, tmp_path):
         (tmp_path / "h.hdr").write_text("ENVI\nsamples = 2\nbands = 3\n")
         (tmp_path / "h.img").write_bytes(b"")
-        with pytest.raises(DataError, match="'lines'"):
+        with pytest.raises(DataError, match=re.escape(
+                f"ENVI header '{tmp_path / 'h.hdr'}' missing required key 'lines'")):
             load_envi(tmp_path / "h.hdr", tmp_path / "h.img")
 
     def test_unsupported_data_type(self, tmp_path):
@@ -110,12 +110,31 @@ class TestEnviRoundTrip:
         with pytest.raises(DataError, match="data type 3"):
             load_envi(tmp_path / "h.hdr", tmp_path / "h.img")
 
-    def test_non_integer_header_offset(self, tmp_path):
+    def test_non_integer_header_offset_names_the_file(self, tmp_path):
         write_envi(cube_123(), tmp_path / "h.hdr", tmp_path / "h.img")
         hdr = tmp_path / "h.hdr"
         hdr.write_text(hdr.read_text().replace("header offset = 0", "header offset = abc"))
-        with pytest.raises(DataError, match="'header offset'.*'abc'"):
+        with pytest.raises(DataError, match=re.escape(
+                f"ENVI header '{hdr}' key 'header offset' is not an integer: 'abc'")):
             load_envi(hdr, tmp_path / "h.img")
+
+    def test_unterminated_brace_names_the_file(self, tmp_path):
+        hdr = tmp_path / "h.hdr"
+        hdr.write_text("ENVI\nsamples = 1\nwavelength = {400.0,\n 500.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"ENVI header '{hdr}' has an unterminated '{{' for key 'wavelength'")):
+            parse_envi_header(hdr)
+
+    def test_repeated_key_names_the_label_header(self, tmp_path):
+        """`bands = 1` then `bands = 3` used to load as 3 bands, and the only
+        error was a size mismatch naming the data file."""
+        ds = synth_generate(SynthConfig(classes=3, bands=3, height=6, width=6, name="d"))
+        manifest = write_dataset(ds, tmp_path)
+        hdr = tmp_path / "d_labels.hdr"
+        hdr.write_text(hdr.read_text().replace("bands = 1", "bands = 1\nBands = 3"))
+        with pytest.raises(DataError, match=re.escape(
+                f"ENVI header '{hdr}' repeats the key 'bands'")):
+            load_manifest(manifest)
 
     def test_negative_header_offset_names_key_and_file(self, tmp_path):
         write_envi(cube_123(), tmp_path / "h.hdr", tmp_path / "h.img")
@@ -677,3 +696,48 @@ class TestBatcherAndManifest:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataError, match=re.escape(f"manifest '{path}' {message}")):
             load_manifest(path)
+
+
+class TestInterleavesAgree:
+    """One dataset written as BSQ, BIL and BIP: each cube loads in its file's
+    memory order, and every result computed from it is the same bytes."""
+
+    @pytest.mark.parametrize("data_type", [2, 4])
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    def test_normalize_patches_and_training_match(self, tmp_path, data_type, byte_order):
+        ds = synth_generate(SynthConfig(classes=3, bands=6, height=10, width=9, noise_std=0.3,
+                                        seed=8, name="d"))
+        ds = replace(ds, cube=HyperCube.from_array(ds.cube.data * 1000))  # int16 keeps 3 digits
+        results = {}
+        for interleave in INTERLEAVES:
+            manifest = write_dataset(ds, tmp_path / interleave, interleave=interleave,
+                                     data_type=data_type, byte_order=byte_order)
+            loaded = normalize_bands(with_split(load_manifest(manifest), 3,
+                                                np.random.default_rng(2)))
+            assert (tuple(np.argsort(-np.array(loaded.cube.data.strides)))
+                    == INTERLEAVE_AXES[interleave])
+            batcher = PatchBatcher(loaded, 5)
+            patches, _ = batcher.batch(loaded.test_idx)
+            rows, _ = batcher.centers(loaded.test_idx)
+            net = build_backbone(NetworkSpec(bands=6, classes=3, filters=4),
+                                 np.random.default_rng(3))
+            train_single(net, loaded, TrainSchedule(step_size=2, max_iter=2, batch=8),
+                         np.random.default_rng(4))
+            save_checkpoint(net, tmp_path / f"{interleave}.ckpt")
+            results[interleave] = (loaded.cube.data.tobytes(), patches.tobytes(),
+                                   rows.tobytes(), (tmp_path / f"{interleave}.ckpt").read_bytes())
+        assert results["bil"] == results["bsq"] and results["bip"] == results["bsq"]
+
+    @pytest.mark.parametrize("interleave", INTERLEAVES)
+    def test_first_non_finite_value_is_named_in_band_line_sample_order(self, tmp_path,
+                                                                      interleave):
+        ds = synth_generate(SynthConfig(classes=3, bands=4, height=6, width=6, name="d"))
+        values = ds.cube.data.copy()
+        values[2, 1, 0] = np.nan  # first in the memory of a BIP cube
+        values[0, 1, 3] = np.nan  # first in (band, line, sample) order
+        manifest = str(write_dataset(replace(ds, cube=HyperCube.from_array(values)), tmp_path,
+                                     interleave=interleave))
+        h = _Harness({"target": {"manifest": manifest}, "train_per_class": 1}, "eval")
+        with pytest.raises(DataError, match=re.escape(
+                "dataset 'd' band 0 holds the non-finite value nan at pixel (x=3, y=1)")):
+            h._load(h.built["target"])
